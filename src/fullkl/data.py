@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import LabelGrid, MIN_SIGMA_FACTOR, Pmf, TRUNCATION_SIGMAS
+from .grid import LabelGrid, MIN_SIGMA_FACTOR, Pmf, TRUNCATION_SIGMAS, pmf_moments
 
 __all__ = [
     "Sample",
@@ -107,6 +107,19 @@ class Dataset:
     @property
     def d_in(self) -> int:
         return int(self.features.shape[1])
+
+    @cached_property
+    def target_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``pmf_moments`` (mu, var) of every target pmf row.
+
+        Computed on first access, not at construction, so building a dataset
+        costs nothing extra.  The moments are per-row reductions, so a row's
+        values are the bits ``pmf_moments`` gives for any batch holding it.
+        """
+        mu, var = pmf_moments(self.target_pmfs, self.grid.values)
+        mu.flags.writeable = False
+        var.flags.writeable = False
+        return mu, var
 
     @cached_property
     def samples(self) -> tuple[Sample, ...]:

@@ -188,18 +188,20 @@ def _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy: NumericPolicy) -
     return np.asarray(a)[..., np.newaxis] * values + np.asarray(b)[..., np.newaxis] * dev * dev
 
 
-def _smoothness_vals(preds: np.ndarray, eps_log: float) -> np.ndarray:
-    lp = np.log(np.maximum(preds, eps_log))
-    d = preds[..., :-1] - preds[..., 1:]
-    big_l = lp[..., :-1] - lp[..., 1:]
+def _log_diffs(preds: np.ndarray, eps_log: float):
+    """(max(p, eps_log), adjacent differences, adjacent floored-log differences)."""
+    pf = np.maximum(preds, eps_log)
+    lp = np.log(pf)
+    return pf, preds[..., :-1] - preds[..., 1:], lp[..., :-1] - lp[..., 1:]
+
+
+def _smoothness_vals(preds: np.ndarray, eps_log: float, parts=None) -> np.ndarray:
+    _, d, big_l = _log_diffs(preds, eps_log) if parts is None else parts
     return 0.5 * np.sum(d * big_l, axis=-1)
 
 
-def _smoothness_dldp(preds: np.ndarray, eps_log: float) -> np.ndarray:
-    pf = np.maximum(preds, eps_log)
-    lp = np.log(pf)
-    d = preds[..., :-1] - preds[..., 1:]
-    big_l = lp[..., :-1] - lp[..., 1:]
+def _smoothness_dldp(preds: np.ndarray, eps_log: float, parts=None) -> np.ndarray:
+    pf, d, big_l = _log_diffs(preds, eps_log) if parts is None else parts
     # d log(max(p, eps)) / dp is 1/p above the floor and 0 below it.
     inv = np.where(preds > eps_log, 1.0 / pf, 0.0)
     out = np.zeros_like(preds)
@@ -389,17 +391,10 @@ def _reference_grad_vals(targets, logits, values, lam, policy):
     return _kl_div_grad(targets, preds) + (lam * np.asarray(sign))[..., np.newaxis] * dmu_dz
 
 
-def batch_loss(
-    targets: np.ndarray,
-    logits: np.ndarray,
-    g: LabelGrid,
-    spec: LossSpec,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> dict[str, np.ndarray]:
-    """Vectorized per-sample loss components without the gradient.
+def _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad):
+    """Shared body of :func:`batch_loss` and :func:`batch_loss_and_grad`.
 
-    Same contract and arithmetic as :func:`batch_loss_and_grad`, for
-    evaluation passes where the gradient would be wasted work.
+    Returns (components, gradient); the gradient is None unless ``want_grad``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     logits = np.asarray(logits, dtype=np.float64)
@@ -410,25 +405,44 @@ def batch_loss(
     values = g.values
     preds = softmax_probs(logits)
     l_ld = _kl_div_vals(targets, preds, policy.eps_log)
-    mu_t, var_t = pmf_moments(targets, values)
+    if target_moments is None:
+        target_moments = pmf_moments(targets, values)
+    mu_t, var_t = target_moments
     mu_p, var_p = pmf_moments(preds, values)
     if spec.family == FAMILY_FULL_KL:
         l_exp = _gaussian_kl_vals(mu_t, var_t, mu_p, var_p, policy)
-        l_smooth = _smoothness_vals(preds, policy.eps_log)
-        return {
-            "l_ld": l_ld,
-            "l_exp": l_exp,
-            "l_smooth": l_smooth,
-            "total": l_ld + l_exp + l_smooth,
-            "pred_mu": mu_p,
-        }
-    l_exp = np.abs(mu_p - mu_t)
-    return {
-        "l_ld": l_ld,
-        "l_exp": l_exp,
-        "total": l_ld + spec.lam * l_exp,
-        "pred_mu": mu_p,
-    }
+        parts = _log_diffs(preds, policy.eps_log)
+        l_smooth = _smoothness_vals(preds, policy.eps_log, parts)
+        comps = {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
+        if want_grad:
+            dldp = _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy)
+            dldp = dldp + _smoothness_dldp(preds, policy.eps_log, parts)
+            head = _softmax_chain(preds, dldp)
+    else:
+        l_exp = np.abs(mu_p - mu_t)
+        comps = {"l_ld": l_ld, "l_exp": l_exp, "total": l_ld + spec.lam * l_exp}
+        if want_grad:
+            sign = np.sign(mu_p - mu_t)
+            dmu_dz = preds * (values - np.asarray(mu_p)[..., np.newaxis])
+            head = (spec.lam * np.asarray(sign))[..., np.newaxis] * dmu_dz
+    comps["pred_mu"] = mu_p
+    return comps, (_kl_div_grad(targets, preds) + head if want_grad else None)
+
+
+def batch_loss(
+    targets: np.ndarray,
+    logits: np.ndarray,
+    g: LabelGrid,
+    spec: LossSpec,
+    policy: NumericPolicy = DEFAULT_POLICY,
+    target_moments: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """Vectorized per-sample loss components without the gradient.
+
+    Same contract and arithmetic as :func:`batch_loss_and_grad`, for
+    evaluation passes where the gradient would be wasted work.
+    """
+    return _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad=False)[0]
 
 
 def batch_loss_and_grad(
@@ -437,56 +451,19 @@ def batch_loss_and_grad(
     g: LabelGrid,
     spec: LossSpec,
     policy: NumericPolicy = DEFAULT_POLICY,
+    target_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Vectorized per-sample components and logit gradients for a batch.
 
     ``targets`` and ``logits`` share shape (..., n) with n = len(g); rows of
     ``targets`` must already be valid pmfs (the dataset materialization
-    guarantees this — rows are not re-validated here).  Returns a dict of
-    per-sample arrays keyed ``l_ld``, ``l_exp``, ``total``, ``pred_mu``
-    (plus ``l_smooth`` for the full-KL family) and the gradient array of the
-    same shape as ``logits``.  Row i of the gradient is d total_i / d
-    logits_i; identical arithmetic to the per-sample API, so results agree
-    bit for bit.
+    guarantees this — rows are not re-validated here).  ``target_moments``
+    optionally supplies ``pmf_moments(targets, g.values)`` precomputed (the
+    dataset caches them); it must be exactly that, since it is not checked.
+    Returns a dict of per-sample arrays keyed ``l_ld``, ``l_exp``, ``total``,
+    ``pred_mu`` (plus ``l_smooth`` for the full-KL family) and the gradient
+    array of the same shape as ``logits``.  Row i of the gradient is
+    d total_i / d logits_i; identical arithmetic to the per-sample API, so
+    results agree bit for bit.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    logits = np.asarray(logits, dtype=np.float64)
-    if targets.shape != logits.shape or targets.shape[-1] != len(g):
-        raise ValueError(
-            f"targets {targets.shape} and logits {logits.shape} must share shape (..., {len(g)})"
-        )
-    values = g.values
-    if spec.family == FAMILY_FULL_KL:
-        preds = softmax_probs(logits)
-        l_ld = _kl_div_vals(targets, preds, policy.eps_log)
-        mu_t, var_t = pmf_moments(targets, values)
-        mu_p, var_p = pmf_moments(preds, values)
-        l_exp = _gaussian_kl_vals(mu_t, var_t, mu_p, var_p, policy)
-        l_smooth = _smoothness_vals(preds, policy.eps_log)
-        dldp = _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy)
-        dldp = dldp + _smoothness_dldp(preds, policy.eps_log)
-        grad = _kl_div_grad(targets, preds) + _softmax_chain(preds, dldp)
-        comps = {
-            "l_ld": l_ld,
-            "l_exp": l_exp,
-            "l_smooth": l_smooth,
-            "total": l_ld + l_exp + l_smooth,
-            "pred_mu": mu_p,
-        }
-        return comps, grad
-    lam = spec.lam
-    preds = softmax_probs(logits)
-    l_ld = _kl_div_vals(targets, preds, policy.eps_log)
-    mu_t, _ = pmf_moments(targets, values)
-    mu_p, _ = pmf_moments(preds, values)
-    l_exp = np.abs(mu_p - mu_t)
-    sign = np.sign(mu_p - mu_t)
-    dmu_dz = preds * (values - np.asarray(mu_p)[..., np.newaxis])
-    grad = _kl_div_grad(targets, preds) + (lam * np.asarray(sign))[..., np.newaxis] * dmu_dz
-    comps = {
-        "l_ld": l_ld,
-        "l_exp": l_exp,
-        "total": l_ld + lam * l_exp,
-        "pred_mu": mu_p,
-    }
-    return comps, grad
+    return _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad=True)

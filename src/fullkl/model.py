@@ -57,6 +57,19 @@ CHECKPOINT_FORMAT = "mlp-ckpt-v1"
 
 SPLIT_TAGS = ("full", "train", "val")
 
+# Rows per forward + loss pass in evaluate.  It keeps the (rows, n_bins)
+# float64 temporaries (about 200 KiB each at 101 bins) in cache instead of
+# streaming whole-split arrays through memory.  Per-row results do not depend
+# on the chunking, with one exception: numpy sends a one-row matmul to gemv,
+# whose bits differ from gemm's, so a one-row tail joins the chunk before it.
+EVAL_CHUNK_ROWS = 256
+
+
+def _row_chunks(n: int):
+    """Slices of at most EVAL_CHUNK_ROWS rows covering range(n), none of one row unless n == 1."""
+    starts = list(range(0, max(n - 1, 1), EVAL_CHUNK_ROWS))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
 
 class TrainingDivergedError(RuntimeError):
     """A forward pass, loss, or parameter update produced non-finite values."""
@@ -262,11 +275,14 @@ def train_step(
     g: LabelGrid,
     spec: LossSpec,
     policy: NumericPolicy = DEFAULT_POLICY,
+    target_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """One optimizer step on a (features, target_pmfs) batch.
 
     The batch gradient is the arithmetic mean of per-sample loss gradients in
-    the given order.  Returns (params', opt_state', mean LossBreakdown).
+    the given order.  ``target_moments`` optionally passes the batch's cached
+    target (mu, var) through to the loss.  Returns (params', opt_state',
+    mean LossBreakdown).
     """
     feats, targets = batch
     feats = np.asarray(feats, dtype=np.float64)
@@ -278,7 +294,7 @@ def train_step(
             f"batch targets must have shape ({feats.shape[0]}, {params.n_bins}), got {targets.shape}"
         )
     logits, caches = _forward_cached(params, feats)
-    comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, policy)
+    comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, policy, target_moments)
     bad = np.flatnonzero(~(np.isfinite(comps["total"]) & np.isfinite(dlogits).all(axis=-1)))
     if bad.size:
         raise TrainingDivergedError(
@@ -366,11 +382,21 @@ def evaluate(
     epoch: int = 0,
     split: str | None = None,
 ) -> Metrics:
-    """Mean loss components and MAE of ``params`` over a dataset split."""
+    """Mean loss components and MAE of ``params`` over a dataset split.
+
+    Runs in chunks of ``EVAL_CHUNK_ROWS`` rows; the per-row values are joined
+    before the means are taken, so the result has the bits of one pass over
+    the whole split.
+    """
     if not np.array_equal(g.values, dataset.grid.values):
         raise ValueError("grid does not match the dataset's grid")
-    logits = forward(params, dataset.features)
-    comps = batch_loss(dataset.target_pmfs, logits, g, spec, policy)
+    mu_t, var_t = dataset.target_moments
+    chunks = []
+    for rows in _row_chunks(len(dataset)):
+        logits = forward(params, dataset.features[rows])
+        moments = (mu_t[rows], var_t[rows])
+        chunks.append(batch_loss(dataset.target_pmfs[rows], logits, g, spec, policy, moments))
+    comps = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
     mae = float(np.mean(np.abs(comps["pred_mu"] - dataset.target_mu)))
     return Metrics(epoch, split or dataset.split, _mean_breakdown(comps, spec), mae)
 
@@ -407,6 +433,7 @@ def train_run(
     opt = init_adam(params, lr=cfg.lr)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n = len(train_ds)
+    mu_t, var_t = train_ds.target_moments
     history: list[Metrics] = []
     for epoch in range(cfg.epochs):
         opt = replace(opt, lr=lr_at(epoch, cfg))
@@ -415,7 +442,9 @@ def train_run(
             idx = perm[start:start + cfg.batch_size]
             batch = (train_ds.features[idx], train_ds.target_pmfs[idx])
             try:
-                params, opt, _ = train_step(params, opt, batch, g, cfg.loss, policy)
+                params, opt, _ = train_step(
+                    params, opt, batch, g, cfg.loss, policy, (mu_t[idx], var_t[idx])
+                )
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(
                     f"epoch {epoch + 1}, step {step + 1}: {exc}"

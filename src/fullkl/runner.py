@@ -383,6 +383,14 @@ class ComparisonResult:
     txt_path: Path
 
 
+def _run_comparable(cfg: RunConfig, quiet: bool) -> ExperimentResult:
+    """run_experiment, raising as soon as a seed diverges: its pair cannot be compared."""
+    res = run_experiment(cfg, quiet=quiet)
+    if res.failed_seeds:
+        raise TrainingDivergedError(f"cannot compare: seed(s) {list(res.failed_seeds)} diverged")
+    return res
+
+
 def compare(
     cfg_a: RunConfig,
     cfg_b: RunConfig,
@@ -395,16 +403,14 @@ def compare(
     protocol); the relative difference is (mean_a - mean_b) / mean_b, i.e.
     the second config is the baseline.  Writes ``comparison.csv`` and
     ``comparison.txt`` to ``out_dir`` (default: cfg_a's output directory).
+    A diverged seed of cfg_a stops the comparison before cfg_b is trained.
     """
     da, db = config_to_dict(cfg_a), config_to_dict(cfg_b)
     for key in ("dataset", "grid", "seeds"):
         if da[key] != db[key]:
             raise ConfigError(f"compare requires identical {key!r} sections, got {da[key]} vs {db[key]}")
-    res_a = run_experiment(cfg_a, quiet=quiet)
-    res_b = run_experiment(cfg_b, quiet=quiet)
-    bad = sorted(set(res_a.failed_seeds) | set(res_b.failed_seeds))
-    if bad:
-        raise TrainingDivergedError(f"cannot compare: seed(s) {bad} diverged")
+    res_a = _run_comparable(cfg_a, quiet)
+    res_b = _run_comparable(cfg_b, quiet)
     by_seed_a = {o.seed: o.result for o in res_a.outcomes}
     by_seed_b = {o.seed: o.result for o in res_b.outcomes}
     seeds = cfg_a.seeds

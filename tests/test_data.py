@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split
-from fullkl.grid import LabelGrid, make_grid
+from fullkl.grid import LabelGrid, make_grid, pmf_moments
 
 G101 = make_grid(0.0, 100.0, 1.0)
 NONUNIFORM = LabelGrid(np.array([0.0, 1.0, 10.0, 100.0]))
@@ -102,6 +102,17 @@ class TestDataset:
     def test_arrays_read_only(self):
         ds = self.base()
         for arr in (ds.ids, ds.features, ds.target_mu, ds.target_sigma, ds.target_pmfs):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_target_moments_cached_lazily(self):
+        ds = self.base(6)
+        assert "target_moments" not in vars(ds)
+        mu, var = ds.target_moments
+        ref_mu, ref_var = pmf_moments(ds.target_pmfs, G101.values)
+        assert mu.tobytes() == ref_mu.tobytes() and var.tobytes() == ref_var.tobytes()
+        assert ds.target_moments is ds.target_moments
+        for arr in (mu, var):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

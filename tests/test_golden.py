@@ -1,0 +1,110 @@
+"""Golden output digests: a refactor that claims to keep the bits must keep them.
+
+Runs the small reproducibility setup of acceptance criterion 6 (both loss
+families, 300 samples, 2 seeds, 3 epochs) and compares the sha256 of every
+output file with ``golden_digests.json``.  Floating-point results depend on
+the numpy and BLAS build, so the fixture records the build it was made on:
+on that build a mismatch fails, on any other build the test skips and names
+the difference.
+
+Regenerate the fixture (a declared bit change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fullkl.runner import config_from_dict, run_experiment
+
+FIXTURE = Path(__file__).with_name("golden_digests.json")
+FAMILIES = (("full_kl", None), ("reference", 1.0))
+
+
+def _openblas_config() -> str | None:
+    """Runtime config string of the OpenBLAS numpy loaded; it names the kernel core."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    for lib_path in libs:
+        lib = ctypes.CDLL(str(lib_path))
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                     "openblas_get_config64_", "openblas_get_config"):
+            get_config = getattr(lib, name, None)
+            if get_config is not None:
+                get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+                return get_config().decode()
+    return None
+
+
+def build_info() -> dict:
+    """The numpy and BLAS build whose outputs are expected to be bit-identical."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_config": _openblas_config() or blas.get("openblas configuration"),
+        "machine": platform.machine(),
+    }
+
+
+def output_digests(work: Path) -> dict[str, str]:
+    """sha256 of every file the criterion-6 setup writes, keyed by relative path."""
+    for family, lam in FAMILIES:
+        loss = {"family": family}
+        if lam is not None:
+            loss["lambda"] = lam
+        cfg = config_from_dict({
+            "dataset": {"type": "synthetic", "n": 300, "d_in": 16,
+                        "sigma_range": [2.0, 6.0], "seed": 20240},
+            "grid": {"start": 0.0, "stop": 100.0, "step": 1.0},
+            "loss": loss,
+            "train": {"epochs": 3, "batch_size": 128, "lr": 1e-3,
+                      "lr_decay_factor": 0.1, "lr_decay_every": 30,
+                      "hidden": [64, 64], "val_fraction": 0.2},
+            "seeds": [0, 1],
+            # Relative, because the metrics header embeds the config verbatim.
+            "out_dir": family,
+        })
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            run_experiment(cfg, quiet=True)
+        finally:
+            os.chdir(cwd)
+    return {
+        p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(work.rglob("*")) if p.is_file()
+    }
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    build = build_info()
+    diff = {k: (v, build.get(k)) for k, v in fixture["build"].items() if build.get(k) != v}
+    if diff:
+        pytest.skip("golden digests were recorded on another build: " + "; ".join(
+            f"{k} recorded {rec!r}, here {cur!r}" for k, (rec, cur) in sorted(diff.items())))
+    digests = output_digests(tmp_path)
+    assert sorted(digests) == sorted(fixture["files"])
+    changed = sorted(name for name, d in digests.items() if fixture["files"][name] != d)
+    assert not changed, f"output bits changed in {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = output_digests(Path(tmp))
+    FIXTURE.write_text(json.dumps({"build": build_info(), "files": files}, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    print(f"wrote {len(files)} digests to {FIXTURE}", file=sys.stderr)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fullkl.data import gen_synthetic
 from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, make_grid, moments, softmax
 from fullkl.losses import (
     FAMILY_FULL_KL,
@@ -449,6 +450,28 @@ class TestBatchEquivalence:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             batch_loss(self.targets, self.logits[:, :5], self.g, LossSpec(FAMILY_FULL_KL))
+
+    @pytest.mark.parametrize("spec", [LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.5)])
+    def test_cached_target_moments_bitwise(self, spec):
+        # Moments cached over a whole dataset, then sliced to a shuffled batch,
+        # must give the bits of computing them from the batch itself.
+        g = make_grid(0.0, 100.0, 1.0)
+        ds = gen_synthetic(60, 3, g, (2.0, 6.0), seed=5)
+        rng = np.random.default_rng(6)
+        idx = rng.permutation(len(ds))[:16]
+        targets = ds.target_pmfs[idx]
+        logits = rng.normal(0.0, 2.0, targets.shape)
+        mu_t, var_t = ds.target_moments
+        cached = (mu_t[idx], var_t[idx])
+        comps, grads = batch_loss_and_grad(targets, logits, g, spec)
+        comps_c, grads_c = batch_loss_and_grad(targets, logits, g, spec, target_moments=cached)
+        vals = batch_loss(targets, logits, g, spec)
+        vals_c = batch_loss(targets, logits, g, spec, target_moments=cached)
+        assert list(comps) == list(comps_c) == list(vals) == list(vals_c)
+        for key in comps:
+            for other in (comps_c, vals, vals_c):
+                assert other[key].tobytes() == comps[key].tobytes(), key
+        assert grads_c.tobytes() == grads.tobytes()
 
 
 # ---------------------------------------------------------------------------

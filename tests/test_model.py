@@ -7,9 +7,10 @@ import pytest
 
 from fullkl.data import Dataset, gen_synthetic, split
 from fullkl.grid import make_grid, Pmf
-from fullkl.losses import FAMILY_FULL_KL, FAMILY_REFERENCE, LossSpec, batch_loss_and_grad
+from fullkl.losses import FAMILY_FULL_KL, FAMILY_REFERENCE, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 from fullkl.model import (
     CHECKPOINT_FORMAT,
+    EVAL_CHUNK_ROWS,
     Metrics,
     MlpParams,
     OptimizerState,
@@ -30,7 +31,7 @@ from fullkl.model import (
     train_step,
     vec_to_params,
 )
-from fullkl.model import _backward, _forward_cached
+from fullkl.model import _backward, _forward_cached, _row_chunks
 from fullkl.verify import fd_grad, rel_norm_error
 
 G101 = make_grid(0.0, 100.0, 1.0)
@@ -413,6 +414,48 @@ class TestEvaluate:
         p = init_mlp((4, 8, 5), 0)
         with pytest.raises(ValueError):
             evaluate(p, ds, G5, LossSpec(FAMILY_FULL_KL))
+
+    @staticmethod
+    def whole_split_metrics(params, ds, spec):
+        """One forward and one loss pass over the whole split, as evaluate did unchunked."""
+        comps = batch_loss(ds.target_pmfs, forward(params, ds.features), G101, spec)
+        smooth = float(np.mean(comps["l_smooth"])) if spec.family == FAMILY_FULL_KL else None
+        breakdown = LossBreakdown(
+            spec.family, float(np.mean(comps["l_ld"])), float(np.mean(comps["l_exp"])),
+            smooth, float(np.mean(comps["total"])),
+        )
+        mae = float(np.mean(np.abs(comps["pred_mu"] - ds.target_mu)))
+        return Metrics(4, "val", breakdown, mae)
+
+    @pytest.mark.parametrize("n", [
+        EVAL_CHUNK_ROWS // 2,        # shorter than one chunk
+        2 * EVAL_CHUNK_ROWS + 37,    # not a multiple of the chunk size
+        2 * EVAL_CHUNK_ROWS + 1,     # a one-row tail, which a gemv would compute differently
+    ])
+    @pytest.mark.parametrize("spec", [LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.0)])
+    def test_chunked_matches_whole_split_bitwise(self, n, spec):
+        ds = gen_synthetic(n, 16, G101, (2.0, 6.0), seed=n)
+        params = init_mlp((16, 64, 64, 101), 1)
+        m = evaluate(params, ds, G101, spec, epoch=4, split="val")
+        assert m == self.whole_split_metrics(params, ds, spec)
+
+    @pytest.mark.parametrize("n", [1, 2, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS, EVAL_CHUNK_ROWS + 1,
+                                   EVAL_CHUNK_ROWS + 2, 2 * EVAL_CHUNK_ROWS + 1, 3 * EVAL_CHUNK_ROWS + 37])
+    def test_row_chunks_cover_rows_without_one_row_tail(self, n):
+        chunks = _row_chunks(n)
+        assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        sizes = [c.stop - c.start for c in chunks]
+        assert max(sizes) <= EVAL_CHUNK_ROWS + 1
+        assert min(sizes) > 1 or n == 1
+
+    def test_chunk_rows_match_whole_forward_bitwise(self):
+        # The means in Metrics can absorb a last-bit change in one row, so the
+        # per-row logits are compared directly.
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, (2 * EVAL_CHUNK_ROWS + 1, 16))
+        params = init_mlp((16, 64, 64, 101), 2)
+        joined = np.concatenate([forward(params, x[rows]) for rows in _row_chunks(len(x))])
+        assert joined.tobytes() == forward(params, x).tobytes()
 
     def test_metrics_validation(self):
         b = LossSpec(FAMILY_FULL_KL)

@@ -324,6 +324,8 @@ class TestCompare:
         cfg_b = config_from_dict(tiny_dict(tmp_path / "b"))
         with pytest.raises(TrainingDivergedError, match="cannot compare"):
             compare(cfg_a, cfg_b, quiet=True)
+        # Config a's divergence stops the comparison before config b trains.
+        assert not (tmp_path / "b").exists()
 
 
 # ---------------------------------------------------------------------------

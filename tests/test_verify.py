@@ -214,6 +214,17 @@ class TestGradientFidelity:
         res = gradient_fidelity(LossSpec(FAMILY_REFERENCE, 1.0), n_instances=20)
         assert res.max_rel_error <= 1e-6
 
+    def test_reference_redraws_instances_next_to_the_l1_kink(self):
+        # run_all_checks(seed=10) draws from seed 110, whose instance 67 at
+        # n=101 has mu_hat - mu = -1.4e-5: central differences straddle the
+        # kink there and measured a 0.569 relative error before the redraw.
+        res = gradient_fidelity(LossSpec(FAMILY_REFERENCE, 1.0), seed=110)
+        assert res.redraws >= 1
+        assert res.max_rel_error <= 1e-6
+
+    def test_smooth_family_never_redraws(self):
+        assert gradient_fidelity(LossSpec(FAMILY_FULL_KL), n_instances=20, seed=110).redraws == 0
+
 
 class TestInvarianceSuites:
     def test_affine_invariance_errors(self):

@@ -39,6 +39,7 @@ from .verify import (
     GradCheckReport,
     check_grad,
     fd_grad,
+    fd_grad_rows,
     gaussian_kl_sweep,
     gradient_fidelity,
     numeric_gaussian_kl,
@@ -85,7 +86,7 @@ __all__ = [
     "ReferenceLossConfig", "full_kl_grad", "full_kl_loss", "gaussian_kl",
     "kl_div", "l1_expectation", "reference_grad", "reference_loss", "smoothness",
     # verify
-    "GradCheckReport", "check_grad", "fd_grad", "gaussian_kl_sweep",
+    "GradCheckReport", "check_grad", "fd_grad", "fd_grad_rows", "gaussian_kl_sweep",
     "gradient_fidelity", "numeric_gaussian_kl", "run_all_checks",
     # model
     "Metrics", "MlpParams", "OptimizerState", "TrainConfig",

@@ -19,6 +19,7 @@ from .losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
     LossSpec,
+    batch_loss,
     full_kl_grad,
     full_kl_loss,
     gaussian_kl,
@@ -36,6 +37,7 @@ __all__ = [
     "CheckResult",
     "REL_ERROR_FLOOR",
     "fd_grad",
+    "fd_grad_rows",
     "check_grad",
     "rel_norm_error",
     "numeric_gaussian_kl",
@@ -55,6 +57,10 @@ REL_ERROR_FLOOR = 1e-12  # absolute floor in relative-error denominators
 # gradient_fidelity); the factor covers the second-order terms.
 KINK_REACH_MARGIN = 2.0
 
+# component_minima draws and evaluates its instances in blocks of this many,
+# so the row stacks it builds stay small whatever n_instances is.
+MINIMA_BLOCK = 1024
+
 MIN_QUADRATURE_POINTS = 10_000
 MIN_SPAN_SIGMAS = 8.0
 
@@ -69,6 +75,25 @@ class GradCheckReport:
     tolerance: float
 
 
+def _fd_steps(x, h) -> tuple[np.ndarray, np.ndarray]:
+    """The argument as a float64 vector and its validated per-coordinate steps."""
+    x = np.array(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("fd_grad expects a non-empty vector")
+    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
+    if not np.all(steps > 0):
+        raise ValueError("finite-difference step must be positive")
+    return x, steps
+
+
+def _fd_quotient(fp: np.ndarray, fm: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(f+ - f-) / (2h), naming the first coordinate whose loss is non-finite."""
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if np.any(bad):
+        raise ValueError(f"loss_fn non-finite near coordinate {int(np.argmax(bad))}")
+    return (fp - fm) / (2.0 * steps)
+
+
 def fd_grad(loss_fn: Callable[[np.ndarray], float], logits, h) -> np.ndarray:
     """Central-difference gradient (f(x+h e_i) - f(x-h e_i)) / (2h).
 
@@ -77,24 +102,37 @@ def fd_grad(loss_fn: Callable[[np.ndarray], float], logits, h) -> np.ndarray:
     polynomials of degree <= 2.  Works for any real argument vector, not
     just logits.
     """
-    x = np.array(logits, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("fd_grad expects a non-empty vector")
-    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
-    if not np.all(steps > 0):
-        raise ValueError("finite-difference step must be positive")
-    grad = np.empty_like(x)
+    x, steps = _fd_steps(logits, h)
+    fp = np.empty_like(x)
+    fm = np.empty_like(x)
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[i] += steps[i]
         xm[i] -= steps[i]
-        fp = float(loss_fn(xp))
-        fm = float(loss_fn(xm))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise ValueError(f"loss_fn non-finite near coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * steps[i])
-    return grad
+        fp[i] = float(loss_fn(xp))
+        fm[i] = float(loss_fn(xm))
+    return _fd_quotient(fp, fm, steps)
+
+
+def fd_grad_rows(loss_rows: Callable[[np.ndarray], np.ndarray], x, h) -> np.ndarray:
+    """:func:`fd_grad` with every perturbed point evaluated in one call.
+
+    ``loss_rows`` maps a (2n, n) stack of rows to their (2n,) vector of losses:
+    rows 0..n-1 are x + h_i e_i and rows n..2n-1 are x - h_i e_i, built with
+    the same float operations as :func:`fd_grad`, so a ``loss_rows`` whose
+    row values equal ``loss_fn``'s gives the same gradient bit for bit.
+    """
+    x, steps = _fd_steps(x, h)
+    n = x.size
+    rows = np.tile(x, (2 * n, 1))
+    i = np.arange(n)
+    rows[i, i] += steps
+    rows[n + i, i] -= steps
+    f = np.asarray(loss_rows(rows), dtype=np.float64)
+    if f.shape != (2 * n,):
+        raise ValueError(f"loss_rows must return one loss per row, shape {(2 * n,)}, got {f.shape}")
+    return _fd_quotient(f[:n], f[n:], steps)
 
 
 def check_grad(analytic, numeric, tol: float) -> GradCheckReport:
@@ -286,19 +324,14 @@ def gradient_fidelity(
                     break
                 redraws += 1
             if spec.family == FAMILY_REFERENCE:
-                cfg = spec.reference_cfg()
-
-                def loss_fn(z, _t=target, _g=g, _c=cfg):
-                    return reference_loss(_t, z, _g, _c, policy).total
-
-                analytic = reference_grad(target, logits, g, cfg, policy)
+                analytic = reference_grad(target, logits, g, spec.reference_cfg(), policy)
             else:
-
-                def loss_fn(z, _t=target, _g=g):
-                    return full_kl_loss(_t, z, _g, policy).total
-
                 analytic = full_kl_grad(target, logits, g, policy)
-            numeric = fd_grad(loss_fn, logits, h)
+
+            def loss_rows(rows, _t=target, _g=g):
+                return batch_loss(np.broadcast_to(_t.probs, rows.shape), rows, _g, spec, policy)["total"]
+
+            numeric = fd_grad_rows(loss_rows, logits, h)
             err = rel_norm_error(analytic, numeric)
             if err > worst[0]:
                 worst = (err, n, k)
@@ -395,18 +428,29 @@ def component_minima(
     (the full-KL family) and the reference l_exp is an absolute value.
     """
     rng = np.random.default_rng(seed)
-    cfg = LossSpec(FAMILY_REFERENCE, lam).reference_cfg()
+    full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, lam)
+    grids: dict[int, LabelGrid] = {}
     mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
-    for _ in range(n_instances):
-        n = int(rng.integers(2, 32))
-        g = make_grid(0.0, float(n - 1), 1.0)
-        target, logits = random_instance(rng, g)
-        f = full_kl_loss(target, logits, g, policy)
-        r = reference_loss(target, logits, g, cfg, policy)
-        mins["l_ld"] = min(mins["l_ld"], f.l_ld, r.l_ld)
-        mins["full_l_exp"] = min(mins["full_l_exp"], f.l_exp)
-        mins["l_smooth"] = min(mins["l_smooth"], f.l_smooth)
-        mins["ref_l_exp"] = min(mins["ref_l_exp"], r.l_exp)
+    for start in range(0, n_instances, MINIMA_BLOCK):
+        # The draws keep the RNG stream's order; grouping them by n reorders only
+        # the evaluation, and a minimum does not depend on that order.
+        by_n: dict[int, list[tuple[Pmf, np.ndarray]]] = {}
+        for _ in range(min(MINIMA_BLOCK, n_instances - start)):
+            n = int(rng.integers(2, 32))
+            if n not in grids:
+                grids[n] = make_grid(0.0, float(n - 1), 1.0)
+            by_n.setdefault(n, []).append(random_instance(rng, grids[n]))
+        for n, instances in by_n.items():
+            targets = np.stack([t.probs for t, _ in instances])
+            logits = np.stack([z for _, z in instances])
+            f = batch_loss(targets, logits, grids[n], full, policy)
+            r = batch_loss(targets, logits, grids[n], ref, policy)
+            if not all(np.all(np.isfinite(v)) for v in (*f.values(), *r.values())):
+                raise ValueError("loss components must be finite")
+            mins["l_ld"] = min(mins["l_ld"], np.min(f["l_ld"]), np.min(r["l_ld"]))
+            mins["full_l_exp"] = min(mins["full_l_exp"], np.min(f["l_exp"]))
+            mins["l_smooth"] = min(mins["l_smooth"], np.min(f["l_smooth"]))
+            mins["ref_l_exp"] = min(mins["ref_l_exp"], np.min(r["l_exp"]))
     return {k: float(v) for k, v in mins.items()}
 
 

@@ -2,10 +2,12 @@
 
 Runs the small reproducibility setup of acceptance criterion 6 (both loss
 families, 300 samples, 2 seeds, 3 epochs) and compares the sha256 of every
-output file with ``golden_digests.json``.  Floating-point results depend on
-the numpy and BLAS build, so the fixture records the build it was made on:
-on that build a mismatch fails, on any other build the test skips and names
-the difference.
+output file with ``golden_digests.json``.  It also compares the sha256 of
+the oracle suite's results (``run_all_checks()``, one
+``name passed max_error.hex() detail`` line per check).  Floating-point
+results depend on the numpy and BLAS build, so the fixture records the build
+it was made on: on that build a mismatch fails, on any other build the tests
+skip and name the difference.
 
 Regenerate the fixture (a declared bit change) with
 
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 
 from fullkl.runner import config_from_dict, run_experiment
+from fullkl.verify import run_all_checks
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 FAMILIES = (("full_kl", None), ("reference", 1.0))
@@ -87,17 +90,33 @@ def output_digests(work: Path) -> dict[str, str]:
     }
 
 
-def test_outputs_match_golden_digests(tmp_path):
+def verify_digest() -> str:
+    """sha256 of every oracle check's result, in the benchmark's text form."""
+    text = "".join(f"{r.name} {r.passed} {float(r.max_error).hex()} {r.detail}\n" for r in run_all_checks())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _recorded_fixture() -> dict:
+    """The fixture, or a skip when it was recorded on another build."""
     fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
     build = build_info()
     diff = {k: (v, build.get(k)) for k, v in fixture["build"].items() if build.get(k) != v}
     if diff:
         pytest.skip("golden digests were recorded on another build: " + "; ".join(
             f"{k} recorded {rec!r}, here {cur!r}" for k, (rec, cur) in sorted(diff.items())))
+    return fixture
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    fixture = _recorded_fixture()
     digests = output_digests(tmp_path)
     assert sorted(digests) == sorted(fixture["files"])
     changed = sorted(name for name, d in digests.items() if fixture["files"][name] != d)
     assert not changed, f"output bits changed in {changed}"
+
+
+def test_oracle_suite_matches_golden_digest():
+    assert verify_digest() == _recorded_fixture()["verify_suite"], "oracle check results changed"
 
 
 if __name__ == "__main__":
@@ -105,6 +124,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         files = output_digests(Path(tmp))
-    FIXTURE.write_text(json.dumps({"build": build_info(), "files": files}, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-    print(f"wrote {len(files)} digests to {FIXTURE}", file=sys.stderr)
+    fixture = {"build": build_info(), "files": files, "verify_suite": verify_digest()}
+    FIXTURE.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(files)} output digests and the oracle suite digest to {FIXTURE}", file=sys.stderr)

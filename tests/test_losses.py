@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import gen_synthetic
-from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, make_grid, moments, softmax
+from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, make_grid, moments, softmax, softmax_probs
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -472,6 +472,42 @@ class TestBatchEquivalence:
             for other in (comps_c, vals, vals_c):
                 assert other[key].tobytes() == comps[key].tobytes(), key
         assert grads_c.tobytes() == grads.tobytes()
+
+
+class TestSoftmaxUnderflow:
+    """Logit spreads of 800 or more make softmax return exact zeros."""
+
+    @pytest.mark.parametrize("n", [2, 11, 101])
+    @pytest.mark.parametrize(
+        "spec", [LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.5)], ids=lambda s: s.family
+    )
+    def test_values_and_gradients_finite_and_bitwise(self, spec, n):
+        rng = np.random.default_rng(n)
+        g = make_grid(0.0, float(n - 1), 1.0)
+        targets = rng.dirichlet(np.ones(n), size=4)
+        logits = rng.normal(0.0, 2.0, (4, n))
+        logits[:, ::2] -= 800.0  # every other bin underflows
+        logits[1, :-1] = -900.0  # one surviving bin: a one-hot prediction
+        logits[1, -1] = 0.0
+        probs = softmax_probs(logits)
+        assert np.all(probs[[0, 2, 3], ::2] == 0.0) and np.all(probs[1, :-1] == 0.0)
+        comps, grads = batch_loss_and_grad(targets, logits, g, spec)
+        vals = batch_loss(targets, logits, g, spec)
+        assert all(np.all(np.isfinite(v)) for v in comps.values())
+        assert np.all(np.isfinite(grads))
+        for key in comps:
+            assert vals[key].tobytes() == comps[key].tobytes(), key
+        for i in range(len(targets)):
+            t = Pmf(targets[i])
+            if spec.family == FAMILY_FULL_KL:
+                b = full_kl_loss(t, logits[i], g)
+                grad = full_kl_grad(t, logits[i], g)
+                assert comps["l_smooth"][i] == b.l_smooth
+            else:
+                b = reference_loss(t, logits[i], g, spec.reference_cfg())
+                grad = reference_grad(t, logits[i], g, spec.reference_cfg())
+            assert (comps["l_ld"][i], comps["l_exp"][i], comps["total"][i]) == (b.l_ld, b.l_exp, b.total)
+            assert grads[i].tobytes() == grad.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,13 @@ class TestCli:
         assert main(["run", str(path), "--seeds", "1,x", "--quiet"]) == EXIT_CONFIG_ERROR
         assert "--seeds" in capsys.readouterr().err
 
+    def test_run_empty_seeds_flag(self, tmp_path, monkeypatch, capsys):
+        # "," parses to no seeds at all; the committed config must not start training.
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(REPO_CONFIGS / "full_kl.json"), "--seeds", ",", "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "--seeds" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_run_divergence_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_dict(tmp_path / "out", lr=1e200, seeds=(0,)))

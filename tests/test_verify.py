@@ -6,15 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fullkl.verify as verify
 from fullkl.grid import Moments, Pmf, make_grid
-from fullkl.losses import FAMILY_FULL_KL, FAMILY_REFERENCE, LossSpec, gaussian_kl
+from fullkl.losses import (
+    FAMILY_FULL_KL,
+    FAMILY_REFERENCE,
+    LossSpec,
+    batch_loss,
+    full_kl_grad,
+    full_kl_loss,
+    gaussian_kl,
+    reference_grad,
+    reference_loss,
+)
 from fullkl.verify import (
     CheckResult,
+    FidelityResult,
     check_grad,
     component_minima,
     exact_zero_violations,
     affine_invariance_errors,
     fd_grad,
+    fd_grad_rows,
     gaussian_kl_sweep,
     gradient_fidelity,
     numeric_gaussian_kl,
@@ -66,6 +79,67 @@ class TestFdGrad:
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
             fd_grad(lambda x: 0.0, np.array([]), 1e-5)
+
+
+# ---------------------------------------------------------------------------
+# fd_grad_rows: fd_grad's arithmetic with one call over a row stack
+# ---------------------------------------------------------------------------
+
+def per_sample_total(spec, target, g):
+    """The loss at one logit vector, through the per-sample API."""
+    if spec.family == FAMILY_REFERENCE:
+        return lambda z: reference_loss(target, z, g, spec.reference_cfg()).total
+    return lambda z: full_kl_loss(target, z, g).total
+
+
+def batched_total(spec, target, g):
+    """The loss at every row of a logit stack, through the batched kernel."""
+    return lambda rows: batch_loss(np.broadcast_to(target.probs, rows.shape), rows, g, spec)["total"]
+
+
+SPECS = [LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.0)]
+
+
+class TestFdGradRows:
+    @pytest.mark.parametrize("n", [2, 5, 101])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+    def test_bitwise_equal_to_fd_grad_on_losses(self, spec, n):
+        rng = np.random.default_rng(n)
+        g = make_grid(0.0, float(n - 1), 1.0)
+        for _ in range(3):
+            target, logits = random_instance(rng, g)
+            h = 1e-5 * np.maximum(1.0, np.abs(logits))
+            rows = fd_grad_rows(batched_total(spec, target, g), logits, h)
+            loop = fd_grad(per_sample_total(spec, target, g), logits, h)
+            assert rows.tobytes() == loop.tobytes()
+
+    def test_scalar_step_and_quadratic(self):
+        a = np.array([1.5, -2.0, 0.5])
+        x0 = np.array([0.3, -1.2, 2.0])
+        rows = fd_grad_rows(lambda r: np.sum(a * r * r, axis=1), x0, 1e-4)
+        assert rows.tobytes() == fd_grad(lambda x: float(np.sum(a * x * x)), x0, 1e-4).tobytes()
+
+    def test_non_finite_row_names_the_same_coordinate(self):
+        x0 = np.zeros(6)
+
+        def f(x):  # non-finite once coordinate 3 or 5 moves up
+            return math.inf if x[3] > 0.0 or x[5] > 0.0 else float(np.sum(x))
+
+        with pytest.raises(ValueError, match="non-finite near coordinate 3") as loop:
+            fd_grad(f, x0, 1e-5)
+        with pytest.raises(ValueError, match="non-finite near coordinate 3") as rows:
+            fd_grad_rows(lambda r: np.array([f(x) for x in r]), x0, 1e-5)
+        assert str(rows.value) == str(loop.value)
+
+    def test_validation_matches_fd_grad(self):
+        with pytest.raises(ValueError, match="positive"):
+            fd_grad_rows(lambda r: np.zeros(len(r)), np.array([1.0, 1.0]), np.array([1e-5, -1e-5]))
+        with pytest.raises(ValueError, match="non-empty"):
+            fd_grad_rows(lambda r: np.zeros(len(r)), np.array([]), 1e-5)
+
+    def test_one_loss_per_row_required(self):
+        with pytest.raises(ValueError, match="one loss per row"):
+            fd_grad_rows(lambda r: np.zeros(3), np.zeros(2), 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +298,86 @@ class TestGradientFidelity:
 
     def test_smooth_family_never_redraws(self):
         assert gradient_fidelity(LossSpec(FAMILY_FULL_KL), n_instances=20, seed=110).redraws == 0
+
+
+def gradient_fidelity_per_sample(spec, n_instances, sizes=(2, 5, 101), seed=20240, rel_step=1e-5):
+    """The one-call-per-perturbation form of gradient_fidelity, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    worst = (-1.0, 0, 0)
+    redraws = 0
+    for n in sizes:
+        g = make_grid(0.0, float(n - 1), 1.0)
+        for k in range(n_instances):
+            while True:
+                target, logits = random_instance(rng, g)
+                h = rel_step * np.maximum(1.0, np.abs(logits))
+                if spec.family != FAMILY_REFERENCE or not verify._near_l1_kink(target, logits, g.values, h):
+                    break
+                redraws += 1
+            if spec.family == FAMILY_REFERENCE:
+                analytic = reference_grad(target, logits, g, spec.reference_cfg())
+            else:
+                analytic = full_kl_grad(target, logits, g)
+            err = rel_norm_error(analytic, fd_grad(per_sample_total(spec, target, g), logits, h))
+            if err > worst[0]:
+                worst = (err, n, k)
+    return FidelityResult(spec.family, tuple(sizes), n_instances, worst[0], worst[1], worst[2], redraws)
+
+
+def component_minima_per_sample(n_instances, seed=20242, lam=1.0):
+    """The one-instance-at-a-time form of component_minima, kept as its reference."""
+    rng = np.random.default_rng(seed)
+    cfg = LossSpec(FAMILY_REFERENCE, lam).reference_cfg()
+    mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
+    for _ in range(n_instances):
+        n = int(rng.integers(2, 32))
+        g = make_grid(0.0, float(n - 1), 1.0)
+        target, logits = random_instance(rng, g)
+        f = full_kl_loss(target, logits, g)
+        r = reference_loss(target, logits, g, cfg)
+        mins["l_ld"] = min(mins["l_ld"], f.l_ld, r.l_ld)
+        mins["full_l_exp"] = min(mins["full_l_exp"], f.l_exp)
+        mins["l_smooth"] = min(mins["l_smooth"], f.l_smooth)
+        mins["ref_l_exp"] = min(mins["ref_l_exp"], r.l_exp)
+    return {k: float(v) for k, v in mins.items()}
+
+
+class TestBatchedOraclesMatchPerSample:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+    def test_gradient_fidelity(self, spec):
+        assert gradient_fidelity(spec, n_instances=20) == gradient_fidelity_per_sample(spec, 20)
+
+    def test_gradient_fidelity_with_kink_redraw(self):
+        spec = LossSpec(FAMILY_REFERENCE, 1.0)
+        res = gradient_fidelity(spec, seed=110)
+        assert res.redraws >= 1
+        assert res == gradient_fidelity_per_sample(spec, 100, seed=110)
+
+    def test_component_minima(self):
+        assert component_minima(n_instances=500) == component_minima_per_sample(500)
+
+    def test_component_minima_across_blocks(self, monkeypatch):
+        # 500 instances in blocks of 7: many blocks and a short last one.
+        monkeypatch.setattr(verify, "MINIMA_BLOCK", 7)
+        assert component_minima(n_instances=500, seed=3) == component_minima_per_sample(500, seed=3)
+
+    def test_component_minima_evaluates_every_draw_once_per_family(self, monkeypatch):
+        # Equal minima can hide a dropped instance; the rows themselves cannot.
+        seen = {FAMILY_FULL_KL: [], FAMILY_REFERENCE: []}
+
+        def recording_batch_loss(targets, logits, g, spec, policy):
+            seen[spec.family] += [(t.tobytes(), z.tobytes()) for t, z in zip(targets, logits)]
+            return batch_loss(targets, logits, g, spec, policy)
+
+        monkeypatch.setattr(verify, "MINIMA_BLOCK", 7)
+        monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)
+        component_minima(n_instances=50, seed=3)
+        rng = np.random.default_rng(3)
+        drawn = []
+        for _ in range(50):
+            target, logits = random_instance(rng, make_grid(0.0, float(rng.integers(2, 32) - 1), 1.0))
+            drawn.append((target.probs.tobytes(), logits.tobytes()))
+        assert sorted(seen[FAMILY_FULL_KL]) == sorted(seen[FAMILY_REFERENCE]) == sorted(drawn)
 
 
 class TestInvarianceSuites:

@@ -25,12 +25,10 @@ from .losses import (
     FAMILY_REFERENCE,
     LossBreakdown,
     LossSpec,
-    ReferenceLossConfig,
     full_kl_grad,
     full_kl_loss,
     gaussian_kl,
     kl_div,
-    l1_expectation,
     reference_grad,
     reference_loss,
     smoothness,
@@ -61,7 +59,7 @@ from .model import (
     train_run,
     train_step,
 )
-from .data import Dataset, Sample, gen_synthetic, load_csv, save_csv, split
+from .data import Dataset, gen_synthetic, load_csv, save_csv, split
 from .runner import (
     ComparisonResult,
     ConfigError,
@@ -83,8 +81,8 @@ __all__ = [
     "discretize_gaussian", "make_grid", "moments", "softmax",
     # losses
     "FAMILY_FULL_KL", "FAMILY_REFERENCE", "LossBreakdown", "LossSpec",
-    "ReferenceLossConfig", "full_kl_grad", "full_kl_loss", "gaussian_kl",
-    "kl_div", "l1_expectation", "reference_grad", "reference_loss", "smoothness",
+    "full_kl_grad", "full_kl_loss", "gaussian_kl", "kl_div",
+    "reference_grad", "reference_loss", "smoothness",
     # verify
     "GradCheckReport", "check_grad", "fd_grad", "fd_grad_rows", "gaussian_kl_sweep",
     "gradient_fidelity", "numeric_gaussian_kl", "run_all_checks",
@@ -93,7 +91,7 @@ __all__ = [
     "TrainingDivergedError", "TrainResult", "evaluate", "forward", "init_mlp",
     "load_checkpoint", "predict", "save_checkpoint", "train_run", "train_step",
     # data
-    "Dataset", "Sample", "gen_synthetic", "load_csv", "save_csv", "split",
+    "Dataset", "gen_synthetic", "load_csv", "save_csv", "split",
     # runner
     "ComparisonResult", "ConfigError", "ExperimentResult", "RunConfig",
     "compare", "load_config", "main", "run_experiment", "verify_suite",

@@ -2,9 +2,8 @@
 
 Each sample pairs a feature vector with an annotated (mean, std) target,
 from which a Gaussian target pmf on the label grid is materialized at
-construction time.  Datasets are immutable and store column arrays (the
-trainer's fast path); per-sample views are available through
-:meth:`Dataset.samples`.
+construction time.  Datasets are immutable and store column arrays, the
+layout the trainer batches from.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import LabelGrid, MIN_SIGMA_FACTOR, Pmf, TRUNCATION_SIGMAS, pmf_moments
+from .grid import LabelGrid, MIN_SIGMA_FACTOR, TRUNCATION_SIGMAS, gaussian_probs, pmf_moments
 
 __all__ = [
-    "Sample",
     "Dataset",
     "gen_synthetic",
     "load_csv",
@@ -42,16 +40,6 @@ SINE_FREQ = 2.0
 # Keep generated means at least this many max-sigmas inside the grid edges so
 # target pmfs are not visibly truncated and moment recovery stays clean.
 MEAN_EDGE_SIGMAS = 3.0
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One annotated sample: features plus (mean, std) and its target pmf."""
-
-    features: np.ndarray
-    target_mu: float
-    target_sigma: float
-    target_pmf: Pmf
 
 
 @dataclass(frozen=True)
@@ -121,15 +109,6 @@ class Dataset:
         var.flags.writeable = False
         return mu, var
 
-    @cached_property
-    def samples(self) -> tuple[Sample, ...]:
-        """Per-sample views (built on first access; arrays are shared, not copied)."""
-        return tuple(
-            Sample(self.features[i], float(self.target_mu[i]),
-                   float(self.target_sigma[i]), Pmf(self.target_pmfs[i]))
-            for i in range(len(self))
-        )
-
     def subset(self, indices: np.ndarray, split: str) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
@@ -144,7 +123,7 @@ class Dataset:
 
 
 def _discretize_rows(mu: np.ndarray, sigma: np.ndarray, g: LabelGrid) -> np.ndarray:
-    """Row-wise mirror of grid.discretize_gaussian (same ops, same bits)."""
+    """Target pmf rows: grid.discretize_gaussian's checks, reported by row index."""
     if g.spacing is None:
         raise ValueError("target discretization requires a uniform grid")
     floor = MIN_SIGMA_FACTOR * g.spacing
@@ -154,9 +133,7 @@ def _discretize_rows(mu: np.ndarray, sigma: np.ndarray, g: LabelGrid) -> np.ndar
     bad = np.flatnonzero((mu < g.lo - TRUNCATION_SIGMAS * sigma) | (mu > g.hi + TRUNCATION_SIGMAS * sigma))
     if bad.size:
         raise ValueError(f"mean more than {TRUNCATION_SIGMAS} sigma outside the grid at rows {bad[:10].tolist()}")
-    exponent = -((g.values - mu[:, np.newaxis]) ** 2) / (2.0 * sigma * sigma)[:, np.newaxis]
-    w = np.exp(exponent - exponent.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True)
+    return gaussian_probs(mu[:, np.newaxis], sigma[:, np.newaxis], g.values)
 
 
 def gen_synthetic(

@@ -24,6 +24,7 @@ __all__ = [
     "softmax_probs",
     "moments",
     "pmf_moments",
+    "gaussian_probs",
     "discretize_gaussian",
 ]
 
@@ -202,6 +203,18 @@ def moments(p: Pmf, g: LabelGrid) -> Moments:
     return Moments(float(mu), float(var))
 
 
+def gaussian_probs(mu, sigma, values: np.ndarray) -> np.ndarray:
+    """Normal densities at ``values``, renormalized along the last axis.
+
+    Raw-array form of :func:`discretize_gaussian` without its checks.
+    ``mu`` and ``sigma`` broadcast against ``values``: scalars give one pmf,
+    (N, 1) columns give N rows, and a row's bits do not depend on the others.
+    """
+    exponent = -((values - mu) ** 2) / (2.0 * sigma * sigma)
+    w = np.exp(exponent - exponent.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 def discretize_gaussian(mu: float, sigma: float, g: LabelGrid) -> Pmf:
     """Normal density sampled at the bin centers of a uniform grid, renormalized.
 
@@ -221,6 +234,4 @@ def discretize_gaussian(mu: float, sigma: float, g: LabelGrid) -> Pmf:
         raise ValueError(
             f"mu={mu!r} lies more than {TRUNCATION_SIGMAS} sigma outside [{g.lo}, {g.hi}]"
         )
-    exponent = -((g.values - mu) ** 2) / (2.0 * sigma * sigma)
-    w = np.exp(exponent - exponent.max())
-    return Pmf(w / w.sum())
+    return Pmf(gaussian_probs(mu, sigma, g.values))

@@ -33,10 +33,8 @@ __all__ = [
     "FAMILY_FULL_KL",
     "FAMILIES",
     "LossBreakdown",
-    "ReferenceLossConfig",
     "LossSpec",
     "kl_div",
-    "l1_expectation",
     "gaussian_kl",
     "smoothness",
     "reference_loss",
@@ -85,27 +83,14 @@ class LossBreakdown:
 
 
 @dataclass(frozen=True)
-class ReferenceLossConfig:
-    """Weighting of the reference family's L1 expectation term.
-
-    ``lam`` is the lambda of ``total = l_ld + lam*l_exp``.  It has no
-    principled default — exposing it reproduces exactly the tuning burden
-    the full-KL family removes — so it must be given explicitly.
-    """
-
-    lam: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
-
-
-@dataclass(frozen=True)
 class LossSpec:
     """Loss-family selector carried through configs and the trainer.
 
-    ``lam`` is required for the reference family and must be omitted for
-    the full-KL family (which by construction has nothing to weight).
+    ``lam`` is the lambda of the reference family's ``total = l_ld +
+    lam*l_exp``.  It has no principled default — exposing it reproduces
+    exactly the tuning burden the full-KL family removes — so the reference
+    family requires it, and the full-KL family (which by construction has
+    nothing to weight) must omit it.
     """
 
     family: str
@@ -117,14 +102,13 @@ class LossSpec:
         if self.family == FAMILY_REFERENCE:
             if self.lam is None:
                 raise ValueError("reference family requires lambda")
-            ReferenceLossConfig(self.lam)
+            if not (np.isfinite(self.lam) and self.lam >= 0):
+                raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
         elif self.lam is not None:
             raise ValueError("full_kl family takes no lambda")
 
-    def reference_cfg(self) -> ReferenceLossConfig:
-        if self.family != FAMILY_REFERENCE:
-            raise ValueError("not a reference-family spec")
-        return ReferenceLossConfig(self.lam)
+
+_FULL_KL_SPEC = LossSpec(FAMILY_FULL_KL)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +184,8 @@ def _smoothness_vals(preds: np.ndarray, eps_log: float, parts=None) -> np.ndarra
     return 0.5 * np.sum(d * big_l, axis=-1)
 
 
-def _smoothness_dldp(preds: np.ndarray, eps_log: float, parts=None) -> np.ndarray:
-    pf, d, big_l = _log_diffs(preds, eps_log) if parts is None else parts
+def _smoothness_dldp(preds: np.ndarray, eps_log: float, parts) -> np.ndarray:
+    pf, d, big_l = parts
     # d log(max(p, eps)) / dp is 1/p above the floor and 0 below it.
     inv = np.where(preds > eps_log, 1.0 / pf, 0.0)
     out = np.zeros_like(preds)
@@ -234,13 +218,6 @@ def kl_div(target, pred, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     if t.shape != q.shape:
         raise ValueError(f"pmf lengths differ: {t.size} vs {q.size}")
     return float(_kl_div_vals(t, q, policy.eps_log))
-
-
-def l1_expectation(target_mu: float, pred_mu: float) -> float:
-    """Absolute difference of expectations |pred_mu - target_mu|, in label units."""
-    if not (np.isfinite(target_mu) and np.isfinite(pred_mu)):
-        raise ValueError("expectations must be finite")
-    return abs(float(pred_mu) - float(target_mu))
 
 
 def gaussian_kl(target_m: Moments, pred_m: Moments, policy: NumericPolicy = DEFAULT_POLICY) -> float:
@@ -278,7 +255,7 @@ def reference_loss(
     target,
     logits,
     g: LabelGrid,
-    cfg: ReferenceLossConfig,
+    lam: float,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> LossBreakdown:
     """Reference-family loss: l_ld + lam * |mu_hat - mu|.
@@ -286,21 +263,15 @@ def reference_loss(
     ``l_exp`` in the returned breakdown is the raw L1 term in label units;
     lambda enters only the total.
     """
-    t, z = _check_sample(target, logits, g)
-    preds = softmax_probs(z)
-    l_ld = _kl_div_vals(t, preds, policy.eps_log)
-    mu_t, _ = pmf_moments(t, g.values)
-    mu_p, _ = pmf_moments(preds, g.values)
-    l_exp = l1_expectation(float(mu_t), float(mu_p))
-    total = float(l_ld) + cfg.lam * l_exp
-    return LossBreakdown(FAMILY_REFERENCE, float(l_ld), l_exp, None, total)
+    c = _sample_kernel(target, logits, g, LossSpec(FAMILY_REFERENCE, lam), policy, want_grad=False)[0]
+    return LossBreakdown(FAMILY_REFERENCE, float(c["l_ld"]), float(c["l_exp"]), None, float(c["total"]))
 
 
 def reference_grad(
     target,
     logits,
     g: LabelGrid,
-    cfg: ReferenceLossConfig,
+    lam: float,
     policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Analytic gradient of the reference loss with respect to the logits.
@@ -308,8 +279,7 @@ def reference_grad(
     ``(pred - target) + lam * sign(mu_hat - mu) * dmu_hat/dlogits`` with the
     L1 subgradient at zero set to 0.
     """
-    t, z = _check_sample(target, logits, g)
-    return _reference_grad_vals(t, z, g.values, cfg.lam, policy)
+    return _sample_kernel(target, logits, g, LossSpec(FAMILY_REFERENCE, lam), policy, want_grad=True)[1]
 
 
 def full_kl_loss(
@@ -324,10 +294,9 @@ def full_kl_loss(
     generally zero at pred = target: the smoothness term penalizes the
     target's own roughness.
     """
-    t, z = _check_sample(target, logits, g)
-    l_ld, l_exp, l_smooth, total = _full_kl_vals(t, z, g.values, policy)
+    c = _sample_kernel(target, logits, g, _FULL_KL_SPEC, policy, want_grad=False)[0]
     return LossBreakdown(
-        FAMILY_FULL_KL, float(l_ld), float(l_exp), float(l_smooth), float(total)
+        FAMILY_FULL_KL, float(c["l_ld"]), float(c["l_exp"]), float(c["l_smooth"]), float(c["total"])
     )
 
 
@@ -346,53 +315,25 @@ def full_kl_grad(
     composed with the softmax Jacobian.  At the eps_var floor the predicted
     variance is treated as constant (subgradient choice).
     """
-    t, z = _check_sample(target, logits, g)
-    return _full_kl_grad_vals(t, z, g.values, policy)
+    return _sample_kernel(target, logits, g, _FULL_KL_SPEC, policy, want_grad=True)[1]
 
 
-def _check_sample(target, logits, g: LabelGrid) -> tuple[np.ndarray, np.ndarray]:
+def _sample_kernel(target, logits, g: LabelGrid, spec: LossSpec, policy: NumericPolicy, want_grad: bool):
+    """Validate one (target pmf, logit vector) pair and run it through the kernel as a 1-D row."""
     t = _as_probs(target)
     if t.size != len(g):
         raise ValueError(f"target pmf has {t.size} bins but grid has {len(g)}")
     z = _as_logits(logits, len(g))
-    return t, z
+    return _batch_kernel(t, z, g, spec, policy, None, want_grad)
 
 
 # ---------------------------------------------------------------------------
-# Shared value/gradient kernels (used by the per-sample API and the trainer)
+# The loss kernel (shared by the per-sample API and the trainer)
 # ---------------------------------------------------------------------------
-
-
-def _full_kl_vals(targets, logits, values, policy):
-    preds = softmax_probs(logits)
-    l_ld = _kl_div_vals(targets, preds, policy.eps_log)
-    mu_t, var_t = pmf_moments(targets, values)
-    mu_p, var_p = pmf_moments(preds, values)
-    l_exp = _gaussian_kl_vals(mu_t, var_t, mu_p, var_p, policy)
-    l_smooth = _smoothness_vals(preds, policy.eps_log)
-    return l_ld, l_exp, l_smooth, l_ld + l_exp + l_smooth
-
-
-def _full_kl_grad_vals(targets, logits, values, policy):
-    preds = softmax_probs(logits)
-    mu_t, var_t = pmf_moments(targets, values)
-    mu_p, var_p = pmf_moments(preds, values)
-    dldp = _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy)
-    dldp = dldp + _smoothness_dldp(preds, policy.eps_log)
-    return _kl_div_grad(targets, preds) + _softmax_chain(preds, dldp)
-
-
-def _reference_grad_vals(targets, logits, values, lam, policy):
-    preds = softmax_probs(logits)
-    mu_t, _ = pmf_moments(targets, values)
-    mu_p, _ = pmf_moments(preds, values)
-    sign = np.sign(mu_p - mu_t)
-    dmu_dz = preds * (values - np.asarray(mu_p)[..., np.newaxis])
-    return _kl_div_grad(targets, preds) + (lam * np.asarray(sign))[..., np.newaxis] * dmu_dz
 
 
 def _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad):
-    """Shared body of :func:`batch_loss` and :func:`batch_loss_and_grad`.
+    """Shared body of :func:`batch_loss`, :func:`batch_loss_and_grad` and the per-sample API.
 
     Returns (components, gradient); the gradient is None unless ``want_grad``.
     """
@@ -463,7 +404,7 @@ def batch_loss_and_grad(
     Returns a dict of per-sample arrays keyed ``l_ld``, ``l_exp``, ``total``,
     ``pred_mu`` (plus ``l_smooth`` for the full-KL family) and the gradient
     array of the same shape as ``logits``.  Row i of the gradient is
-    d total_i / d logits_i; identical arithmetic to the per-sample API, so
-    results agree bit for bit.
+    d total_i / d logits_i.  The per-sample API runs the same kernel on a
+    single row, so results agree bit for bit.
     """
     return _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad=True)

@@ -324,7 +324,7 @@ def gradient_fidelity(
                     break
                 redraws += 1
             if spec.family == FAMILY_REFERENCE:
-                analytic = reference_grad(target, logits, g, spec.reference_cfg(), policy)
+                analytic = reference_grad(target, logits, g, spec.lam, policy)
             else:
                 analytic = full_kl_grad(target, logits, g, policy)
 
@@ -362,7 +362,6 @@ def affine_invariance_errors(
     if a <= 0:
         raise ValueError("affine scale must be positive")
     rng = np.random.default_rng(seed)
-    cfg = LossSpec(FAMILY_REFERENCE, lam).reference_cfg()
     out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
     for _ in range(n_instances):
         n = int(rng.integers(2, 40))
@@ -378,8 +377,8 @@ def affine_invariance_errors(
             out["unchanged_abs"], abs(f2.l_ld - f1.l_ld), abs(f2.l_smooth - f1.l_smooth)
         )
 
-        r1 = reference_loss(target, logits, g1, cfg, policy)
-        r2 = reference_loss(target, logits, g2, cfg, policy)
+        r1 = reference_loss(target, logits, g1, lam, policy)
+        r2 = reference_loss(target, logits, g2, lam, policy)
         denom = max(REL_ERROR_FLOOR, abs(a * r1.l_exp))
         out["ref_scale_rel"] = max(out["ref_scale_rel"], abs(r2.l_exp - a * r1.l_exp) / denom)
         out["unchanged_abs"] = max(out["unchanged_abs"], abs(r2.l_ld - r1.l_ld))

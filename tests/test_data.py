@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split
-from fullkl.grid import LabelGrid, make_grid, pmf_moments
+from fullkl.grid import LabelGrid, discretize_gaussian, make_grid, pmf_moments
 
 G101 = make_grid(0.0, 100.0, 1.0)
 NONUNIFORM = LabelGrid(np.array([0.0, 1.0, 10.0, 100.0]))
@@ -116,15 +116,6 @@ class TestDataset:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_samples_views_match_columns(self):
-        ds = self.base()
-        assert len(ds.samples) == len(ds)
-        for i, s in enumerate(ds.samples):
-            np.testing.assert_array_equal(s.features, ds.features[i])
-            assert s.target_mu == ds.target_mu[i]
-            assert s.target_sigma == ds.target_sigma[i]
-            np.testing.assert_array_equal(s.target_pmf.probs, ds.target_pmfs[i])
-
     def test_subset_selects_rows_and_tags(self):
         ds = self.base(6)
         sub = ds.subset(np.array([4, 1]), "val")
@@ -174,6 +165,46 @@ class TestDataset:
         pmfs[0] *= 0.5
         with pytest.raises(ValueError, match="sum to 1"):
             Dataset(G101, ds.ids, ds.features, ds.target_mu, ds.target_sigma, pmfs)
+
+
+# ---------------------------------------------------------------------------
+# target pmf rows are the scalar discretization, bit for bit
+# ---------------------------------------------------------------------------
+
+TWO_BIN = make_grid(0.0, 1.0, 1.0)
+HALF_STEP_NEG = make_grid(-5.0, 45.0, 0.5)
+STEP3_NEG = make_grid(-30.0, 30.0, 3.0)
+
+
+def assert_rows_are_discretize_gaussian(ds: Dataset):
+    for i in range(len(ds)):
+        expected = discretize_gaussian(float(ds.target_mu[i]), float(ds.target_sigma[i]), ds.grid)
+        assert ds.target_pmfs[i].tobytes() == expected.probs.tobytes(), f"row {i}"
+
+
+class TestTargetRowsMatchDiscretizeGaussian:
+    @pytest.mark.parametrize(
+        "grid, sigma_range",
+        [(G101, (2.0, 6.0)), (HALF_STEP_NEG, (0.25, 4.0)), (STEP3_NEG, (1.5, 6.0))],
+        ids=["g101", "step0.5_from-5", "step3_from-30"],
+    )
+    def test_gen_synthetic_rows(self, grid, sigma_range):
+        assert_rows_are_discretize_gaussian(gen_synthetic(300, 3, grid, sigma_range, seed=3))
+
+    @pytest.mark.parametrize(
+        "grid", [TWO_BIN, HALF_STEP_NEG, STEP3_NEG], ids=["n2", "step0.5_from-5", "step3_from-30"]
+    )
+    def test_load_csv_rows(self, tmp_path, grid):
+        rng = np.random.default_rng(4)
+        floor = 0.5 * grid.spacing
+        mus = np.concatenate([[grid.lo, grid.hi], rng.uniform(grid.lo, grid.hi, 200)])
+        sigmas = np.concatenate([[floor, floor], rng.uniform(floor, grid.span, 200)])
+        text = "id,f0,mean,std\n" + "".join(
+            f"{i},0.0,{mu!r},{sigma!r}\n" for i, (mu, sigma) in enumerate(zip(mus.tolist(), sigmas.tolist()))
+        )
+        path = tmp_path / "targets.csv"
+        path.write_text(text, encoding="utf-8")
+        assert_rows_are_discretize_gaussian(load_csv(path, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,12 @@ from fullkl.losses import (
     FAMILY_REFERENCE,
     LossBreakdown,
     LossSpec,
-    ReferenceLossConfig,
     batch_loss,
     batch_loss_and_grad,
     full_kl_grad,
     full_kl_loss,
     gaussian_kl,
     kl_div,
-    l1_expectation,
     reference_grad,
     reference_loss,
     smoothness,
@@ -106,15 +104,8 @@ class TestKlDiv:
 
 
 # ---------------------------------------------------------------------------
-# l1_expectation / gaussian_kl
+# gaussian_kl
 # ---------------------------------------------------------------------------
-
-class TestL1Expectation:
-    def test_absolute_difference(self):
-        assert l1_expectation(40.0, 43.5) == 3.5
-        assert l1_expectation(43.5, 40.0) == 3.5
-        assert l1_expectation(40.0, 40.0) == 0.0
-
 
 class TestGaussianKl:
     def test_spot_values(self):
@@ -217,7 +208,7 @@ class TestWorkedExample:
         assert b.total == pytest.approx(b.l_ld + b.l_exp + b.l_smooth, rel=1e-15)
 
     def test_reference_components(self):
-        b = reference_loss(HALF_HALF, LOGITS_1_3, TWO_BIN, ReferenceLossConfig(1.0))
+        b = reference_loss(HALF_HALF, LOGITS_1_3, TWO_BIN, 1.0)
         assert b.family == FAMILY_REFERENCE
         assert b.l_ld == pytest.approx(0.14384103622589045, **APPROX)
         assert b.l_exp == 0.25  # raw L1, unweighted
@@ -225,12 +216,12 @@ class TestWorkedExample:
         assert b.total == pytest.approx(0.39384103622589045, **APPROX)
 
     def test_lambda_weighs_total_not_l_exp(self):
-        b2 = reference_loss(HALF_HALF, LOGITS_1_3, TWO_BIN, ReferenceLossConfig(2.0))
+        b2 = reference_loss(HALF_HALF, LOGITS_1_3, TWO_BIN, 2.0)
         assert b2.l_exp == 0.25
         assert b2.total == pytest.approx(b2.l_ld + 2.0 * 0.25, rel=1e-15)
 
     def test_lambda_zero_reduces_to_kl(self):
-        b = reference_loss(HALF_HALF, LOGITS_1_3, TWO_BIN, ReferenceLossConfig(0.0))
+        b = reference_loss(HALF_HALF, LOGITS_1_3, TWO_BIN, 0.0)
         assert b.total == b.l_ld
 
 
@@ -254,7 +245,7 @@ class TestExactZeros:
     def test_reference_grad_at_matched_distribution(self):
         g = make_grid(0.0, 4.0, 1.0)
         uniform = Pmf(np.full(5, 0.2))
-        grad = reference_grad(uniform, np.zeros(5), g, ReferenceLossConfig(1.0))
+        grad = reference_grad(uniform, np.zeros(5), g, 1.0)
         assert np.all(grad == 0.0)
 
 
@@ -283,12 +274,12 @@ class TestGradients:
     def test_reference_grad_matches_fd(self, n, seed):
         rng = np.random.default_rng(seed)
         g = make_grid(0.0, float(n - 1), 1.0)
-        cfg = ReferenceLossConfig(1.0)
+        lam = 1.0
         target = random_pmf(rng, n)
         logits = rng.normal(0.0, 2.0, n)
-        analytic = reference_grad(target, logits, g, cfg)
+        analytic = reference_grad(target, logits, g, lam)
         numeric = fd_grad(
-            lambda x: reference_loss(target, x, g, cfg).total,
+            lambda x: reference_loss(target, x, g, lam).total,
             logits,
             1e-5 * np.maximum(1.0, np.abs(logits)),
         )
@@ -352,11 +343,11 @@ class TestAffineInvariance:
     def test_reference_l_exp_scales_by_a(self):
         rng = np.random.default_rng(5)
         g = make_grid(0.0, 30.0, 1.0)
-        cfg = ReferenceLossConfig(1.0)
+        lam = 1.0
         target = random_pmf(rng, 31)
         logits = rng.normal(0.0, 2.0, 31)
-        r1 = reference_loss(target, logits, g, cfg)
-        r2 = reference_loss(target, logits, self.scaled(g), cfg)
+        r1 = reference_loss(target, logits, g, lam)
+        r2 = reference_loss(target, logits, self.scaled(g), lam)
         assert r2.l_exp == pytest.approx(self.A * r1.l_exp, rel=1e-12)
         assert r2.l_ld == r1.l_ld
 
@@ -393,13 +384,19 @@ class TestLossSpec:
             LossSpec(FAMILY_FULL_KL, 1.0)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite and >= 0"):
             LossSpec(FAMILY_REFERENCE, -0.5)
 
-    def test_reference_cfg(self):
-        assert LossSpec(FAMILY_REFERENCE, 2.0).reference_cfg().lam == 2.0
-        with pytest.raises(ValueError):
-            LossSpec(FAMILY_FULL_KL).reference_cfg()
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            LossSpec(FAMILY_REFERENCE, lam)
+
+    @pytest.mark.parametrize("lam", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [reference_loss, reference_grad], ids=lambda f: f.__name__)
+    def test_per_sample_reference_rejects_bad_lambda(self, fn, lam):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            fn(HALF_HALF, LOGITS_1_3, TWO_BIN, lam)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -436,15 +433,15 @@ class TestBatchEquivalence:
 
     def test_reference_batch_bitwise(self):
         spec = LossSpec(FAMILY_REFERENCE, 1.5)
-        cfg = spec.reference_cfg()
+        lam = spec.lam
         comps, grads = batch_loss_and_grad(self.targets, self.logits, self.g, spec)
         for i in range(7):
-            b = reference_loss(Pmf(self.targets[i]), self.logits[i], self.g, cfg)
+            b = reference_loss(Pmf(self.targets[i]), self.logits[i], self.g, lam)
             assert comps["l_ld"][i] == b.l_ld
             assert comps["l_exp"][i] == b.l_exp
             assert comps["total"][i] == b.total
             np.testing.assert_array_equal(
-                grads[i], reference_grad(Pmf(self.targets[i]), self.logits[i], self.g, cfg)
+                grads[i], reference_grad(Pmf(self.targets[i]), self.logits[i], self.g, lam)
             )
 
     def test_shape_mismatch_rejected(self):
@@ -504,8 +501,8 @@ class TestSoftmaxUnderflow:
                 grad = full_kl_grad(t, logits[i], g)
                 assert comps["l_smooth"][i] == b.l_smooth
             else:
-                b = reference_loss(t, logits[i], g, spec.reference_cfg())
-                grad = reference_grad(t, logits[i], g, spec.reference_cfg())
+                b = reference_loss(t, logits[i], g, spec.lam)
+                grad = reference_grad(t, logits[i], g, spec.lam)
             assert (comps["l_ld"][i], comps["l_exp"][i], comps["total"][i]) == (b.l_ld, b.l_exp, b.total)
             assert grads[i].tobytes() == grad.tobytes()
 
@@ -529,4 +526,4 @@ class TestSampleValidation:
 
     def test_invalid_target_array_rejected(self):
         with pytest.raises(ValueError):
-            reference_loss(np.array([0.7, 0.7]), np.zeros(2), TWO_BIN, ReferenceLossConfig(1.0))
+            reference_loss(np.array([0.7, 0.7]), np.zeros(2), TWO_BIN, 1.0)

@@ -59,7 +59,7 @@ def read_rows(path):
 # ---------------------------------------------------------------------------
 
 class TestConfigParsing:
-    @pytest.mark.parametrize("name", ["full_kl.json", "reference.json"])
+    @pytest.mark.parametrize("name", ["full_kl.json", "reference.json", "smoke.json"])
     def test_repo_configs_round_trip_verbatim(self, name):
         path = REPO_CONFIGS / name
         raw = json.loads(path.read_text(encoding="utf-8"))

@@ -88,7 +88,7 @@ class TestFdGrad:
 def per_sample_total(spec, target, g):
     """The loss at one logit vector, through the per-sample API."""
     if spec.family == FAMILY_REFERENCE:
-        return lambda z: reference_loss(target, z, g, spec.reference_cfg()).total
+        return lambda z: reference_loss(target, z, g, spec.lam).total
     return lambda z: full_kl_loss(target, z, g).total
 
 
@@ -315,7 +315,7 @@ def gradient_fidelity_per_sample(spec, n_instances, sizes=(2, 5, 101), seed=2024
                     break
                 redraws += 1
             if spec.family == FAMILY_REFERENCE:
-                analytic = reference_grad(target, logits, g, spec.reference_cfg())
+                analytic = reference_grad(target, logits, g, spec.lam)
             else:
                 analytic = full_kl_grad(target, logits, g)
             err = rel_norm_error(analytic, fd_grad(per_sample_total(spec, target, g), logits, h))
@@ -327,14 +327,13 @@ def gradient_fidelity_per_sample(spec, n_instances, sizes=(2, 5, 101), seed=2024
 def component_minima_per_sample(n_instances, seed=20242, lam=1.0):
     """The one-instance-at-a-time form of component_minima, kept as its reference."""
     rng = np.random.default_rng(seed)
-    cfg = LossSpec(FAMILY_REFERENCE, lam).reference_cfg()
     mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
     for _ in range(n_instances):
         n = int(rng.integers(2, 32))
         g = make_grid(0.0, float(n - 1), 1.0)
         target, logits = random_instance(rng, g)
         f = full_kl_loss(target, logits, g)
-        r = reference_loss(target, logits, g, cfg)
+        r = reference_loss(target, logits, g, lam)
         mins["l_ld"] = min(mins["l_ld"], f.l_ld, r.l_ld)
         mins["full_l_exp"] = min(mins["full_l_exp"], f.l_exp)
         mins["l_smooth"] = min(mins["l_smooth"], f.l_smooth)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import LabelGrid, MIN_SIGMA_FACTOR, TRUNCATION_SIGMAS, gaussian_probs, pmf_moments
+from .grid import LabelGrid, MIN_SIGMA_FACTOR, TRUNCATION_SIGMAS, gaussian_probs, pmf_moments, row_blocks
 
 __all__ = [
     "Dataset",
@@ -60,11 +60,28 @@ class Dataset:
     split: str = "full"
 
     def __post_init__(self):
-        ids = np.array(self.ids, dtype=np.int64)
-        feats = np.array(self.features, dtype=np.float64)
-        mu = np.array(self.target_mu, dtype=np.float64)
-        sigma = np.array(self.target_sigma, dtype=np.float64)
-        pmfs = np.array(self.target_pmfs, dtype=np.float64)
+        self._check_and_freeze(np.array)
+
+    @classmethod
+    def _adopt(cls, grid, ids, features, target_mu, target_sigma, target_pmfs, split="full") -> "Dataset":
+        """Dataset over arrays its caller just allocated and will not use again.
+
+        Runs every check of ``Dataset(...)`` and makes the arrays read-only in
+        place, without the copy that shields a caller's own arrays.
+        """
+        ds = object.__new__(cls)
+        ds.__dict__.update(grid=grid, ids=ids, features=features, target_mu=target_mu,
+                           target_sigma=target_sigma, target_pmfs=target_pmfs, split=split)
+        ds._check_and_freeze(np.asarray)
+        return ds
+
+    def _check_and_freeze(self, as_array):
+        """Validate the fields and store them as read-only arrays made by ``as_array``."""
+        ids = as_array(self.ids, dtype=np.int64)
+        feats = as_array(self.features, dtype=np.float64)
+        mu = as_array(self.target_mu, dtype=np.float64)
+        sigma = as_array(self.target_sigma, dtype=np.float64)
+        pmfs = as_array(self.target_pmfs, dtype=np.float64)
         n = ids.size
         if n == 0:
             raise ValueError("dataset must not be empty")
@@ -81,8 +98,9 @@ class Dataset:
             raise ValueError(f"target sigma below the {floor!r} floor")
         if np.any(mu < self.grid.lo) or np.any(mu > self.grid.hi):
             raise ValueError("target means must lie within the grid span")
-        bad = np.abs(pmfs.sum(axis=1) - 1.0) > 1e-9
-        if np.any(pmfs < 0) or bad.any():
+        # min() and the row sums reduce without a (rows, n_bins) temporary;
+        # the negated comparisons also reject NaN entries.
+        if not (pmfs.min() >= 0 and np.all(np.abs(pmfs.sum(axis=1) - 1.0) <= 1e-9)):
             raise ValueError("target pmf rows must be non-negative and sum to 1")
         for arr, name in ((ids, "ids"), (feats, "features"), (mu, "target_mu"),
                           (sigma, "target_sigma"), (pmfs, "target_pmfs")):
@@ -102,16 +120,20 @@ class Dataset:
 
         Computed on first access, not at construction, so building a dataset
         costs nothing extra.  The moments are per-row reductions, so a row's
-        values are the bits ``pmf_moments`` gives for any batch holding it.
+        values are the bits ``pmf_moments`` gives for any batch holding it;
+        they are computed one ``row_blocks`` block at a time.
         """
-        mu, var = pmf_moments(self.target_pmfs, self.grid.values)
+        mu = np.empty(len(self))
+        var = np.empty(len(self))
+        for rows in row_blocks(len(self)):
+            mu[rows], var[rows] = pmf_moments(self.target_pmfs[rows], self.grid.values)
         mu.flags.writeable = False
         var.flags.writeable = False
         return mu, var
 
     def subset(self, indices: np.ndarray, split: str) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
+        return Dataset._adopt(
             self.grid,
             self.ids[idx],
             self.features[idx],
@@ -123,7 +145,12 @@ class Dataset:
 
 
 def _discretize_rows(mu: np.ndarray, sigma: np.ndarray, g: LabelGrid) -> np.ndarray:
-    """Target pmf rows: grid.discretize_gaussian's checks, reported by row index."""
+    """Target pmf rows: grid.discretize_gaussian's checks, reported by row index.
+
+    The rows are filled one ``row_blocks`` block at a time, so no temporary
+    spans the whole (rows, n_bins) array; a row's bits do not depend on the
+    block holding it.
+    """
     if g.spacing is None:
         raise ValueError("target discretization requires a uniform grid")
     floor = MIN_SIGMA_FACTOR * g.spacing
@@ -133,7 +160,10 @@ def _discretize_rows(mu: np.ndarray, sigma: np.ndarray, g: LabelGrid) -> np.ndar
     bad = np.flatnonzero((mu < g.lo - TRUNCATION_SIGMAS * sigma) | (mu > g.hi + TRUNCATION_SIGMAS * sigma))
     if bad.size:
         raise ValueError(f"mean more than {TRUNCATION_SIGMAS} sigma outside the grid at rows {bad[:10].tolist()}")
-    return gaussian_probs(mu[:, np.newaxis], sigma[:, np.newaxis], g.values)
+    pmfs = np.empty((mu.size, len(g)))
+    for rows in row_blocks(mu.size):
+        pmfs[rows] = gaussian_probs(mu[rows, np.newaxis], sigma[rows, np.newaxis], g.values)
+    return pmfs
 
 
 def gen_synthetic(
@@ -184,7 +214,7 @@ def gen_synthetic(
         target_mu = np.full(n, 0.5 * (lo_t + hi_t))
     target_sigma = rng.uniform(sigma_lo, sigma_hi, n)
     pmfs = _discretize_rows(target_mu, target_sigma, grid)
-    return Dataset(grid, np.arange(n, dtype=np.int64), features, target_mu, target_sigma, pmfs)
+    return Dataset._adopt(grid, np.arange(n, dtype=np.int64), features, target_mu, target_sigma, pmfs)
 
 
 def _csv_header(d_in: int) -> list[str]:
@@ -262,7 +292,7 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
     if truncated:
         log.warning("%s: %d row(s) within 3 sigma of a grid edge; their pmfs are visibly truncated", path, truncated)
     pmfs = _discretize_rows(mu, sigma, grid)
-    return Dataset(grid, np.array(ids, dtype=np.int64), np.array(feats), mu, sigma, pmfs)
+    return Dataset._adopt(grid, np.array(ids, dtype=np.int64), np.array(feats), mu, sigma, pmfs)
 
 
 def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -33,6 +33,20 @@ UNIFORM_REL_TOL = 1e-12
 MIN_SIGMA_FACTOR = 0.5    # narrower targets degenerate to a near-one-hot pmf
 TRUNCATION_SIGMAS = 5.0   # beyond this the renormalized pmf stops resembling the Gaussian
 
+# Rows per block wherever a (rows, n_bins) array is built or reduced block by
+# block (target pmfs and moments in data, evaluate in model).  It keeps each
+# float64 temporary near 200 KiB at 101 bins, in cache, instead of the size of
+# a whole split.  Per-row results do not depend on the blocking, with one
+# exception: numpy sends a one-row matmul to gemv, whose bits differ from
+# gemm's, so row_blocks never leaves a one-row tail.
+BLOCK_ROWS = 256
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices of at most BLOCK_ROWS rows covering range(n), none of one row unless n == 1."""
+    starts = list(range(0, max(n - 1, 1), BLOCK_ROWS))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
 
 def _readonly_vector(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .grid import DEFAULT_POLICY, LabelGrid, NumericPolicy, pmf_moments, softmax_probs
+from .grid import DEFAULT_POLICY, LabelGrid, NumericPolicy, pmf_moments, row_blocks, softmax_probs
 from .losses import (
     FAMILY_FULL_KL,
     LossBreakdown,
@@ -56,20 +56,6 @@ log = logging.getLogger(__name__)
 CHECKPOINT_FORMAT = "mlp-ckpt-v1"
 
 SPLIT_TAGS = ("full", "train", "val")
-
-# Rows per forward + loss pass in evaluate.  It keeps the (rows, n_bins)
-# float64 temporaries (about 200 KiB each at 101 bins) in cache instead of
-# streaming whole-split arrays through memory.  Per-row results do not depend
-# on the chunking, with one exception: numpy sends a one-row matmul to gemv,
-# whose bits differ from gemm's, so a one-row tail joins the chunk before it.
-EVAL_CHUNK_ROWS = 256
-
-
-def _row_chunks(n: int):
-    """Slices of at most EVAL_CHUNK_ROWS rows covering range(n), none of one row unless n == 1."""
-    starts = list(range(0, max(n - 1, 1), EVAL_CHUNK_ROWS))
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
 
 class TrainingDivergedError(RuntimeError):
     """A forward pass, loss, or parameter update produced non-finite values."""
@@ -384,15 +370,15 @@ def evaluate(
 ) -> Metrics:
     """Mean loss components and MAE of ``params`` over a dataset split.
 
-    Runs in chunks of ``EVAL_CHUNK_ROWS`` rows; the per-row values are joined
-    before the means are taken, so the result has the bits of one pass over
-    the whole split.
+    Runs one ``grid.row_blocks`` block of rows at a time; the per-row values
+    are joined before the means are taken, so the result has the bits of one
+    pass over the whole split.
     """
     if not np.array_equal(g.values, dataset.grid.values):
         raise ValueError("grid does not match the dataset's grid")
     mu_t, var_t = dataset.target_moments
     chunks = []
-    for rows in _row_chunks(len(dataset)):
+    for rows in row_blocks(len(dataset)):
         logits = forward(params, dataset.features[rows])
         moments = (mu_t[rows], var_t[rows])
         chunks.append(batch_loss(dataset.target_pmfs[rows], logits, g, spec, policy, moments))

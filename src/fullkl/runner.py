@@ -23,7 +23,7 @@ import numpy as np
 
 from . import data
 from .grid import LabelGrid, make_grid
-from .losses import FAMILY_FULL_KL, FAMILY_REFERENCE, LossSpec
+from .losses import FAMILY_REFERENCE, LossSpec
 from .model import (
     Metrics,
     TrainConfig,

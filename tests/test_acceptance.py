@@ -7,7 +7,6 @@ configurations (10 seeds x 60 epochs each) once in a session fixture and is
 by far the slowest part of the suite.
 """
 
-import json
 import time
 from dataclasses import replace
 from pathlib import Path

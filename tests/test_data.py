@@ -1,17 +1,21 @@
 """Synthetic data generation, CSV ingestion, and the train/val split."""
 
 import logging
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split
-from fullkl.grid import LabelGrid, discretize_gaussian, make_grid, pmf_moments
+from fullkl.grid import BLOCK_ROWS, LabelGrid, discretize_gaussian, gaussian_probs, make_grid, pmf_moments
 
 G101 = make_grid(0.0, 100.0, 1.0)
 NONUNIFORM = LabelGrid(np.array([0.0, 1.0, 10.0, 100.0]))
+
+
+def arrays_of(ds: Dataset) -> tuple[np.ndarray, ...]:
+    return ds.ids, ds.features, ds.target_mu, ds.target_sigma, ds.target_pmfs
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -106,15 +110,64 @@ class TestDataset:
                 arr[0] = 0
 
     def test_target_moments_cached_lazily(self):
+        # 6 rows fit one block; 2 * BLOCK_ROWS + 37 rows take three.
+        for n in (6, 2 * BLOCK_ROWS + 37):
+            ds = self.base(n)
+            assert "target_moments" not in vars(ds)
+            mu, var = ds.target_moments
+            ref_mu, ref_var = pmf_moments(ds.target_pmfs, G101.values)
+            assert mu.tobytes() == ref_mu.tobytes() and var.tobytes() == ref_var.tobytes()
+            assert ds.target_moments is ds.target_moments
+            for arr in (mu, var):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    def test_constructor_copies_caller_arrays(self):
+        arrays = [np.array(a) for a in arrays_of(self.base(6))]
+        ds = Dataset(G101, *arrays)
+        kept = [a.copy() for a in arrays]
+        for a in arrays:
+            a[...] = 0
+        for got, want in zip(arrays_of(ds), kept):
+            assert got.tobytes() == want.tobytes()
+
+    def test_every_dataset_array_read_only(self, tmp_path):
+        base = self.base(6)
+        save_csv(base, tmp_path / "d.csv")
+        datasets = [
+            base,
+            Dataset(G101, *[np.array(a) for a in arrays_of(base)]),
+            load_csv(tmp_path / "d.csv", G101),
+            base.subset(np.array([4, 1]), "val"),
+            *split(base, 0.5, seed=0),
+        ]
+        for ds in datasets:
+            for arr in arrays_of(ds) + ds.target_moments:
+                assert not arr.flags.writeable
+
+    def test_subset_shares_no_memory_with_parent(self):
         ds = self.base(6)
-        assert "target_moments" not in vars(ds)
-        mu, var = ds.target_moments
-        ref_mu, ref_var = pmf_moments(ds.target_pmfs, G101.values)
-        assert mu.tobytes() == ref_mu.tobytes() and var.tobytes() == ref_var.tobytes()
-        assert ds.target_moments is ds.target_moments
-        for arr in (mu, var):
-            with pytest.raises(ValueError):
-                arr[0] = 0
+        for sub in (ds.subset(np.array([4, 1]), "val"), ds.subset(np.arange(6), "train")):
+            for a, b in zip(arrays_of(ds), arrays_of(sub)):
+                assert not np.shares_memory(a, b)
+
+    def test_build_and_moments_peak_below_one_and_a_half_results(self):
+        # Pmfs and moments are built in row blocks and the builder's arrays are
+        # not copied again, so the peak stays near the result's own size.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ds = gen_synthetic(5000, 16, G101, (2.0, 6.0), seed=0)
+            ds.target_moments
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        nbytes = sum(a.nbytes for a in arrays_of(ds))
+        assert peak < 1.5 * nbytes, f"peak {peak} bytes for a {nbytes}-byte dataset"
 
     def test_subset_selects_rows_and_tags(self):
         ds = self.base(6)
@@ -166,6 +219,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="sum to 1"):
             Dataset(G101, ds.ids, ds.features, ds.target_mu, ds.target_sigma, pmfs)
 
+    def test_pmf_entries_must_be_non_negative_numbers(self):
+        ds = self.base()
+        negative = np.array(ds.target_pmfs)
+        negative[0, :2] += [-0.25, 0.25]    # the row still sums to 1
+        nan = np.array(ds.target_pmfs)
+        nan[0, 0] = np.nan
+        for pmfs in (negative, nan):
+            with pytest.raises(ValueError, match="non-negative"):
+                Dataset(G101, ds.ids, ds.features, ds.target_mu, ds.target_sigma, pmfs)
+
 
 # ---------------------------------------------------------------------------
 # target pmf rows are the scalar discretization, bit for bit
@@ -180,6 +243,25 @@ def assert_rows_are_discretize_gaussian(ds: Dataset):
     for i in range(len(ds)):
         expected = discretize_gaussian(float(ds.target_mu[i]), float(ds.target_sigma[i]), ds.grid)
         assert ds.target_pmfs[i].tobytes() == expected.probs.tobytes(), f"row {i}"
+
+
+BLOCK_EDGE_SIZES = [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 37]
+
+
+def assert_rows_are_whole_array_gaussian_probs(ds: Dataset):
+    whole = gaussian_probs(ds.target_mu[:, np.newaxis], ds.target_sigma[:, np.newaxis], ds.grid.values)
+    assert ds.target_pmfs.tobytes() == whole.tobytes()
+
+
+class TestBlockRowsMatchWholeArray:
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_gen_synthetic_rows(self, n):
+        assert_rows_are_whole_array_gaussian_probs(gen_synthetic(n, 3, G101, (2.0, 6.0), seed=n))
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+    def test_load_csv_rows(self, tmp_path, n):
+        save_csv(gen_synthetic(n, 3, G101, (2.0, 6.0), seed=n), tmp_path / "d.csv")
+        assert_rows_are_whole_array_gaussian_probs(load_csv(tmp_path / "d.csv", G101))
 
 
 class TestTargetRowsMatchDiscretizeGaussian:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import gen_synthetic
-from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, make_grid, moments, softmax, softmax_probs
+from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, make_grid, moments, softmax_probs
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,

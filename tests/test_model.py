@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from fullkl.data import Dataset, gen_synthetic, split
-from fullkl.grid import make_grid, Pmf
+from fullkl.grid import BLOCK_ROWS, make_grid, row_blocks
 from fullkl.losses import FAMILY_FULL_KL, FAMILY_REFERENCE, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 from fullkl.model import (
     CHECKPOINT_FORMAT,
-    EVAL_CHUNK_ROWS,
     Metrics,
     MlpParams,
     OptimizerState,
@@ -31,7 +30,7 @@ from fullkl.model import (
     train_step,
     vec_to_params,
 )
-from fullkl.model import _backward, _forward_cached, _row_chunks
+from fullkl.model import _backward, _forward_cached
 from fullkl.verify import fd_grad, rel_norm_error
 
 G101 = make_grid(0.0, 100.0, 1.0)
@@ -428,9 +427,9 @@ class TestEvaluate:
         return Metrics(4, "val", breakdown, mae)
 
     @pytest.mark.parametrize("n", [
-        EVAL_CHUNK_ROWS // 2,        # shorter than one chunk
-        2 * EVAL_CHUNK_ROWS + 37,    # not a multiple of the chunk size
-        2 * EVAL_CHUNK_ROWS + 1,     # a one-row tail, which a gemv would compute differently
+        BLOCK_ROWS // 2,        # shorter than one block
+        2 * BLOCK_ROWS + 37,    # not a multiple of the block size
+        2 * BLOCK_ROWS + 1,     # a one-row tail, which a gemv would compute differently
     ])
     @pytest.mark.parametrize("spec", [LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.0)])
     def test_chunked_matches_whole_split_bitwise(self, n, spec):
@@ -439,22 +438,22 @@ class TestEvaluate:
         m = evaluate(params, ds, G101, spec, epoch=4, split="val")
         assert m == self.whole_split_metrics(params, ds, spec)
 
-    @pytest.mark.parametrize("n", [1, 2, EVAL_CHUNK_ROWS - 1, EVAL_CHUNK_ROWS, EVAL_CHUNK_ROWS + 1,
-                                   EVAL_CHUNK_ROWS + 2, 2 * EVAL_CHUNK_ROWS + 1, 3 * EVAL_CHUNK_ROWS + 37])
+    @pytest.mark.parametrize("n", [1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   BLOCK_ROWS + 2, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 37])
     def test_row_chunks_cover_rows_without_one_row_tail(self, n):
-        chunks = _row_chunks(n)
+        chunks = row_blocks(n)
         assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
         assert chunks[0].start == 0 and chunks[-1].stop == n
         sizes = [c.stop - c.start for c in chunks]
-        assert max(sizes) <= EVAL_CHUNK_ROWS + 1
+        assert max(sizes) <= BLOCK_ROWS + 1
         assert min(sizes) > 1 or n == 1
 
     def test_chunk_rows_match_whole_forward_bitwise(self):
         # The means in Metrics can absorb a last-bit change in one row, so the
         # per-row logits are compared directly.
-        x = np.random.default_rng(8).uniform(-1.0, 1.0, (2 * EVAL_CHUNK_ROWS + 1, 16))
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, (2 * BLOCK_ROWS + 1, 16))
         params = init_mlp((16, 64, 64, 101), 2)
-        joined = np.concatenate([forward(params, x[rows]) for rows in _row_chunks(len(x))])
+        joined = np.concatenate([forward(params, x[rows]) for rows in row_blocks(len(x))])
         assert joined.tobytes() == forward(params, x).tobytes()
 
     def test_metrics_validation(self):

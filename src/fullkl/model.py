@@ -7,6 +7,14 @@ loss head, which losses.py supplies analytically, and everything upstream is
 the standard affine/rectifier chain rule.  Training is functional —
 ``train_step`` consumes (params, opt_state) and returns fresh ones — which is
 what makes runs bit-reproducible given (seed, config, dataset).
+
+The training state is flat: params, the gradient and both Adam moments are
+float64 vectors in the :func:`params_to_vec` layout, and ``MlpParams``
+exposes read-only per-layer views into its vector.  ``_backward`` writes each
+layer's gradient into its slice of one vector, and ``adam_update`` makes one
+``_adam_arrays`` call over the whole vector and one finiteness check.  Params
+are validated where they enter the program (``MlpParams(...)``,
+``init_mlp``, ``vec_to_params``, ``load_checkpoint``), not after every step.
 """
 
 from __future__ import annotations
@@ -19,36 +27,13 @@ import numpy as np
 
 from .data import Dataset
 from .grid import DEFAULT_POLICY, LabelGrid, NumericPolicy, pmf_moments, row_blocks, softmax_probs
-from .losses import (
-    FAMILY_FULL_KL,
-    LossBreakdown,
-    LossSpec,
-    batch_loss,
-    batch_loss_and_grad,
-)
+from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
-    "TrainingDivergedError",
-    "MlpParams",
-    "OptimizerState",
-    "TrainConfig",
-    "Metrics",
-    "TrainResult",
-    "init_mlp",
-    "forward",
-    "adam_update",
-    "init_adam",
-    "train_step",
-    "lr_at",
-    "predict",
-    "evaluate",
-    "derive_seeds",
-    "train_run",
-    "params_to_vec",
-    "vec_to_params",
-    "save_checkpoint",
-    "load_checkpoint",
+    "CHECKPOINT_FORMAT", "TrainingDivergedError", "MlpParams", "OptimizerState",
+    "TrainConfig", "Metrics", "TrainResult", "init_mlp", "forward", "adam_update",
+    "init_adam", "train_step", "lr_at", "predict", "evaluate", "derive_seeds",
+    "train_run", "params_to_vec", "vec_to_params", "save_checkpoint", "load_checkpoint",
 ]
 
 log = logging.getLogger(__name__)
@@ -58,7 +43,14 @@ CHECKPOINT_FORMAT = "mlp-ckpt-v1"
 SPLIT_TAGS = ("full", "train", "val")
 
 class TrainingDivergedError(RuntimeError):
-    """A forward pass, loss, or parameter update produced non-finite values."""
+    """A forward pass, loss, or parameter update produced non-finite values.
+
+    ``rows`` holds the offending batch rows, or None when the parameters are at fault.
+    """
+
+    def __init__(self, message: str, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 def _validated_dims(dims) -> tuple[int, ...]:
@@ -68,37 +60,63 @@ def _validated_dims(dims) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
+def _layer_views(dims, vec: np.ndarray):
+    """Per-layer (weights, biases) views into a flat vector of ``_param_count(dims)``."""
+    ws, bs, pos = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        ws.append(vec[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+        pos += fan_in * fan_out
+        bs.append(vec[pos:pos + fan_out])
+        pos += fan_out
+    return tuple(ws), tuple(bs)
+
+
+def _param_count(dims) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+@dataclass(frozen=True, init=False)
 class MlpParams:
-    """Immutable layer parameters for dims [d_in, hidden..., n_bins]."""
+    """Immutable layer parameters for dims [d_in, hidden..., n_bins].
+
+    One read-only float64 vector ``vec`` in the :func:`params_to_vec` layout
+    holds them; ``weights`` and ``biases`` are views into it.  The
+    constructor copies and validates its arrays.
+    """
 
     dims: tuple[int, ...]
+    vec: np.ndarray
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        dims = _validated_dims(self.dims)
+    def __init__(self, dims, weights, biases):
+        dims = _validated_dims(dims)
         n_layers = len(dims) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
+        if len(weights) != n_layers or len(biases) != n_layers:
             raise ValueError(f"expected {n_layers} weight/bias pairs for dims {dims}")
-        ws, bs = [], []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            w = np.array(w, dtype=np.float64)
-            b = np.array(b, dtype=np.float64)
+        parts = []
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            w = np.asarray(w, dtype=np.float64)
+            b = np.asarray(b, dtype=np.float64)
             if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
                 raise ValueError(
                     f"layer {i}: expected weights {(dims[i], dims[i + 1])} and "
                     f"biases ({dims[i + 1]},), got {w.shape} and {b.shape}"
                 )
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i}: parameters must be finite")
-            w.flags.writeable = False
-            b.flags.writeable = False
-            ws.append(w)
-            bs.append(b)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "weights", tuple(ws))
-        object.__setattr__(self, "biases", tuple(bs))
+            parts += [w.ravel(), b]
+        vec = np.concatenate(parts)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("parameters must be finite")
+        self.__dict__.update(MlpParams._wrap(dims, vec).__dict__)
+
+    @classmethod
+    def _wrap(cls, dims: tuple[int, ...], vec: np.ndarray) -> "MlpParams":
+        """No-copy, no-check constructor over a vector the caller just made."""
+        params = object.__new__(cls)
+        vec.flags.writeable = False  # before the views, so they inherit it
+        ws, bs = _layer_views(dims, vec)
+        params.__dict__.update(dims=dims, vec=vec, weights=ws, biases=bs)
+        return params
 
     @property
     def n_layers(self) -> int:
@@ -114,7 +132,7 @@ class MlpParams:
 
     @property
     def size(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.vec.size
 
 
 def init_mlp(dims, seed: int) -> MlpParams:
@@ -128,26 +146,28 @@ def init_mlp(dims, seed: int) -> MlpParams:
     return MlpParams(dims, tuple(ws), tuple(bs))
 
 
+def _rectify(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``np.where(keep != 0, x, 0.0)`` bit for bit, where ``keep`` is int64 -1 (all
+    bits set) or 0: a bitwise AND, because ``np.where``'s per-element branch
+    mispredicts on the data-dependent rectifier mask and costs several times more."""
+    return np.bitwise_and(x.view(np.int64), keep).view(np.float64)
+
+
 def _forward_cached(params: MlpParams, x: np.ndarray):
     """Batch forward pass returning logits plus per-layer backprop caches.
 
-    Cache entry i holds (input to layer i, rectifier mask of layer i's output
-    or None for the final linear layer).
+    Cache entry i holds (input to layer i, the :func:`_rectify` keep bits of
+    layer i's output or None for the final linear layer).
     """
-    caches = []
-    h = x
-    last = params.n_layers - 1
+    caches, h = [], x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = h @ w + b
-        if i < last:
-            mask = a > 0.0
-            caches.append((h, mask))
-            h = np.where(mask, a, 0.0)
-        else:
-            caches.append((h, None))
-            h = a
+        keep = np.negative(a > 0.0, dtype=np.int64) if i < params.n_layers - 1 else None
+        caches.append((h, keep))
+        h = a if keep is None else _rectify(a, keep)
     if not np.all(np.isfinite(h)):
-        raise TrainingDivergedError("non-finite activations in forward pass")
+        bad = np.flatnonzero(~np.isfinite(h).all(axis=-1))
+        raise TrainingDivergedError(f"non-finite activations in forward pass at batch row(s) {bad[:10].tolist()}", bad)
     return h, caches
 
 
@@ -160,33 +180,31 @@ def forward(params: MlpParams, features) -> np.ndarray:
     return logits[0] if x.ndim == 1 else logits
 
 
-def _backward(params: MlpParams, caches, d_logits: np.ndarray):
-    """Gradients of a scalar loss w.r.t. all weights/biases, given d loss/d logits."""
-    gw = [None] * params.n_layers
-    gb = [None] * params.n_layers
+def _backward(params: MlpParams, caches, d_logits: np.ndarray) -> np.ndarray:
+    """Flat gradient of a scalar loss w.r.t. ``params.vec``, given d loss/d logits."""
+    grad = np.empty(params.size)
+    gw, gb = _layer_views(params.dims, grad)
     d_a = d_logits
     for i in range(params.n_layers - 1, -1, -1):
-        h_in, _ = caches[i]
-        gw[i] = h_in.T @ d_a
-        gb[i] = d_a.sum(axis=0)
+        np.matmul(caches[i][0].T, d_a, out=gw[i])
+        d_a.sum(axis=0, out=gb[i])
         if i > 0:
-            d_a = np.where(caches[i - 1][1], d_a @ params.weights[i].T, 0.0)
-    return gw, gb
+            d_a = _rectify(d_a @ params.weights[i].T, caches[i - 1][1])
+    return grad
 
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam state: hyperparameters, step counter, and moment accumulators."""
+    """Adam state: hyperparameters, step counter, and read-only moments ``m``, ``v``
+    (float64 vectors in the layout of ``MlpParams.vec``)."""
 
     lr: float
     beta1: float
     beta2: float
     eps: float
     step: int
-    m_w: tuple[np.ndarray, ...]
-    v_w: tuple[np.ndarray, ...]
-    m_b: tuple[np.ndarray, ...]
-    v_b: tuple[np.ndarray, ...]
+    m: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
@@ -206,12 +224,9 @@ def init_adam(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> OptimizerState:
-    zeros = lambda arrs: tuple(np.zeros_like(a) for a in arrs)
-    return OptimizerState(
-        lr, beta1, beta2, eps, 0,
-        zeros(params.weights), zeros(params.weights),
-        zeros(params.biases), zeros(params.biases),
-    )
+    m, v = np.zeros(params.size), np.zeros(params.size)
+    m.flags.writeable = v.flags.writeable = False
+    return OptimizerState(lr, beta1, beta2, eps, 0, m, v)
 
 
 def _adam_arrays(p, g, m, v, state: OptimizerState, bc1: float, bc2: float):
@@ -220,27 +235,19 @@ def _adam_arrays(p, g, m, v, state: OptimizerState, bc1: float, bc2: float):
     return p - state.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + state.eps), m2, v2
 
 
-def adam_update(params: MlpParams, state: OptimizerState, gw, gb):
-    """One bias-corrected Adam step; returns (params', state')."""
+def adam_update(params: MlpParams, state: OptimizerState, grad: np.ndarray):
+    """One bias-corrected Adam step over the flat vector; returns (params', state')."""
+    if not grad.shape == state.m.shape == state.v.shape == (params.size,):
+        shapes = f"{grad.shape}, {state.m.shape} and {state.v.shape}"
+        raise ValueError(f"grad, m and v must have shape ({params.size},), got {shapes}")
     t = state.step + 1
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    new_w, m_w, v_w = [], [], []
-    for p, g, m, v in zip(params.weights, gw, state.m_w, state.v_w):
-        p2, m2, v2 = _adam_arrays(p, g, m, v, state, bc1, bc2)
-        new_w.append(p2), m_w.append(m2), v_w.append(v2)
-    new_b, m_b, v_b = [], [], []
-    for p, g, m, v in zip(params.biases, gb, state.m_b, state.v_b):
-        p2, m2, v2 = _adam_arrays(p, g, m, v, state, bc1, bc2)
-        new_b.append(p2), m_b.append(m2), v_b.append(v2)
-    if not all(np.all(np.isfinite(a)) for a in new_w + new_b):
+    p2, m2, v2 = _adam_arrays(params.vec, grad, state.m, state.v, state, bc1, bc2)
+    if not np.all(np.isfinite(p2)):
         raise TrainingDivergedError("non-finite parameters after optimizer update")
-    params2 = MlpParams(params.dims, tuple(new_w), tuple(new_b))
-    state2 = replace(
-        state, step=t,
-        m_w=tuple(m_w), v_w=tuple(v_w), m_b=tuple(m_b), v_b=tuple(v_b),
-    )
-    return params2, state2
+    m2.flags.writeable = v2.flags.writeable = False
+    return MlpParams._wrap(params.dims, p2), replace(state, step=t, m=m2, v=v2)
 
 
 def _mean_breakdown(comps: dict, spec: LossSpec) -> LossBreakdown:
@@ -283,11 +290,9 @@ def train_step(
     comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, policy, target_moments)
     bad = np.flatnonzero(~(np.isfinite(comps["total"]) & np.isfinite(dlogits).all(axis=-1)))
     if bad.size:
-        raise TrainingDivergedError(
-            f"non-finite loss or gradient at batch sample(s) {bad[:10].tolist()}"
-        )
-    gw, gb = _backward(params, caches, dlogits / feats.shape[0])
-    params2, opt2 = adam_update(params, opt_state, gw, gb)
+        raise TrainingDivergedError(f"non-finite loss or gradient at batch row(s) {bad[:10].tolist()}", bad)
+    grad = _backward(params, caches, dlogits / feats.shape[0])
+    params2, opt2 = adam_update(params, opt_state, grad)
     return params2, opt2, _mean_breakdown(comps, spec)
 
 
@@ -432,9 +437,10 @@ def train_run(
                     params, opt, batch, g, cfg.loss, policy, (mu_t[idx], var_t[idx])
                 )
             except TrainingDivergedError as exc:
-                raise TrainingDivergedError(
-                    f"epoch {epoch + 1}, step {step + 1}: {exc}"
-                ) from exc
+                msg = f"epoch {epoch + 1}, step {step + 1}: {exc}"
+                if exc.rows is not None:
+                    msg += f"; sample id(s) {train_ds.ids[idx[exc.rows[:10]]].tolist()}"
+                raise TrainingDivergedError(msg, exc.rows) from exc
         train_m = evaluate(params, train_ds, g, cfg.loss, policy, epoch=epoch + 1, split="train")
         val_m = evaluate(params, val_ds, g, cfg.loss, policy, epoch=epoch + 1, split="val")
         history += [train_m, val_m]
@@ -451,27 +457,17 @@ def train_run(
 # ---------------------------------------------------------------------------
 
 def params_to_vec(params: MlpParams) -> np.ndarray:
-    """Flatten to one float64 vector: W0 (row-major), b0, W1, b1, ..."""
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+    """The flat read-only float64 vector: W0 (row-major), b0, W1, b1, ..."""
+    return params.vec
 
 
 def vec_to_params(dims, vec) -> MlpParams:
-    """Inverse of :func:`params_to_vec` for the given dims."""
+    """Inverse of :func:`params_to_vec` for the given dims; copies ``vec``."""
     dims = _validated_dims(dims)
-    vec = np.asarray(vec, dtype=np.float64)
-    ws, bs, pos = [], [], 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        ws.append(vec[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        bs.append(vec[pos:pos + fan_out])
-        pos += fan_out
-    if pos != vec.size:
-        raise ValueError(f"dims {dims} need {pos} parameters, got {vec.size}")
-    return MlpParams(dims, tuple(ws), tuple(bs))
+    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
+    if vec.size != _param_count(dims):
+        raise ValueError(f"dims {dims} need {_param_count(dims)} parameters, got {vec.size}")
+    return MlpParams(dims, *_layer_views(dims, vec))
 
 
 def save_checkpoint(params: MlpParams, path) -> None:
@@ -481,7 +477,7 @@ def save_checkpoint(params: MlpParams, path) -> None:
     header = json.dumps({"dims": list(params.dims), "format": CHECKPOINT_FORMAT}, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(params_to_vec(params), dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.vec, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> MlpParams:
@@ -497,4 +493,7 @@ def load_checkpoint(path) -> MlpParams:
     dims = header.get("dims")
     if not isinstance(dims, list):
         raise ValueError(f"{path}: checkpoint header lacks a dims list")
+    expected = 8 * _param_count(_validated_dims(dims))
+    if len(payload) != expected:
+        raise ValueError(f"{path}: dims {dims} need a {expected}-byte payload, got {len(payload)} bytes")
     return vec_to_params(dims, np.frombuffer(payload, dtype="<f8"))

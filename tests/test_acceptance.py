@@ -112,8 +112,7 @@ def test_criterion_2_gradient_fidelity(criterion_report):
 
         logits, caches = _forward_cached(params, X)
         _, dlogits = batch_loss_and_grad(T, logits, g, spec)
-        gw, gb = _backward(params, caches, dlogits / X.shape[0])
-        analytic = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(gw, gb)])
+        analytic = _backward(params, caches, dlogits / X.shape[0])
         vec = params_to_vec(params)
         numeric = fd_grad(loss_of_vec, vec, 1e-5 * np.maximum(1.0, np.abs(vec)))
         e2e = max(e2e, rel_norm_error(analytic, numeric))

@@ -1,6 +1,8 @@
 """Network, optimizer, training loop, and checkpoints."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from fullkl.model import (
     train_step,
     vec_to_params,
 )
-from fullkl.model import _backward, _forward_cached
+import fullkl.model
+from fullkl.model import _backward, _forward_cached, _rectify
 from fullkl.verify import fd_grad, rel_norm_error
 
 G101 = make_grid(0.0, 100.0, 1.0)
@@ -92,9 +95,47 @@ class TestMlpParamsValidation:
         with pytest.raises(ValueError):
             MlpParams((3, 4), (w,), (np.zeros(4),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_entry_point_rejects_non_finite(self, bad, tmp_path):
+        b = np.zeros(4)
+        b[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MlpParams((3, 4), (np.zeros((3, 4)),), (b,))
+        vec = np.zeros(16)
+        vec[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            vec_to_params((3, 4), vec)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(init_mlp((3, 4), 0), path)
+        header = path.read_bytes().split(b"\n", 1)[0]
+        path.write_bytes(header + b"\n" + vec.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="finite"):
+            load_checkpoint(path)
+
+    def test_constructor_copies_caller_arrays(self):
+        w, b = np.ones((3, 4)), np.zeros(4)
+        p = MlpParams((3, 4), (w,), (b,))
+        w[0, 0] = 5.0
+        assert p.weights[0][0, 0] == 1.0
+        assert not (p.vec.flags.writeable or p.weights[0].flags.writeable or p.biases[0].flags.writeable)
+        assert np.shares_memory(p.weights[0], p.vec) and np.shares_memory(p.biases[0], p.vec)
+
     def test_layer_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MlpParams((3, 4, 5), (np.zeros((3, 4)),), (np.zeros(4),))
+
+
+class TestRectify:
+    def test_bitwise_equal_to_where(self):
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]
+        rng = np.random.default_rng(0)
+        for n in (0, 1, 7, 64):
+            x = np.concatenate([rng.normal(size=n), special, rng.normal(size=n)])
+            for a in (x, x[::-1].copy()):
+                mask = np.concatenate([rng.random(n) < 0.5, a[n:n + len(special)] > 0.0, rng.random(n) < 0.5])
+                got = _rectify(a, np.negative(mask, dtype=np.int64))
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.where(mask, a, 0.0).tobytes()
 
 
 class TestForward:
@@ -163,14 +204,15 @@ class TestAdam:
         p = init_mlp((3, 4, 5), 0)
         s = init_adam(p)
         assert (s.lr, s.beta1, s.beta2, s.eps, s.step) == (1e-3, 0.9, 0.999, 1e-8, 0)
-        assert all(np.all(m == 0.0) for m in s.m_w + s.v_w + s.m_b + s.v_b)
+        assert s.m.shape == s.v.shape == (p.size,)
+        assert np.all(s.m == 0.0) and np.all(s.v == 0.0)
 
     def test_first_step_hand_computed(self):
         # single weight w=1.0, gradient 0.5: first Adam step re-derived inline
         p = MlpParams((1, 1), (np.array([[1.0]]),), (np.zeros(1),))
         s = init_adam(p, lr=1e-3)
         g = 0.5
-        p2, s2 = adam_update(p, s, [np.array([[g]])], [np.zeros(1)])
+        p2, s2 = adam_update(p, s, np.array([g, 0.0]))
         m = (1.0 - 0.9) * g
         v = (1.0 - 0.999) * g * g
         m_hat = m / (1.0 - 0.9)
@@ -178,13 +220,13 @@ class TestAdam:
         expected = 1.0 - 1e-3 * m_hat / (math.sqrt(v_hat) + 1e-8)
         assert p2.weights[0][0, 0] == expected
         assert s2.step == 1
-        assert s2.m_w[0][0, 0] == m and s2.v_w[0][0, 0] == v
+        assert s2.m[0] == m and s2.v[0] == v
 
     def test_second_step_hand_computed(self):
         p = MlpParams((1, 1), (np.array([[1.0]]),), (np.zeros(1),))
         s = init_adam(p, lr=1e-3)
-        p, s = adam_update(p, s, [np.array([[0.5]])], [np.zeros(1)])
-        p, s = adam_update(p, s, [np.array([[-0.25]])], [np.zeros(1)])
+        p, s = adam_update(p, s, np.array([0.5, 0.0]))
+        p, s = adam_update(p, s, np.array([-0.25, 0.0]))
         m2 = 0.9 * 0.05 + 0.1 * -0.25
         v2 = 0.999 * 0.00025 + 0.001 * 0.0625
         m_hat = m2 / (1.0 - 0.9 ** 2)
@@ -197,8 +239,7 @@ class TestAdam:
     def test_zero_lr_keeps_params(self):
         p = init_mlp((3, 4), 0)
         s = init_adam(p, lr=0.0)
-        g = [np.ones((3, 4))]
-        p2, s2 = adam_update(p, s, g, [np.ones(4)])
+        p2, s2 = adam_update(p, s, np.ones(p.size))
         assert params_equal(p, p2)
         assert s2.step == 1  # accumulators still advance
 
@@ -206,19 +247,55 @@ class TestAdam:
     def test_non_finite_update_raises(self):
         p = init_mlp((3, 4), 0)
         s = init_adam(p, lr=1e308)
-        p, s = adam_update(p, s, [np.ones((3, 4))], [np.ones(4)])
-        with pytest.raises(TrainingDivergedError):
+        p, s = adam_update(p, s, np.ones(p.size))
+        with pytest.raises(TrainingDivergedError, match="parameters after optimizer update"):
             # second huge step pushes weights to +/- inf
-            adam_update(p, init_adam(p, lr=1e308), [np.full((3, 4), 1e30)], [np.ones(4)])
+            adam_update(p, init_adam(p, lr=1e308), np.concatenate([np.full(12, 1e30), np.ones(4)]))
 
     def test_invalid_hyperparameters_rejected(self):
         p = init_mlp((2, 2), 0)
         with pytest.raises(ValueError):
             init_adam(p, lr=-1.0)
         with pytest.raises(ValueError):
-            OptimizerState(1e-3, 1.0, 0.999, 1e-8, 0, (), (), (), ())
+            OptimizerState(1e-3, 1.0, 0.999, 1e-8, 0, np.zeros(0), np.zeros(0))
         with pytest.raises(ValueError):
-            OptimizerState(1e-3, 0.9, 0.999, 0.0, 0, (), (), (), ())
+            OptimizerState(1e-3, 0.9, 0.999, 0.0, 0, np.zeros(0), np.zeros(0))
+
+    def test_flat_update_matches_per_layer_adam_bitwise(self):
+        # Adam written out per array (W0, b0, W1, b1, ...): the flat update
+        # must give the same bits at every step, across lr changes.
+        per_layer = lambda q: [a for pair in zip(q.weights, q.biases) for a in pair]
+        flat = lambda arrays: np.concatenate([a.ravel() for a in arrays]).tobytes()
+        p = init_mlp((4, 8, 6, 5), 3)
+        s = init_adam(p)
+        params = [np.array(a) for a in per_layer(p)]
+        ms = [np.zeros_like(a) for a in params]
+        vs = [np.zeros_like(a) for a in params]
+        rng = np.random.default_rng(4)
+        for t, lr in enumerate((1e-3, 1e-3, 1e-4, 1e-4, 2.5e-2), start=1):
+            grad = rng.normal(0.0, 1.0, p.size) * 10.0 ** rng.integers(-6, 3, p.size)
+            p, s = adam_update(p, replace(s, lr=lr), grad)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for k, g in enumerate(per_layer(vec_to_params(p.dims, grad))):
+                ms[k] = 0.9 * ms[k] + (1.0 - 0.9) * g
+                vs[k] = 0.999 * vs[k] + (1.0 - 0.999) * (g * g)
+                params[k] = params[k] - lr * (ms[k] / bc1) / (np.sqrt(vs[k] / bc2) + 1e-8)
+            assert s.step == t
+            assert params_to_vec(p).tobytes() == flat(params)
+            assert s.m.tobytes() == flat(ms) and s.v.tobytes() == flat(vs)
+
+    @pytest.mark.parametrize("which", ["grad", "m", "v"])
+    def test_length_mismatch_rejected(self, which):
+        p = init_mlp((3, 4), 0)
+        s = init_adam(p)
+        grad = np.ones(p.size)
+        short = np.zeros(p.size - 1)
+        if which == "grad":
+            grad = short
+        else:
+            s = replace(s, **{which: short})
+        with pytest.raises(ValueError, match=f"must have shape \\({p.size},\\)"):
+            adam_update(p, s, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +362,31 @@ class TestTrainStep:
             for _ in range(3):
                 p, s, _ = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
 
+    def test_inputs_unchanged_and_outputs_read_only(self):
+        p = init_mlp((4, 16, 101), 9)
+        s = init_adam(p)
+        for _ in range(2):
+            p, s, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+        before = [a.tobytes() for a in (p.vec, *p.weights, *p.biases, s.m, s.v)]
+        p2, s2, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+        assert [a.tobytes() for a in (p.vec, *p.weights, *p.biases, s.m, s.v)] == before
+        assert s.step == 2 and s2.step == 3
+        returned = (p2.vec, *p2.weights, *p2.biases, s2.m, s2.v)
+        assert not any(a.flags.writeable for a in returned)
+        assert not any(np.shares_memory(a, b) for a in returned for b in (p.vec, s.m, s.v))
+
+    def test_one_adam_pass_and_no_revalidation_per_step(self, monkeypatch):
+        calls = []
+        adam_arrays, params_init = fullkl.model._adam_arrays, MlpParams.__init__
+        monkeypatch.setattr(fullkl.model, "_adam_arrays", lambda *a: calls.append("adam") or adam_arrays(*a))
+        monkeypatch.setattr(MlpParams, "__init__", lambda *a: calls.append("init") or params_init(*a))
+        p = init_mlp((4, 16, 16, 101), 9)
+        s = init_adam(p)
+        assert calls == ["init"]
+        for _ in range(3):
+            p, s, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+        assert calls == ["init"] + ["adam"] * 3
+
     def test_deterministic(self):
         batch = self.batch()
         outs = []
@@ -324,8 +426,7 @@ class TestEndToEndGradient:
 
         logits, caches = _forward_cached(params, X)
         _, dlogits = batch_loss_and_grad(T, logits, g, spec)
-        gw, gb = _backward(params, caches, dlogits / X.shape[0])
-        analytic = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(gw, gb)])
+        analytic = _backward(params, caches, dlogits / X.shape[0])
         vec = params_to_vec(params)
         numeric = fd_grad(loss_of_vec, vec, 1e-5 * np.maximum(1.0, np.abs(vec)))
         assert rel_norm_error(analytic, numeric) <= 1e-5
@@ -542,8 +643,23 @@ class TestTrainRun:
         ds = gen_synthetic(40, 4, G101, (2.0, 6.0), seed=11)
         train_ds, val_ds = split(ds, 0.2, 0)
         cfg = TrainConfig(epochs=2, batch_size=16, hidden=(8,), lr=1e200)
-        with pytest.raises(TrainingDivergedError, match=r"epoch \d+, step \d+"):
+        with pytest.raises(TrainingDivergedError, match=r"epoch \d+, step \d+") as info:
             train_run(train_ds, val_ds, G101, cfg, quiet=True)
+        # the step's rows are reported as sample ids of the training set
+        ids = re.search(r"sample id\(s\) \[([\d, ]+)\]", str(info.value))
+        assert ids is not None and info.value.rows is not None
+        ids = [int(i) for i in ids.group(1).split(",")]
+        assert 1 <= len(ids) <= 10 and set(ids) <= set(train_ds.ids.tolist())
+
+    def test_divergence_in_the_update_blames_the_parameters(self, monkeypatch):
+        ds = gen_synthetic(40, 4, G101, (2.0, 6.0), seed=11)
+        train_ds, val_ds = split(ds, 0.2, 0)
+        blow_up = lambda p, g, m, v, *rest: (p + np.inf, m, v)
+        monkeypatch.setattr(fullkl.model, "_adam_arrays", blow_up)
+        cfg = TrainConfig(epochs=1, batch_size=16, hidden=(8,))
+        with pytest.raises(TrainingDivergedError, match=r"^epoch 1, step 1: non-finite parameters") as info:
+            train_run(train_ds, val_ds, G101, cfg, quiet=True)
+        assert info.value.rows is None and "sample id" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -592,3 +708,16 @@ class TestCheckpoints:
         (tmp_path / "cut.ckpt").write_bytes(blob[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "cut.ckpt")
+
+    @pytest.mark.parametrize("cut, extra", [(3, b""), (8, b""), (0, b"\x00" * 8)],
+                             ids=["cut-3-bytes", "cut-8-bytes", "append-8-bytes"])
+    def test_wrong_payload_length_names_path_and_byte_counts(self, tmp_path, cut, extra):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_mlp((3, 4), 0), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:len(blob) - cut] + extra)
+        expected, actual = 8 * 16, 8 * 16 - cut + len(extra)
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        msg = str(info.value)
+        assert str(path) in msg and f"{expected}-byte" in msg and f"got {actual} bytes" in msg

@@ -24,6 +24,7 @@ from .grid import (
     Moments,
     NumericPolicy,
     Pmf,
+    _rectify,
     pmf_moments,
     softmax_probs,
 )
@@ -137,12 +138,17 @@ def _as_logits(logits, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _kl_div_vals(targets: np.ndarray, preds: np.ndarray, eps_log: float) -> np.ndarray:
-    # Terms with target_i = 0 contribute exactly 0 (0 ln 0 := 0); only the
-    # prediction is floored inside the log.
-    qf = np.maximum(preds, eps_log)
-    ratio = np.where(targets > 0.0, targets, qf) / qf
-    return np.sum(targets * np.log(ratio), axis=-1)
+# Floor of the log ratio in _kl_div_vals: the smallest positive float64.
+_TINY = np.nextafter(0.0, 1.0)
+
+
+def _kl_div_vals(targets: np.ndarray, qf: np.ndarray) -> np.ndarray:
+    # ``qf`` is the prediction floored at eps_log; only the prediction is
+    # floored inside the log.  For t > 0 the clamp never acts: qf is at most
+    # about 1, so t / qf does not round below t.  For t = 0 it keeps the log
+    # finite, so the term is 0 * log(_TINY) = 0 (0 ln 0 := 0), and no
+    # per-element branch is needed.
+    return np.sum(targets * np.log(np.maximum(targets / qf, _TINY)), axis=-1)
 
 
 def _kl_div_grad(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
@@ -172,22 +178,22 @@ def _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy: NumericPolicy) -
     return np.asarray(a)[..., np.newaxis] * values + np.asarray(b)[..., np.newaxis] * dev * dev
 
 
-def _log_diffs(preds: np.ndarray, eps_log: float):
-    """(max(p, eps_log), adjacent differences, adjacent floored-log differences)."""
-    pf = np.maximum(preds, eps_log)
+def _log_diffs(preds: np.ndarray, pf: np.ndarray):
+    """(adjacent differences of ``preds``, adjacent differences of log ``pf``), where
+    ``pf`` is ``preds`` floored at eps_log."""
     lp = np.log(pf)
-    return pf, preds[..., :-1] - preds[..., 1:], lp[..., :-1] - lp[..., 1:]
+    return preds[..., :-1] - preds[..., 1:], lp[..., :-1] - lp[..., 1:]
 
 
-def _smoothness_vals(preds: np.ndarray, eps_log: float, parts=None) -> np.ndarray:
-    _, d, big_l = _log_diffs(preds, eps_log) if parts is None else parts
+def _smoothness_vals(parts) -> np.ndarray:
+    d, big_l = parts
     return 0.5 * np.sum(d * big_l, axis=-1)
 
 
-def _smoothness_dldp(preds: np.ndarray, eps_log: float, parts) -> np.ndarray:
-    pf, d, big_l = parts
+def _smoothness_dldp(preds: np.ndarray, pf: np.ndarray, eps_log: float, parts) -> np.ndarray:
+    d, big_l = parts
     # d log(max(p, eps)) / dp is 1/p above the floor and 0 below it.
-    inv = np.where(preds > eps_log, 1.0 / pf, 0.0)
+    inv = _rectify(1.0 / pf, np.negative(preds > eps_log, dtype=np.int64))
     out = np.zeros_like(preds)
     out[..., :-1] += 0.5 * (big_l + d * inv[..., :-1])
     out[..., 1:] -= 0.5 * (big_l + d * inv[..., 1:])
@@ -217,7 +223,7 @@ def kl_div(target, pred, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     q = _as_probs(pred)
     if t.shape != q.shape:
         raise ValueError(f"pmf lengths differ: {t.size} vs {q.size}")
-    return float(_kl_div_vals(t, q, policy.eps_log))
+    return float(_kl_div_vals(t, np.maximum(q, policy.eps_log)))
 
 
 def gaussian_kl(target_m: Moments, pred_m: Moments, policy: NumericPolicy = DEFAULT_POLICY) -> float:
@@ -248,7 +254,7 @@ def smoothness(pred, policy: NumericPolicy = DEFAULT_POLICY) -> float:
     p = _as_probs(pred)
     if p.size < 2:
         raise ValueError("smoothness needs a pmf of length >= 2")
-    return float(_smoothness_vals(p, policy.eps_log))
+    return float(_smoothness_vals(_log_diffs(p, np.maximum(p, policy.eps_log))))
 
 
 def reference_loss(
@@ -345,19 +351,20 @@ def _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad):
         )
     values = g.values
     preds = softmax_probs(logits)
-    l_ld = _kl_div_vals(targets, preds, policy.eps_log)
+    pf = np.maximum(preds, policy.eps_log)
+    l_ld = _kl_div_vals(targets, pf)
     if target_moments is None:
         target_moments = pmf_moments(targets, values)
     mu_t, var_t = target_moments
     mu_p, var_p = pmf_moments(preds, values)
     if spec.family == FAMILY_FULL_KL:
         l_exp = _gaussian_kl_vals(mu_t, var_t, mu_p, var_p, policy)
-        parts = _log_diffs(preds, policy.eps_log)
-        l_smooth = _smoothness_vals(preds, policy.eps_log, parts)
+        parts = _log_diffs(preds, pf)
+        l_smooth = _smoothness_vals(parts)
         comps = {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
         if want_grad:
             dldp = _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy)
-            dldp = dldp + _smoothness_dldp(preds, policy.eps_log, parts)
+            dldp = dldp + _smoothness_dldp(preds, pf, policy.eps_log, parts)
             head = _softmax_chain(preds, dldp)
     else:
         l_exp = np.abs(mu_p - mu_t)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset
-from .grid import DEFAULT_POLICY, LabelGrid, NumericPolicy, pmf_moments, row_blocks, softmax_probs
+from .grid import DEFAULT_POLICY, LabelGrid, NumericPolicy, _rectify, pmf_moments, row_blocks, softmax_probs
 from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 
 __all__ = [
@@ -146,13 +146,6 @@ def init_mlp(dims, seed: int) -> MlpParams:
     return MlpParams(dims, tuple(ws), tuple(bs))
 
 
-def _rectify(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``np.where(keep != 0, x, 0.0)`` bit for bit, where ``keep`` is int64 -1 (all
-    bits set) or 0: a bitwise AND, because ``np.where``'s per-element branch
-    mispredicts on the data-dependent rectifier mask and costs several times more."""
-    return np.bitwise_and(x.view(np.int64), keep).view(np.float64)
-
-
 def _forward_cached(params: MlpParams, x: np.ndarray):
     """Batch forward pass returning logits plus per-layer backprop caches.
 
@@ -261,6 +254,14 @@ def _mean_breakdown(comps: dict, spec: LossSpec) -> LossBreakdown:
     )
 
 
+def _non_finite_terms(comps: dict, dlogits: np.ndarray) -> str:
+    """Which loss terms, or the gradient, hold a non-finite value (the error path only)."""
+    names = [k for k in ("l_ld", "l_exp", "l_smooth") if k in comps and not np.all(np.isfinite(comps[k]))]
+    if not np.all(np.isfinite(dlogits)):
+        names.append("gradient")
+    return ", ".join(names) or "total"
+
+
 def train_step(
     params: MlpParams,
     opt_state: OptimizerState,
@@ -290,7 +291,9 @@ def train_step(
     comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, policy, target_moments)
     bad = np.flatnonzero(~(np.isfinite(comps["total"]) & np.isfinite(dlogits).all(axis=-1)))
     if bad.size:
-        raise TrainingDivergedError(f"non-finite loss or gradient at batch row(s) {bad[:10].tolist()}", bad)
+        raise TrainingDivergedError(
+            f"non-finite {_non_finite_terms(comps, dlogits)} at batch row(s) {bad[:10].tolist()}", bad
+        )
     grad = _backward(params, caches, dlogits / feats.shape[0])
     params2, opt2 = adam_update(params, opt_state, grad)
     return params2, opt2, _mean_breakdown(comps, spec)

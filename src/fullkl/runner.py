@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -466,9 +467,23 @@ def compare(
 # Verification suite
 # ---------------------------------------------------------------------------
 
-def verify_suite(print_fn=print) -> tuple[CheckResult, ...]:
-    """Run all numeric checks, print one PASS/FAIL line each, return results."""
+def verify_suite(print_fn=print, as_json: bool = False) -> tuple[CheckResult, ...]:
+    """Run all numeric checks, print one PASS/FAIL line each, return results.
+
+    With ``as_json`` each check is printed as one strict JSON object instead
+    (``name``, ``passed``, ``max_error``, ``max_error_hex`` = its
+    ``float.hex()``, ``detail``), and the tally line is left out.  A
+    non-finite ``max_error`` is written as null; its hex form still names it.
+    """
     results = run_all_checks()
+    if as_json:
+        for r in results:
+            err = float(r.max_error)
+            print_fn(json.dumps({
+                "name": r.name, "passed": bool(r.passed), "max_error": err if math.isfinite(err) else None,
+                "max_error_hex": err.hex(), "detail": r.detail,
+            }, allow_nan=False))
+        return tuple(results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print_fn(f"{status}  {r.name:<24}  max_error={r.max_error:.3e}  ({r.detail})")
@@ -532,6 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
 
     p = sub.add_parser("verify", help="run the numerics verification suite")
+    p.add_argument("--json", action="store_true", help="print one JSON object per check")
     _add_common_flags(p, with_out_dir=False, with_seeds=False)
 
     p = sub.add_parser("gen-data", help="generate the configured dataset and write it as CSV")
@@ -571,7 +587,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_suite()
+    results = verify_suite(as_json=args.json)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 

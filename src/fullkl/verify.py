@@ -14,7 +14,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import DEFAULT_POLICY, LabelGrid, Moments, NumericPolicy, Pmf, discretize_gaussian, make_grid, softmax
+from .grid import (
+    DEFAULT_POLICY,
+    LabelGrid,
+    Moments,
+    NumericPolicy,
+    Pmf,
+    discretize_gaussian,
+    gaussian_probs,
+    make_grid,
+    softmax_probs,
+)
 from .losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -158,9 +168,19 @@ def rel_norm_error(analytic, numeric) -> float:
     return float(np.linalg.norm(a - n) / max(REL_ERROR_FLOOR, np.linalg.norm(a) + np.linalg.norm(n)))
 
 
-def _logsumexp(a: np.ndarray) -> float:
+def _log_kernel(x: np.ndarray, m: Moments, out: np.ndarray) -> np.ndarray:
+    """-(x - mu)^2 / (2 var) of a Gaussian with moments ``m``, written into ``out``."""
+    np.subtract(x, m.mu, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    return np.divide(out, 2.0 * m.var, out=out)
+
+
+def _log_normalize(a: np.ndarray, scratch: np.ndarray) -> None:
+    """a -= logsumexp(a) in place, with ``scratch`` (same shape) as the work buffer."""
     m = float(np.max(a))
-    return m + float(np.log(np.sum(np.exp(a - m))))
+    np.exp(np.subtract(a, m, out=scratch), out=scratch)
+    np.subtract(a, m + float(np.log(np.sum(scratch))), out=a)
 
 
 def numeric_gaussian_kl(
@@ -175,7 +195,10 @@ def numeric_gaussian_kl(
     +- span_sigmas * max(sigma, sigma_hat), renormalized, and fed through
     the discrete KL sum.  All of it runs in log space (log-densities and a
     log-sum-exp normalizer), so extreme moment pairs — where one density
-    underflows across most of the window — lose nothing to rounding.
+    underflows across most of the window — lose nothing to rounding.  It
+    runs in place over three ``points``-long buffers (the abscissae, later
+    scratch; log t; log p) with the float operations of the plain
+    whole-array expression in the same order, so it returns the same bits.
     """
     if points < MIN_QUADRATURE_POINTS:
         raise ValueError(f"points must be >= {MIN_QUADRATURE_POINTS}, got {points}")
@@ -187,11 +210,13 @@ def numeric_gaussian_kl(
     lo = min(target_m.mu, pred_m.mu) - reach
     hi = max(target_m.mu, pred_m.mu) + reach
     x = np.linspace(lo, hi, points)
-    log_t = -((x - target_m.mu) ** 2) / (2.0 * target_m.var)
-    log_p = -((x - pred_m.mu) ** 2) / (2.0 * pred_m.var)
-    log_t = log_t - _logsumexp(log_t)
-    log_p = log_p - _logsumexp(log_p)
-    return float(np.sum(np.exp(log_t) * (log_t - log_p)))
+    log_t = _log_kernel(x, target_m, np.empty_like(x))
+    log_p = _log_kernel(x, pred_m, np.empty_like(x))
+    scratch = x  # the abscissae are spent
+    _log_normalize(log_t, scratch)
+    _log_normalize(log_p, scratch)
+    np.subtract(log_t, log_p, out=log_p)
+    return float(np.sum(np.multiply(np.exp(log_t, out=scratch), log_p, out=scratch)))
 
 
 @dataclass(frozen=True)
@@ -249,6 +274,44 @@ def gaussian_kl_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _draw(rng: np.random.Generator, g: LabelGrid) -> tuple[np.ndarray, np.ndarray | tuple[float, float]]:
+    """One instance's RNG draws on ``g``: (logits, target draw).
+
+    The target draw is a logit vector for a softmax target or a (mu, sigma)
+    pair for a discretized-Gaussian one.  The draws come in the stream
+    order :func:`random_instance` has always used.
+    """
+    n = len(g)
+    logits = rng.normal(0.0, 2.0, n)
+    if rng.random() < 0.5:
+        return logits, rng.normal(0.0, 1.5, n)
+    sigma_lo = 0.5 * g.spacing
+    sigma_hi = max(sigma_lo, g.span / 4.0)
+    mu = rng.uniform(g.lo, g.hi)
+    return logits, (mu, rng.uniform(sigma_lo, sigma_hi))
+
+
+def _build(draws, g: LabelGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(target pmfs, logits), each (k, n), for k :func:`_draw` results on ``g``.
+
+    All softmax targets go through one ``softmax_probs`` call and all
+    Gaussian ones through one ``gaussian_probs`` call; a row's bits do not
+    depend on the others, so they equal the one-row build's.  No ``Pmf`` is
+    made: these pmfs come from the grid's own formulas, and re-validating
+    them checks nothing.
+    """
+    logits = np.stack([z for z, _ in draws])
+    targets = np.empty_like(logits)
+    soft = [i for i, (_, t) in enumerate(draws) if isinstance(t, np.ndarray)]
+    gauss = [i for i, (_, t) in enumerate(draws) if not isinstance(t, np.ndarray)]
+    if soft:
+        targets[soft] = softmax_probs(np.stack([draws[i][1] for i in soft]))
+    if gauss:
+        mu, sigma = np.array([draws[i][1] for i in gauss]).T[..., np.newaxis]
+        targets[gauss] = gaussian_probs(mu, sigma, g.values)
+    return targets, logits
+
+
 def random_instance(rng: np.random.Generator, g: LabelGrid) -> tuple[Pmf, np.ndarray]:
     """A random (target pmf, logits) pair on ``g``.
 
@@ -256,18 +319,12 @@ def random_instance(rng: np.random.Generator, g: LabelGrid) -> tuple[Pmf, np.nda
     the trainer sees) and softmax draws (arbitrary valid pmfs); logits are
     mild Gaussian draws, which keeps every softmax output well above the
     eps_log floor so the analytic gradients are exact, not subgradients.
+    It is :func:`_draw` then :func:`_build` for one row, wrapped in a
+    ``Pmf`` for the per-sample API; :func:`component_minima` builds whole
+    groups of draws and wraps none.
     """
-    n = len(g)
-    logits = rng.normal(0.0, 2.0, n)
-    if rng.random() < 0.5:
-        target = softmax(rng.normal(0.0, 1.5, n))
-    else:
-        sigma_lo = 0.5 * g.spacing
-        sigma_hi = max(sigma_lo, g.span / 4.0)
-        target = discretize_gaussian(
-            rng.uniform(g.lo, g.hi), rng.uniform(sigma_lo, sigma_hi), g
-        )
-    return target, logits
+    targets, logits = _build([_draw(rng, g)], g)
+    return Pmf(targets[0]), logits[0]
 
 
 @dataclass(frozen=True)
@@ -433,15 +490,14 @@ def component_minima(
     for start in range(0, n_instances, MINIMA_BLOCK):
         # The draws keep the RNG stream's order; grouping them by n reorders only
         # the evaluation, and a minimum does not depend on that order.
-        by_n: dict[int, list[tuple[Pmf, np.ndarray]]] = {}
+        by_n: dict[int, list] = {}
         for _ in range(min(MINIMA_BLOCK, n_instances - start)):
             n = int(rng.integers(2, 32))
             if n not in grids:
                 grids[n] = make_grid(0.0, float(n - 1), 1.0)
-            by_n.setdefault(n, []).append(random_instance(rng, grids[n]))
-        for n, instances in by_n.items():
-            targets = np.stack([t.probs for t, _ in instances])
-            logits = np.stack([z for _, z in instances])
+            by_n.setdefault(n, []).append(_draw(rng, grids[n]))
+        for n, draws in by_n.items():
+            targets, logits = _build(draws, grids[n])
             f = batch_loss(targets, logits, grids[n], full, policy)
             r = batch_loss(targets, logits, grids[n], ref, policy)
             if not all(np.all(np.isfinite(v)) for v in (*f.values(), *r.values())):

@@ -362,6 +362,25 @@ class TestTrainStep:
             for _ in range(3):
                 p, s, _ = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
 
+    @pytest.mark.parametrize("term", ["l_ld", "l_exp", "l_smooth", "gradient"])
+    def test_divergence_names_the_loss_term(self, monkeypatch, term):
+        def poisoned(*args):
+            comps, grad = batch_loss_and_grad(*args)
+            comps, grad = dict(comps), grad.copy()
+            if term == "gradient":
+                grad[2, 5] = np.nan
+            else:
+                comps[term] = comps[term].copy()
+                comps[term][2] = np.nan
+                comps["total"] = comps["l_ld"] + comps["l_exp"] + comps["l_smooth"]
+            return comps, grad
+
+        monkeypatch.setattr(fullkl.model, "batch_loss_and_grad", poisoned)
+        p = init_mlp((4, 16, 101), 1)
+        with pytest.raises(TrainingDivergedError, match=rf"^non-finite {term} at batch row\(s\) \[2\]$") as info:
+            train_step(p, init_adam(p), self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+        assert info.value.rows.tolist() == [2]
+
     def test_inputs_unchanged_and_outputs_read_only(self):
         p = init_mlp((4, 16, 101), 9)
         s = init_adam(p)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import fullkl.runner
 from fullkl.model import TrainingDivergedError
 from fullkl.runner import (
     EXIT_CONFIG_ERROR,
@@ -20,6 +21,7 @@ from fullkl.runner import (
     run_experiment,
     verify_suite,
 )
+from fullkl.verify import CheckResult, run_all_checks
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -437,3 +439,23 @@ class TestCli:
         assert main(["verify", "--quiet"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_verify_cli_json_matches_run_all_checks(self, capsys):
+        assert main(["verify", "--json", "--quiet"]) == EXIT_OK
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        expected = run_all_checks()
+        assert [r["name"] for r in records] == [c.name for c in expected]
+        for rec, c in zip(records, expected):
+            assert set(rec) == {"name", "passed", "max_error", "max_error_hex", "detail"}
+            assert rec["passed"] is c.passed and rec["detail"] == c.detail
+            assert rec["max_error"] == float.fromhex(rec["max_error_hex"]) == c.max_error
+
+    def test_verify_cli_json_failing_check(self, monkeypatch, capsys):
+        failing = (CheckResult("sweep", True, 0.5, "a"), CheckResult("minima", False, float("nan"), "b"))
+        monkeypatch.setattr(fullkl.runner, "run_all_checks", lambda: failing)
+        assert main(["verify", "--json", "--quiet"]) == EXIT_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"name": "sweep", "passed": True, "max_error": 0.5, "max_error_hex": "0x1.0000000000000p-1", "detail": "a"},
+            {"name": "minima", "passed": False, "max_error": None, "max_error_hex": "nan", "detail": "b"},
+        ]

@@ -1,13 +1,14 @@
 """The verification oracles themselves: finite differences, quadrature, suites."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import fullkl.verify as verify
-from fullkl.grid import Moments, Pmf, make_grid
+from fullkl.grid import Moments, Pmf, discretize_gaussian, make_grid, softmax
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -235,6 +236,52 @@ class TestNumericGaussianKl:
         )
 
 
+def numeric_gaussian_kl_expression(target_m, pred_m, points=100_000, span_sigmas=8.0):
+    """The whole-array form of numeric_gaussian_kl, kept as its bitwise reference."""
+    def logsumexp(a):
+        m = float(np.max(a))
+        return m + float(np.log(np.sum(np.exp(a - m))))
+
+    reach = span_sigmas * math.sqrt(max(target_m.var, pred_m.var))
+    x = np.linspace(min(target_m.mu, pred_m.mu) - reach, max(target_m.mu, pred_m.mu) + reach, points)
+    log_t = -((x - target_m.mu) ** 2) / (2.0 * target_m.var)
+    log_p = -((x - pred_m.mu) ** 2) / (2.0 * pred_m.var)
+    log_t = log_t - logsumexp(log_t)
+    log_p = log_p - logsumexp(log_p)
+    return float(np.sum(np.exp(log_t) * (log_t - log_p)))
+
+
+SIGMAS = (0.5, 1.0, 2.0, 5.0, 10.0)
+SWEEP_PAIRS = [
+    (Moments(0.0, s_t * s_t), Moments(dmu, s_p * s_p))
+    for s_t in SIGMAS for s_p in SIGMAS for dmu in (0.0, 1.0, 10.0)
+]
+
+
+class TestNumericGaussianKlInPlace:
+    def test_bitwise_equal_to_the_expression_on_the_sweep_pairs(self):
+        assert len(SWEEP_PAIRS) == 75
+        for t, p in SWEEP_PAIRS:
+            assert numeric_gaussian_kl(t, p).hex() == numeric_gaussian_kl_expression(t, p).hex(), (t, p)
+
+    @pytest.mark.parametrize("points", [10_000, 100_000])
+    def test_bitwise_equal_to_the_expression_on_the_hard_pair(self, points):
+        t, p = Moments(0.0, 100.0), Moments(10.0, 0.25)
+        assert numeric_gaussian_kl(t, p, points).hex() == numeric_gaussian_kl_expression(t, p, points).hex()
+
+    def test_peak_memory_is_three_buffers(self):
+        points = 100_000
+        t, p = Moments(0.0, 100.0), Moments(10.0, 0.25)
+        numeric_gaussian_kl(t, p, points)  # warm up any lazy allocations
+        tracemalloc.start()
+        try:
+            numeric_gaussian_kl(t, p, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * points * 8 + 64 * 1024, peak
+
+
 # ---------------------------------------------------------------------------
 # sweep + mutation sensitivity
 # ---------------------------------------------------------------------------
@@ -276,6 +323,54 @@ class TestRandomInstance:
             assert isinstance(target, Pmf)
             assert len(target) == len(g) == logits.shape[0]
             assert np.all(np.isfinite(logits))
+
+
+def random_instance_reference(rng, g):
+    """random_instance as it was written before the draw/build split, kept as its reference."""
+    n = len(g)
+    logits = rng.normal(0.0, 2.0, n)
+    if rng.random() < 0.5:
+        target = softmax(rng.normal(0.0, 1.5, n))
+    else:
+        sigma_lo = 0.5 * g.spacing
+        sigma_hi = max(sigma_lo, g.span / 4.0)
+        target = discretize_gaussian(rng.uniform(g.lo, g.hi), rng.uniform(sigma_lo, sigma_hi), g)
+    return target, logits
+
+
+class TestDrawAndBuild:
+    @pytest.mark.parametrize("n", [2, 5, 31, 101])
+    def test_batched_build_equals_random_instance_bytewise(self, n):
+        g = make_grid(0.0, float(n - 1), 1.0)
+        rng = np.random.default_rng(1000 + n)
+        draws = [verify._draw(rng, g) for _ in range(40)]
+        kinds = {isinstance(t, np.ndarray) for _, t in draws}
+        assert kinds == {True, False}, "both target kinds must be drawn"
+        targets, logits = verify._build(draws, g)
+        assert targets.shape == logits.shape == (40, n)
+        rng1, rng2 = np.random.default_rng(1000 + n), np.random.default_rng(1000 + n)
+        for row in range(40):
+            target, z = random_instance(rng1, g)
+            old_target, old_z = random_instance_reference(rng2, g)
+            assert targets[row].tobytes() == target.probs.tobytes() == old_target.probs.tobytes()
+            assert logits[row].tobytes() == z.tobytes() == old_z.tobytes()
+        # the same stream position afterwards: no draw was added or dropped
+        assert rng.random() == rng1.random() == rng2.random()
+
+    def test_component_minima_constructs_no_pmf(self, monkeypatch):
+        made = []
+        real = Pmf.__post_init__
+
+        def counting(self):
+            made.append(1)
+            real(self)
+
+        monkeypatch.setattr(Pmf, "__post_init__", counting)
+        random_instance(np.random.default_rng(0), make_grid(0.0, 4.0, 1.0))
+        assert len(made) == 1  # the counter sees Pmf construction
+        made.clear()
+        component_minima(n_instances=300, seed=4)
+        assert made == []
 
 
 class TestGradientFidelity:

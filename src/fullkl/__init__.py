@@ -16,7 +16,6 @@ from .grid import (
     NumericPolicy,
     Pmf,
     discretize_gaussian,
-    make_grid,
     moments,
     softmax,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "__version__",
     # grid
     "DEFAULT_POLICY", "LabelGrid", "Moments", "NumericPolicy", "Pmf",
-    "discretize_gaussian", "make_grid", "moments", "softmax",
+    "discretize_gaussian", "moments", "softmax",
     # losses
     "FAMILY_FULL_KL", "FAMILY_REFERENCE", "LossBreakdown", "LossSpec",
     "full_kl_grad", "full_kl_loss", "gaussian_kl", "kl_div",

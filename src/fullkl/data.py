@@ -1,9 +1,12 @@
 """Synthetic distribution-regression datasets and (mean, std) CSV ingestion.
 
 Each sample pairs a feature vector with an annotated (mean, std) target,
-from which a Gaussian target pmf on the label grid is materialized at
-construction time.  Datasets are immutable and store column arrays, the
-layout the trainer batches from.
+from which a Gaussian target pmf on the evenly spaced label grid is
+materialized at construction time.  The std is at least half the bin spacing
+and the mean lies inside the grid span; the generator draws targets that
+hold both, and the CSV loader and ``Dataset`` reject any that do not.
+Datasets are immutable and store column arrays, the layout the trainer
+batches from.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import LabelGrid, MIN_SIGMA_FACTOR, TRUNCATION_SIGMAS, gaussian_probs, pmf_moments, row_blocks
+from .grid import LabelGrid, MIN_SIGMA_FACTOR, gaussian_probs, pmf_moments, row_blocks
 
 __all__ = [
     "Dataset",
@@ -93,7 +96,7 @@ class Dataset:
             raise ValueError(f"target_pmfs must have shape ({n}, {len(self.grid)}), got {pmfs.shape}")
         if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise ValueError("dataset values must be finite")
-        floor = MIN_SIGMA_FACTOR * (self.grid.spacing or 0.0)
+        floor = MIN_SIGMA_FACTOR * self.grid.spacing
         if np.any(sigma < floor):
             raise ValueError(f"target sigma below the {floor!r} floor")
         if np.any(mu < self.grid.lo) or np.any(mu > self.grid.hi):
@@ -145,21 +148,13 @@ class Dataset:
 
 
 def _discretize_rows(mu: np.ndarray, sigma: np.ndarray, g: LabelGrid) -> np.ndarray:
-    """Target pmf rows: grid.discretize_gaussian's checks, reported by row index.
+    """Target pmf rows of ``gaussian_probs``, for means and sigmas the caller checked.
 
-    The rows are filled one ``row_blocks`` block at a time, so no temporary
-    spans the whole (rows, n_bins) array; a row's bits do not depend on the
-    block holding it.
+    Both callers enforce the sigma floor and keep every mean inside the grid
+    span, so grid.discretize_gaussian's checks hold row by row.  The rows are
+    filled one ``row_blocks`` block at a time, so no temporary spans the whole
+    (rows, n_bins) array; a row's bits do not depend on the block holding it.
     """
-    if g.spacing is None:
-        raise ValueError("target discretization requires a uniform grid")
-    floor = MIN_SIGMA_FACTOR * g.spacing
-    bad = np.flatnonzero(sigma < floor)
-    if bad.size:
-        raise ValueError(f"sigma below floor {floor!r} at rows {bad[:10].tolist()}")
-    bad = np.flatnonzero((mu < g.lo - TRUNCATION_SIGMAS * sigma) | (mu > g.hi + TRUNCATION_SIGMAS * sigma))
-    if bad.size:
-        raise ValueError(f"mean more than {TRUNCATION_SIGMAS} sigma outside the grid at rows {bad[:10].tolist()}")
     pmfs = np.empty((mu.size, len(g)))
     for rows in row_blocks(mu.size):
         pmfs[rows] = gaussian_probs(mu[rows, np.newaxis], sigma[rows, np.newaxis], g.values)
@@ -187,8 +182,6 @@ def gen_synthetic(
         raise ValueError(f"n must be >= 1, got {n}")
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
-    if grid.spacing is None:
-        raise ValueError("gen_synthetic requires a uniform grid")
     sigma_lo, sigma_hi = float(sigma_range[0]), float(sigma_range[1])
     floor = MIN_SIGMA_FACTOR * grid.spacing
     if not (floor <= sigma_lo <= sigma_hi <= grid.span / 4.0):
@@ -271,7 +264,7 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
             mean, std = vals[-2], vals[-1]
             if not all(np.isfinite(v) for v in vals):
                 bad.append(f"line {line_no}: non-finite value")
-            elif std < MIN_SIGMA_FACTOR * (grid.spacing or 0.0):
+            elif std < MIN_SIGMA_FACTOR * grid.spacing:
                 bad.append(f"line {line_no}: std {std!r} below the sigma floor")
             elif not (grid.lo <= mean <= grid.hi):
                 bad.append(f"line {line_no}: mean {mean!r} outside the grid span")

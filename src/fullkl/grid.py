@@ -1,15 +1,16 @@
 """Label grids, probability mass functions, moments, and Gaussian discretization.
 
 Shared numeric substrate for the distribution losses: a regression range is
-discretized into ordered bins, targets and predictions live on that grid as
-pmfs, and (mu, var) moments are read directly off a pmf.  Everything here is
+discretized into evenly spaced bins (a :class:`LabelGrid` is uniform by
+construction), targets and predictions live on that grid as pmfs, and
+(mu, var) moments are read directly off a pmf.  Everything here is
 a pure function of immutable values, so instances are safe to share across
 threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +20,6 @@ __all__ = [
     "Moments",
     "NumericPolicy",
     "DEFAULT_POLICY",
-    "make_grid",
     "softmax",
     "softmax_probs",
     "moments",
@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 PMF_SUM_TOL = 1e-9
-UNIFORM_REL_TOL = 1e-12
 MIN_SIGMA_FACTOR = 0.5    # narrower targets degenerate to a near-one-hot pmf
 TRUNCATION_SIGMAS = 5.0   # beyond this the renormalized pmf stops resembling the Gaussian
 
@@ -66,44 +65,38 @@ def _readonly_vector(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabelGrid:
-    """Ordered bin centers of a discretized regression range.
+    """Evenly spaced bin centers from ``lo`` to ``hi`` inclusive, ``spacing`` apart.
 
-    ``spacing`` is the uniform step between neighbours; ``None`` marks a
-    non-uniform grid, which :func:`moments` accepts but
-    :func:`discretize_gaussian` rejects.
+    ``(hi - lo) / spacing`` must be a whole number of steps (within 1e-9
+    relative).  ``values`` is ``np.linspace(lo, hi, n)``: derived, read-only,
+    and left out of ``==``, ``hash`` and ``repr``, which see only the three
+    fields.
     """
 
-    values: np.ndarray
-    spacing: float | None = None
+    lo: float
+    hi: float
+    spacing: float
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = _readonly_vector(self.values, "grid values")
-        object.__setattr__(self, "values", values)
-        if values.size < 2:
-            raise ValueError("label grid needs at least two bins")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("label grid values must be finite")
-        diffs = np.diff(values)
-        if np.any(diffs <= 0):
-            raise ValueError("label grid values must be strictly increasing")
-        if self.spacing is not None:
-            spacing = float(self.spacing)
-            if spacing <= 0:
-                raise ValueError("grid spacing must be positive")
-            if np.any(np.abs(diffs - spacing) > UNIFORM_REL_TOL * spacing):
-                raise ValueError("grid declared uniform but bin spacings deviate")
-            object.__setattr__(self, "spacing", spacing)
+        lo, hi, spacing = float(self.lo), float(self.hi), float(self.spacing)
+        if not all(np.isfinite(v) for v in (lo, hi, spacing)):
+            raise ValueError("grid bounds and step must be finite")
+        if spacing <= 0:
+            raise ValueError(f"step must be positive, got {spacing!r}")
+        if hi <= lo:
+            raise ValueError(f"stop must exceed start, got [{lo!r}, {hi!r}]")
+        n_steps = (hi - lo) / spacing
+        n = round(n_steps)
+        if n < 1 or abs(n_steps - n) > 1e-9 * max(1.0, n_steps):
+            raise ValueError(f"[{lo!r}, {hi!r}] is not an integral number of {spacing!r} steps")
+        values = np.linspace(lo, hi, n + 1)
+        values.flags.writeable = False
+        for name, value in (("lo", lo), ("hi", hi), ("spacing", spacing), ("values", values)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    @property
-    def lo(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.values[-1])
 
     @property
     def span(self) -> float:
@@ -170,21 +163,6 @@ class NumericPolicy:
 DEFAULT_POLICY = NumericPolicy()
 
 
-def make_grid(start: float, stop: float, step: float) -> LabelGrid:
-    """Uniform grid from ``start`` to ``stop`` inclusive with bin width ``step``."""
-    if not all(np.isfinite(v) for v in (start, stop, step)):
-        raise ValueError("grid bounds and step must be finite")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step!r}")
-    if stop <= start:
-        raise ValueError(f"stop must exceed start, got [{start!r}, {stop!r}]")
-    n_steps = (stop - start) / step
-    n = round(n_steps)
-    if n < 1 or abs(n_steps - n) > 1e-9 * max(1.0, n_steps):
-        raise ValueError(f"[{start!r}, {stop!r}] is not an integral number of {step!r} steps")
-    return LabelGrid(np.linspace(start, stop, n + 1), spacing=float(step))
-
-
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (raw-array form, batch friendly).
 
@@ -238,15 +216,13 @@ def gaussian_probs(mu, sigma, values: np.ndarray) -> np.ndarray:
 
 
 def discretize_gaussian(mu: float, sigma: float, g: LabelGrid) -> Pmf:
-    """Normal density sampled at the bin centers of a uniform grid, renormalized.
+    """Normal density sampled at the bin centers of ``g``, renormalized.
 
     Requires ``sigma >= 0.5 * spacing`` (below that the pmf collapses towards
     one-hot and its variance stops tracking sigma^2) and ``mu`` no further
     than five sigma outside the grid span (beyond that most of the requested
     mass would be truncated away).
     """
-    if g.spacing is None:
-        raise ValueError("discretize_gaussian requires a uniform grid")
     if not (np.isfinite(mu) and np.isfinite(sigma)):
         raise ValueError("mu and sigma must be finite")
     floor = MIN_SIGMA_FACTOR * g.spacing

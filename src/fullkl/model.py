@@ -21,7 +21,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +36,7 @@ __all__ = [
     "CHECKPOINT_FORMAT", "TrainingDivergedError", "MlpParams", "OptimizerState",
     "TrainConfig", "Metrics", "TrainResult", "init_mlp", "forward", "adam_update",
     "init_adam", "train_step", "lr_at", "predict", "evaluate", "derive_seeds",
-    "train_run", "params_to_vec", "vec_to_params", "save_checkpoint", "load_checkpoint",
+    "train_run", "params_to_vec", "vec_to_params", "atomic_write", "save_checkpoint", "load_checkpoint",
 ]
 
 log = logging.getLogger(__name__)
@@ -382,7 +385,7 @@ def evaluate(
     are joined before the means are taken, so the result has the bits of one
     pass over the whole split.
     """
-    if not np.array_equal(g.values, dataset.grid.values):
+    if g != dataset.grid:
         raise ValueError("grid does not match the dataset's grid")
     mu_t, var_t = dataset.target_moments
     chunks = []
@@ -473,12 +476,29 @@ def vec_to_params(dims, vec) -> MlpParams:
     return MlpParams(dims, *_layer_views(dims, vec))
 
 
+@contextmanager
+def atomic_write(path, binary: bool = False):
+    """Write ``path`` through a temp file beside it, moved over ``path`` by
+    ``os.replace`` on a clean exit.  If the body raises, the temp file is
+    removed and ``path`` keeps its previous content, so no reader ever sees
+    a half-written output.  Text mode is UTF-8 with no newline translation."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(params: MlpParams, path) -> None:
     """Lossless binary checkpoint: one JSON header line (format tag + dims)
     followed by the raw little-endian float64 bytes of the flat parameter
-    vector.  Byte-identical for identical params."""
+    vector.  Byte-identical for identical params; written atomically."""
     header = json.dumps({"dims": list(params.dims), "format": CHECKPOINT_FORMAT}, sort_keys=True)
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(header.encode("utf-8") + b"\n")
         fh.write(np.ascontiguousarray(params.vec, dtype="<f8").tobytes())
 

@@ -7,7 +7,9 @@ verification suite), ``gen-data`` (write a synthetic dataset as CSV).
 Every output is a deterministic function of the config file: metrics CSVs
 embed the canonical config JSON as a ``#``-prefixed header line, floats are
 serialized losslessly via ``repr``, and line endings are fixed, so rerunning
-a config reproduces byte-identical files.
+a config reproduces byte-identical files.  Each file is written atomically
+(``model.atomic_write``): a crash leaves the old file or the new one, never a
+partial one.
 """
 
 from __future__ import annotations
@@ -23,13 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .grid import LabelGrid, make_grid
+from .grid import LabelGrid
 from .losses import FAMILY_REFERENCE, LossSpec
 from .model import (
     Metrics,
     TrainConfig,
     TrainResult,
     TrainingDivergedError,
+    atomic_write,
     derive_seeds,
     save_checkpoint,
     train_run,
@@ -115,8 +118,6 @@ class RunConfig:
             raise ValueError("at least one seed is required")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be unique, got {seeds}")
-        if self.grid.spacing is None:
-            raise ValueError("experiments require a uniform grid")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -156,7 +157,7 @@ def config_from_dict(raw) -> RunConfig:
             dataset = DatasetSpec(ds_raw["type"], path=str(ds_raw["path"]))
 
         _check_keys(raw["grid"], "grid", {"start", "stop", "step"})
-        grid = make_grid(float(raw["grid"]["start"]), float(raw["grid"]["stop"]), float(raw["grid"]["step"]))
+        grid = LabelGrid(float(raw["grid"]["start"]), float(raw["grid"]["stop"]), float(raw["grid"]["step"]))
 
         _check_keys(raw["loss"], "loss", {"family"}, {"lambda"})
         lam = raw["loss"].get("lambda")
@@ -273,7 +274,7 @@ def _metric_value(m: Metrics, name: str):
 
 
 def _write_metrics_csv(path: Path, header_json: str, seed: int, history) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# {header_json}\n")
         fh.write(",".join(METRICS_COLUMNS) + "\n")
         for m in history:
@@ -292,7 +293,7 @@ def _write_summary_csv(path: Path, header_json: str, outcomes, epochs: int) -> N
     for split_tag in ("train", "val"):
         for name in SUMMARY_METRICS:
             columns += [f"{split_tag}_{name}_mean", f"{split_tag}_{name}_std"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# {header_json}\n")
         fh.write(",".join(columns) + "\n")
         for e in range(epochs):
@@ -448,14 +449,14 @@ def compare(
     out = Path(out_dir) if out_dir is not None else Path(cfg_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "comparison.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write(f"# a: {json.dumps(da, sort_keys=True)}\n")
         fh.write(f"# b: {json.dumps(db, sort_keys=True)}\n")
         fh.write("seed,mae_a,mae_b\n")
         for s, xa, xb in zip(seeds, mae_a, mae_b):
             fh.write(f"{s},{_fmt(xa)},{_fmt(xb)}\n")
     txt_path = out / "comparison.txt"
-    with open(txt_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(txt_path) as fh:
         fh.write(text)
     return ComparisonResult(
         res_a, res_b, seeds, mae_a, mae_b,

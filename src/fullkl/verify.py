@@ -22,7 +22,6 @@ from .grid import (
     Pmf,
     discretize_gaussian,
     gaussian_probs,
-    make_grid,
     softmax_probs,
 )
 from .losses import (
@@ -372,7 +371,7 @@ def gradient_fidelity(
     worst = (-1.0, 0, 0)
     redraws = 0
     for n in sizes:
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         for k in range(n_instances):
             while True:
                 target, logits = random_instance(rng, g)
@@ -422,8 +421,8 @@ def affine_invariance_errors(
     out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
     for _ in range(n_instances):
         n = int(rng.integers(2, 40))
-        g1 = make_grid(0.0, float(n - 1), 1.0)
-        g2 = LabelGrid(a * g1.values + b, spacing=a * g1.spacing)
+        g1 = LabelGrid(0.0, float(n - 1), 1.0)
+        g2 = LabelGrid(a * g1.lo + b, a * g1.hi + b, a * g1.spacing)
         target, logits = random_instance(rng, g1)
 
         f1 = full_kl_loss(target, logits, g1, policy)
@@ -450,7 +449,7 @@ def exact_zero_violations(policy: NumericPolicy = DEFAULT_POLICY) -> dict[str, f
     loss and gradient vanish at the global minimum (uniform target, constant
     logits).  Returns the absolute deviations, all of which must be 0.0.
     """
-    g = make_grid(0.0, 100.0, 1.0)
+    g = LabelGrid(0.0, 100.0, 1.0)
     uniform = Pmf(np.full(101, 1.0 / 101.0))
     smooth_target = discretize_gaussian(50.0, 20.0, g)
     spiky = Pmf(np.array([1.0, 0.0]))
@@ -494,7 +493,7 @@ def component_minima(
         for _ in range(min(MINIMA_BLOCK, n_instances - start)):
             n = int(rng.integers(2, 32))
             if n not in grids:
-                grids[n] = make_grid(0.0, float(n - 1), 1.0)
+                grids[n] = LabelGrid(0.0, float(n - 1), 1.0)
             by_n.setdefault(n, []).append(_draw(rng, grids[n]))
         for n, draws in by_n.items():
             targets, logits = _build(draws, grids[n])

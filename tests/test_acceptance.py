@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fullkl.grid import Moments, discretize_gaussian, make_grid, moments
+from fullkl.grid import LabelGrid, Moments, discretize_gaussian, moments
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -35,7 +35,7 @@ from fullkl.verify import (
 )
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-G101 = make_grid(0.0, 100.0, 1.0)
+G101 = LabelGrid(0.0, 100.0, 1.0)
 
 
 def check(report, criterion, ok, detail):
@@ -98,7 +98,7 @@ def test_criterion_2_gradient_fidelity(criterion_report):
     fid_ref = gradient_fidelity(LossSpec(FAMILY_REFERENCE, 1.0))
 
     dims = (3, 4, 5)
-    g = make_grid(0.0, 4.0, 1.0)
+    g = LabelGrid(0.0, 4.0, 1.0)
     rng = np.random.default_rng(100)
     params = init_mlp(dims, 100)
     X = rng.uniform(-1.0, 1.0, (4, 3))

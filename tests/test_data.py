@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split
-from fullkl.grid import BLOCK_ROWS, LabelGrid, discretize_gaussian, gaussian_probs, make_grid, pmf_moments
+from fullkl.grid import BLOCK_ROWS, LabelGrid, discretize_gaussian, gaussian_probs, pmf_moments
 
-G101 = make_grid(0.0, 100.0, 1.0)
-NONUNIFORM = LabelGrid(np.array([0.0, 1.0, 10.0, 100.0]))
+G101 = LabelGrid(0.0, 100.0, 1.0)
 
 
 def arrays_of(ds: Dataset) -> tuple[np.ndarray, ...]:
@@ -20,7 +19,7 @@ def arrays_of(ds: Dataset) -> tuple[np.ndarray, ...]:
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
     return (
-        np.array_equal(a.grid.values, b.grid.values)
+        a.grid == b.grid
         and np.array_equal(a.ids, b.ids)
         and np.array_equal(a.features, b.features)
         and np.array_equal(a.target_mu, b.target_mu)
@@ -89,10 +88,6 @@ class TestGenSynthetic:
         # hi = 20 passes the span/4 cap but 3 sigma margins overlap
         with pytest.raises(ValueError, match="no room"):
             gen_synthetic(10, 3, G101, (17.0, 20.0), seed=0)
-
-    def test_non_uniform_grid_rejected(self):
-        with pytest.raises(ValueError, match="uniform"):
-            gen_synthetic(10, 3, NONUNIFORM, (2.0, 6.0), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +229,9 @@ class TestDataset:
 # target pmf rows are the scalar discretization, bit for bit
 # ---------------------------------------------------------------------------
 
-TWO_BIN = make_grid(0.0, 1.0, 1.0)
-HALF_STEP_NEG = make_grid(-5.0, 45.0, 0.5)
-STEP3_NEG = make_grid(-30.0, 30.0, 3.0)
+TWO_BIN = LabelGrid(0.0, 1.0, 1.0)
+HALF_STEP_NEG = LabelGrid(-5.0, 45.0, 0.5)
+STEP3_NEG = LabelGrid(-30.0, 30.0, 3.0)
 
 
 def assert_rows_are_discretize_gaussian(ds: Dataset):
@@ -364,10 +359,13 @@ class TestLoadCsvErrors:
         with pytest.raises(ValueError, match="line 2: unparseable"):
             load_csv(write(tmp_path, text), G101)
 
-    def test_non_finite_value_rejected(self, tmp_path):
-        text = HEADER + "0,0.5,inf,2.0\n"
-        with pytest.raises(ValueError, match="non-finite"):
-            load_csv(write(tmp_path, text), G101)
+    @pytest.mark.parametrize("column", [1, 2, 3], ids=["feature", "mean", "std"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value, column):
+        fields = ["0", "0.5", "50.0", "2.0"]
+        fields[column] = value
+        with pytest.raises(ValueError, match="line 2: non-finite"):
+            load_csv(write(tmp_path, HEADER + ",".join(fields) + "\n"), G101)
 
     def test_std_below_floor_rejected(self, tmp_path):
         text = HEADER + "0,0.5,50.0,0.4\n"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import gen_synthetic
-from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, make_grid, moments, softmax_probs
+from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, moments, softmax_probs
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -31,7 +31,7 @@ from fullkl.verify import check_grad, fd_grad, rel_norm_error
 
 APPROX = dict(rel=1e-13, abs=0.0)
 
-TWO_BIN = make_grid(0.0, 1.0, 1.0)
+TWO_BIN = LabelGrid(0.0, 1.0, 1.0)
 HALF_HALF = Pmf(np.array([0.5, 0.5]))
 LOGITS_1_3 = np.array([0.0, math.log(3.0)])  # softmax -> [0.25, 0.75]
 
@@ -231,19 +231,19 @@ class TestWorkedExample:
 
 class TestExactZeros:
     def test_full_kl_at_global_minimum(self):
-        g = make_grid(0.0, 100.0, 1.0)
+        g = LabelGrid(0.0, 100.0, 1.0)
         uniform = Pmf(np.full(101, 1.0 / 101.0))
         b = full_kl_loss(uniform, np.zeros(101), g)
         assert (b.l_ld, b.l_exp, b.l_smooth, b.total) == (0.0, 0.0, 0.0, 0.0)
 
     def test_full_kl_grad_at_global_minimum(self):
-        g = make_grid(0.0, 100.0, 1.0)
+        g = LabelGrid(0.0, 100.0, 1.0)
         uniform = Pmf(np.full(101, 1.0 / 101.0))
         grad = full_kl_grad(uniform, np.zeros(101), g)
         assert np.all(grad == 0.0)
 
     def test_reference_grad_at_matched_distribution(self):
-        g = make_grid(0.0, 4.0, 1.0)
+        g = LabelGrid(0.0, 4.0, 1.0)
         uniform = Pmf(np.full(5, 0.2))
         grad = reference_grad(uniform, np.zeros(5), g, 1.0)
         assert np.all(grad == 0.0)
@@ -258,7 +258,7 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_full_kl_grad_matches_fd(self, n, seed):
         rng = np.random.default_rng(seed)
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         target = random_pmf(rng, n)
         logits = rng.normal(0.0, 2.0, n)
         analytic = full_kl_grad(target, logits, g)
@@ -273,7 +273,7 @@ class TestGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reference_grad_matches_fd(self, n, seed):
         rng = np.random.default_rng(seed)
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         lam = 1.0
         target = random_pmf(rng, n)
         logits = rng.normal(0.0, 2.0, n)
@@ -288,7 +288,7 @@ class TestGradients:
     def test_per_coordinate_check_on_fixed_instance(self):
         # away from softmax-gradient zero crossings even the per-coordinate
         # metric is tight
-        g = make_grid(0.0, 4.0, 1.0)
+        g = LabelGrid(0.0, 4.0, 1.0)
         target = Pmf(np.array([0.1, 0.2, 0.4, 0.2, 0.1]))
         logits = np.array([0.5, -0.25, 1.0, 0.75, -1.5])
         analytic = full_kl_grad(target, logits, g)
@@ -299,7 +299,7 @@ class TestGradients:
     def test_grad_shift_direction(self):
         # prediction mean above target mean: l_exp pushes probability mass
         # toward lower bins (positive gradient on high-bin logits)
-        g = make_grid(0.0, 10.0, 1.0)
+        g = LabelGrid(0.0, 10.0, 1.0)
         target = Pmf(np.exp(-0.5 * (g.values - 3.0) ** 2) / np.exp(-0.5 * (g.values - 3.0) ** 2).sum())
         logits = -0.1 * (g.values - 8.0) ** 2  # prediction centered near 8
         grad = full_kl_grad(target, logits, g)
@@ -309,7 +309,7 @@ class TestGradients:
     def test_gradient_property_random_instances(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 24))
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         target = random_pmf(rng, n)
         logits = rng.normal(0.0, 2.0, n)
         h = 1e-5 * np.maximum(1.0, np.abs(logits))
@@ -326,11 +326,11 @@ class TestAffineInvariance:
     A, B = 3.0, 7.0
 
     def scaled(self, g):
-        return LabelGrid(self.A * g.values + self.B, spacing=self.A * g.spacing)
+        return LabelGrid(self.A * g.lo + self.B, self.A * g.hi + self.B, self.A * g.spacing)
 
     def test_full_kl_total_invariant(self):
         rng = np.random.default_rng(4)
-        g = make_grid(0.0, 30.0, 1.0)
+        g = LabelGrid(0.0, 30.0, 1.0)
         target = random_pmf(rng, 31)
         logits = rng.normal(0.0, 2.0, 31)
         b1 = full_kl_loss(target, logits, g)
@@ -342,7 +342,7 @@ class TestAffineInvariance:
 
     def test_reference_l_exp_scales_by_a(self):
         rng = np.random.default_rng(5)
-        g = make_grid(0.0, 30.0, 1.0)
+        g = LabelGrid(0.0, 30.0, 1.0)
         lam = 1.0
         target = random_pmf(rng, 31)
         logits = rng.normal(0.0, 2.0, 31)
@@ -411,7 +411,7 @@ class TestBatchEquivalence:
     def setup_method(self):
         rng = np.random.default_rng(17)
         self.n = 11
-        self.g = make_grid(0.0, 10.0, 1.0)
+        self.g = LabelGrid(0.0, 10.0, 1.0)
         self.targets = rng.dirichlet(np.ones(self.n), size=7)
         self.logits = rng.normal(0.0, 2.0, (7, self.n))
 
@@ -452,7 +452,7 @@ class TestBatchEquivalence:
     def test_cached_target_moments_bitwise(self, spec):
         # Moments cached over a whole dataset, then sliced to a shuffled batch,
         # must give the bits of computing them from the batch itself.
-        g = make_grid(0.0, 100.0, 1.0)
+        g = LabelGrid(0.0, 100.0, 1.0)
         ds = gen_synthetic(60, 3, g, (2.0, 6.0), seed=5)
         rng = np.random.default_rng(6)
         idx = rng.permutation(len(ds))[:16]
@@ -480,7 +480,7 @@ class TestSoftmaxUnderflow:
     )
     def test_values_and_gradients_finite_and_bitwise(self, spec, n):
         rng = np.random.default_rng(n)
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         targets = rng.dirichlet(np.ones(n), size=4)
         logits = rng.normal(0.0, 2.0, (4, n))
         logits[:, ::2] -= 800.0  # every other bin underflows

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fullkl.data import Dataset, gen_synthetic, split
-from fullkl.grid import BLOCK_ROWS, make_grid, row_blocks
+from fullkl.grid import BLOCK_ROWS, LabelGrid, row_blocks
 from fullkl.losses import FAMILY_FULL_KL, FAMILY_REFERENCE, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 from fullkl.model import (
     CHECKPOINT_FORMAT,
@@ -36,8 +36,8 @@ import fullkl.model
 from fullkl.model import _backward, _forward_cached, _rectify
 from fullkl.verify import fd_grad, rel_norm_error
 
-G101 = make_grid(0.0, 100.0, 1.0)
-G5 = make_grid(0.0, 4.0, 1.0)
+G101 = LabelGrid(0.0, 100.0, 1.0)
+G5 = LabelGrid(0.0, 4.0, 1.0)
 
 
 def params_equal(a: MlpParams, b: MlpParams) -> bool:
@@ -431,7 +431,7 @@ class TestEndToEndGradient:
     @pytest.mark.parametrize("seed", [100, 101, 102])
     def test_tiny_network_matches_fd(self, spec, seed):
         dims = (3, 4, 5)
-        g = make_grid(0.0, 4.0, 1.0)
+        g = LabelGrid(0.0, 4.0, 1.0)
         rng = np.random.default_rng(seed)
         params = init_mlp(dims, seed)
         X = rng.uniform(-1.0, 1.0, (4, 3))
@@ -533,6 +533,13 @@ class TestEvaluate:
         p = init_mlp((4, 8, 5), 0)
         with pytest.raises(ValueError):
             evaluate(p, ds, G5, LossSpec(FAMILY_FULL_KL))
+
+    def test_same_size_grid_with_other_bins_rejected(self):
+        ds = gen_synthetic(10, 4, G101, (2.0, 6.0), seed=0)
+        p = init_mlp((4, 8, 101), 0)
+        with pytest.raises(ValueError, match="does not match"):
+            evaluate(p, ds, LabelGrid(1.0, 101.0, 1.0), LossSpec(FAMILY_FULL_KL))
+        evaluate(p, ds, LabelGrid(0.0, 100.0, 1.0), LossSpec(FAMILY_FULL_KL))
 
     @staticmethod
     def whole_split_metrics(params, ds, spec):

@@ -1,12 +1,15 @@
 """Config parsing, experiment orchestration, comparison, and the CLI."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fullkl.runner
-from fullkl.model import TrainingDivergedError
+from fullkl.losses import LossBreakdown
+from fullkl.model import Metrics, TrainingDivergedError, atomic_write, init_mlp, load_checkpoint, save_checkpoint
 from fullkl.runner import (
     EXIT_CONFIG_ERROR,
     EXIT_FAILURE,
@@ -273,6 +276,98 @@ class TestRunExperiment:
         d["dataset"] = {"type": "csv", "path": str(tmp_path / "absent.csv")}
         with pytest.raises(ConfigError, match="cannot build dataset"):
             run_experiment(config_from_dict(d), quiet=True)
+
+
+def two_bin_csv(path, n=40):
+    """A CSV dataset on the 2-bin grid [0, 1]: std at least the 0.5 floor."""
+    rng = np.random.default_rng(3)
+    lines = ["id,f0,f1,f2,mean,std"]
+    for i in range(n):
+        row = [*rng.uniform(-1.0, 1.0, 3), rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.0)]
+        lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestGridEdges:
+    @pytest.mark.parametrize("grid, sigma_range", [
+        ((-5.0, 45.0, 0.5), (1.0, 3.0)),
+        ((10.0, 10.1, 0.001), (0.002, 0.01)),
+        ((0.0, 1.0, 1.0), None),  # gen_synthetic's sigma floor exceeds its cap on 2 bins: CSV
+    ], ids=["half_step_negative_start", "narrow_offset", "two_bins_csv"])
+    def test_full_runner(self, tmp_path, grid, sigma_range):
+        d = tiny_dict(tmp_path / "out", epochs=2, n=40)
+        d["grid"] = dict(zip(("start", "stop", "step"), grid))
+        if sigma_range is None:
+            d["dataset"] = {"type": "csv", "path": str(two_bin_csv(tmp_path / "two_bins.csv"))}
+        else:
+            d["dataset"]["sigma_range"] = list(sigma_range)
+        cfg = config_from_dict(d)
+        result = run_experiment(cfg, quiet=True)
+        assert result.failed_seeds == ()
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {
+            "metrics_seed0.csv", "metrics_seed1.csv",
+            "model_seed0.ckpt", "model_seed1.ckpt", "summary.csv",
+        }
+        for path in result.metrics_paths:
+            comment, header, rows = read_rows(path)
+            assert config_from_dict(json.loads(comment[2:])).grid == cfg.grid
+            assert len(rows) == 4
+            assert all(math.isfinite(float(r[i])) for r in rows for i in range(3, len(header)))
+        for path in result.checkpoint_paths:
+            assert load_checkpoint(path).n_bins == len(cfg.grid)
+
+
+class TestAtomicOutputs:
+    class Boom(Exception):
+        pass
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(self.Boom):
+            with atomic_write(path) as fh:
+                fh.write("new, half written")
+                raise self.Boom
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_metrics_csv_interrupted_mid_history(self, tmp_path):
+        path = tmp_path / "metrics_seed0.csv"
+        m = Metrics(1, "train", LossBreakdown("full_kl", 0.5, 0.25, 0.125, 0.875), 1.0)
+        fullkl.runner._write_metrics_csv(path, "{}", 0, [m, m])
+        before = path.read_bytes()
+
+        def history():
+            yield m
+            raise self.Boom
+
+        with pytest.raises(self.Boom):
+            fullkl.runner._write_metrics_csv(path, "{}", 0, history())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_checkpoint_interrupted_after_header(self, tmp_path):
+        path = tmp_path / "model_seed0.ckpt"
+        params = init_mlp((2, 3), 0)
+        save_checkpoint(params, path)
+        before = path.read_bytes()
+
+        class Unreadable:
+            dims = params.dims
+
+            @property
+            def vec(self):
+                raise TestAtomicOutputs.Boom
+
+        with pytest.raises(self.Boom):
+            save_checkpoint(Unreadable(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 # ---------------------------------------------------------------------------

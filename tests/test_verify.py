@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fullkl.verify as verify
-from fullkl.grid import Moments, Pmf, discretize_gaussian, make_grid, softmax
+from fullkl.grid import LabelGrid, Moments, Pmf, discretize_gaussian, softmax
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -106,7 +106,7 @@ class TestFdGradRows:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
     def test_bitwise_equal_to_fd_grad_on_losses(self, spec, n):
         rng = np.random.default_rng(n)
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         for _ in range(3):
             target, logits = random_instance(rng, g)
             h = 1e-5 * np.maximum(1.0, np.abs(logits))
@@ -317,7 +317,7 @@ class TestGaussianKlSweep:
 class TestRandomInstance:
     def test_produces_valid_instances(self):
         rng = np.random.default_rng(0)
-        g = make_grid(0.0, 20.0, 1.0)
+        g = LabelGrid(0.0, 20.0, 1.0)
         for _ in range(50):
             target, logits = random_instance(rng, g)
             assert isinstance(target, Pmf)
@@ -341,7 +341,7 @@ def random_instance_reference(rng, g):
 class TestDrawAndBuild:
     @pytest.mark.parametrize("n", [2, 5, 31, 101])
     def test_batched_build_equals_random_instance_bytewise(self, n):
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         rng = np.random.default_rng(1000 + n)
         draws = [verify._draw(rng, g) for _ in range(40)]
         kinds = {isinstance(t, np.ndarray) for _, t in draws}
@@ -366,7 +366,7 @@ class TestDrawAndBuild:
             real(self)
 
         monkeypatch.setattr(Pmf, "__post_init__", counting)
-        random_instance(np.random.default_rng(0), make_grid(0.0, 4.0, 1.0))
+        random_instance(np.random.default_rng(0), LabelGrid(0.0, 4.0, 1.0))
         assert len(made) == 1  # the counter sees Pmf construction
         made.clear()
         component_minima(n_instances=300, seed=4)
@@ -401,7 +401,7 @@ def gradient_fidelity_per_sample(spec, n_instances, sizes=(2, 5, 101), seed=2024
     worst = (-1.0, 0, 0)
     redraws = 0
     for n in sizes:
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         for k in range(n_instances):
             while True:
                 target, logits = random_instance(rng, g)
@@ -425,7 +425,7 @@ def component_minima_per_sample(n_instances, seed=20242, lam=1.0):
     mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
     for _ in range(n_instances):
         n = int(rng.integers(2, 32))
-        g = make_grid(0.0, float(n - 1), 1.0)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
         target, logits = random_instance(rng, g)
         f = full_kl_loss(target, logits, g)
         r = reference_loss(target, logits, g, lam)
@@ -469,7 +469,7 @@ class TestBatchedOraclesMatchPerSample:
         rng = np.random.default_rng(3)
         drawn = []
         for _ in range(50):
-            target, logits = random_instance(rng, make_grid(0.0, float(rng.integers(2, 32) - 1), 1.0))
+            target, logits = random_instance(rng, LabelGrid(0.0, float(rng.integers(2, 32) - 1), 1.0))
             drawn.append((target.probs.tobytes(), logits.tobytes()))
         assert sorted(seen[FAMILY_FULL_KL]) == sorted(seen[FAMILY_REFERENCE]) == sorted(drawn)
 

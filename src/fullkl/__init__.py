@@ -10,10 +10,8 @@ seeded experiment CLI (``fullkl``).
 """
 
 from .grid import (
-    DEFAULT_POLICY,
     LabelGrid,
     Moments,
-    NumericPolicy,
     Pmf,
     discretize_gaussian,
     moments,
@@ -76,7 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # grid
-    "DEFAULT_POLICY", "LabelGrid", "Moments", "NumericPolicy", "Pmf",
+    "LabelGrid", "Moments", "Pmf",
     "discretize_gaussian", "moments", "softmax",
     # losses
     "FAMILY_FULL_KL", "FAMILY_REFERENCE", "LossBreakdown", "LossSpec",

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +25,7 @@ from .grid import LabelGrid, MIN_SIGMA_FACTOR, gaussian_probs, pmf_moments, row_
 
 __all__ = [
     "Dataset",
+    "atomic_write",
     "gen_synthetic",
     "load_csv",
     "save_csv",
@@ -210,13 +213,30 @@ def gen_synthetic(
     return Dataset._adopt(grid, np.arange(n, dtype=np.int64), features, target_mu, target_sigma, pmfs)
 
 
+@contextmanager
+def atomic_write(path, binary: bool = False):
+    """Write ``path`` through a temp file beside it, moved over ``path`` by
+    ``os.replace`` on a clean exit.  If the body raises, the temp file is
+    removed and ``path`` keeps its previous content, so no reader ever sees
+    a half-written output.  Text mode is UTF-8 with no newline translation."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _csv_header(d_in: int) -> list[str]:
     return ["id"] + [f"f{j}" for j in range(d_in)] + ["mean", "std"]
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset in the CSV annotation schema (lossless float text)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a dataset in the CSV annotation schema (lossless float text), atomically."""
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_csv_header(ds.d_in))
         for i in range(len(ds)):

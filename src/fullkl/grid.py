@@ -18,8 +18,6 @@ __all__ = [
     "LabelGrid",
     "Pmf",
     "Moments",
-    "NumericPolicy",
-    "DEFAULT_POLICY",
     "softmax",
     "softmax_probs",
     "moments",
@@ -31,6 +29,13 @@ __all__ = [
 PMF_SUM_TOL = 1e-9
 MIN_SIGMA_FACTOR = 0.5    # narrower targets degenerate to a near-one-hot pmf
 TRUNCATION_SIGMAS = 5.0   # beyond this the renormalized pmf stops resembling the Gaussian
+
+# Floors for the numerically delicate spots the math leaves open.  EPS_LOG
+# floors probabilities inside logarithms, so pmf entries at or below it behave
+# like zero mass there.  EPS_VAR floors predicted variances in denominators and
+# logs, in label units squared.  All logarithms are natural: losses are in nats.
+EPS_LOG = 1e-12
+EPS_VAR = 1e-8
 
 # Rows per block wherever a (rows, n_bins) array is built or reduced block by
 # block (target pmfs and moments in data, evaluate in model).  It keeps each
@@ -138,29 +143,6 @@ class Moments:
             raise ValueError("moments must be finite")
         if self.var < 0:
             raise ValueError("variance must be non-negative")
-
-
-@dataclass(frozen=True)
-class NumericPolicy:
-    """Floors for the numerically delicate spots the math leaves open.
-
-    ``eps_log`` floors probabilities inside logarithms (both arguments of a
-    log-ratio), so pmf entries at or below it behave like zero mass there.
-    ``eps_var`` floors predicted variances in denominators and logs, in label
-    units squared.  All logarithms are natural, so losses come out in nats.
-    """
-
-    eps_log: float = 1e-12
-    eps_var: float = 1e-8
-
-    def __post_init__(self):
-        if not (self.eps_log > 0 and np.isfinite(self.eps_log)):
-            raise ValueError("eps_log must be positive and finite")
-        if not (self.eps_var > 0 and np.isfinite(self.eps_var)):
-            raise ValueError("eps_var must be positive and finite")
-
-
-DEFAULT_POLICY = NumericPolicy()
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

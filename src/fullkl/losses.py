@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    DEFAULT_POLICY,
+    EPS_LOG,
+    EPS_VAR,
     LabelGrid,
     Moments,
-    NumericPolicy,
     Pmf,
     _rectify,
     pmf_moments,
@@ -143,7 +143,7 @@ _TINY = np.nextafter(0.0, 1.0)
 
 
 def _kl_div_vals(targets: np.ndarray, qf: np.ndarray) -> np.ndarray:
-    # ``qf`` is the prediction floored at eps_log; only the prediction is
+    # ``qf`` is the prediction floored at EPS_LOG; only the prediction is
     # floored inside the log.  For t > 0 the clamp never acts: qf is at most
     # about 1, so t / qf does not round below t.  For t = 0 it keeps the log
     # finite, so the term is 0 * log(_TINY) = 0 (0 ln 0 := 0), and no
@@ -152,35 +152,35 @@ def _kl_div_vals(targets: np.ndarray, qf: np.ndarray) -> np.ndarray:
 
 
 def _kl_div_grad(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    # Standard softmax-KL identity; exact wherever the eps_log floor is
+    # Standard softmax-KL identity; exact wherever the EPS_LOG floor is
     # inactive, and the conventional subgradient elsewhere.
     return preds - targets
 
 
-def _gaussian_kl_vals(mu_t, var_t, mu_p, var_p, policy: NumericPolicy) -> np.ndarray:
-    if np.any(var_t < policy.eps_var):
-        raise ValueError(f"target variance below the {policy.eps_var!r} floor")
-    vf = np.maximum(var_p, policy.eps_var)
+def _gaussian_kl_vals(mu_t, var_t, mu_p, var_p) -> np.ndarray:
+    if np.any(var_t < EPS_VAR):
+        raise ValueError(f"target variance below the {EPS_VAR!r} floor")
+    vf = np.maximum(var_p, EPS_VAR)
     dmu = mu_p - mu_t
     return 0.5 * np.log(vf / var_t) + (var_t + dmu * dmu) / (2.0 * vf) - 0.5
 
 
-def _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy: NumericPolicy) -> np.ndarray:
+def _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values) -> np.ndarray:
     # d l_exp / d pred_i with the mu-dependence of the predicted variance
-    # included; the variance is treated as constant at the eps_var floor
+    # included; the variance is treated as constant at the EPS_VAR floor
     # (subgradient choice).
-    vf = np.maximum(var_p, policy.eps_var)
+    vf = np.maximum(var_p, EPS_VAR)
     dmu = mu_p - mu_t
     ratio = (var_t + dmu * dmu) / (2.0 * vf)
     a = dmu / vf
-    b = np.where(var_p > policy.eps_var, (0.5 - ratio) / vf, 0.0)
+    b = np.where(var_p > EPS_VAR, (0.5 - ratio) / vf, 0.0)
     dev = values - np.asarray(mu_p)[..., np.newaxis]
     return np.asarray(a)[..., np.newaxis] * values + np.asarray(b)[..., np.newaxis] * dev * dev
 
 
 def _log_diffs(preds: np.ndarray, pf: np.ndarray):
     """(adjacent differences of ``preds``, adjacent differences of log ``pf``), where
-    ``pf`` is ``preds`` floored at eps_log."""
+    ``pf`` is ``preds`` floored at EPS_LOG."""
     lp = np.log(pf)
     return preds[..., :-1] - preds[..., 1:], lp[..., :-1] - lp[..., 1:]
 
@@ -190,10 +190,10 @@ def _smoothness_vals(parts) -> np.ndarray:
     return 0.5 * np.sum(d * big_l, axis=-1)
 
 
-def _smoothness_dldp(preds: np.ndarray, pf: np.ndarray, eps_log: float, parts) -> np.ndarray:
+def _smoothness_dldp(preds: np.ndarray, pf: np.ndarray, parts) -> np.ndarray:
     d, big_l = parts
     # d log(max(p, eps)) / dp is 1/p above the floor and 0 below it.
-    inv = _rectify(1.0 / pf, np.negative(preds > eps_log, dtype=np.int64))
+    inv = _rectify(1.0 / pf, np.negative(preds > EPS_LOG, dtype=np.int64))
     out = np.zeros_like(preds)
     out[..., :-1] += 0.5 * (big_l + d * inv[..., :-1])
     out[..., 1:] -= 0.5 * (big_l + d * inv[..., 1:])
@@ -211,26 +211,26 @@ def _softmax_chain(preds: np.ndarray, dldp: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def kl_div(target, pred, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def kl_div(target, pred) -> float:
     """Discrete KL divergence sum_i target_i ln(target_i / pred_i) in nats.
 
-    Prediction entries are floored at ``policy.eps_log`` inside the log;
+    Prediction entries are floored at ``grid.EPS_LOG`` inside the log;
     terms with ``target_i == 0`` contribute exactly 0.  Non-negative up to
-    an eps_log-induced error below 1e-9 (only when the target itself has
+    an EPS_LOG-induced error below 1e-9 (only when the target itself has
     positive entries under the floor).
     """
     t = _as_probs(target)
     q = _as_probs(pred)
     if t.shape != q.shape:
         raise ValueError(f"pmf lengths differ: {t.size} vs {q.size}")
-    return float(_kl_div_vals(t, np.maximum(q, policy.eps_log)))
+    return float(_kl_div_vals(t, np.maximum(q, EPS_LOG)))
 
 
-def gaussian_kl(target_m: Moments, pred_m: Moments, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def gaussian_kl(target_m: Moments, pred_m: Moments) -> float:
     """Closed-form KL(N(mu, var) || N(mu_hat, var_hat)) in nats.
 
     ``ln(sigma_hat/sigma) + (var + (mu_hat-mu)^2) / (2 var_hat) - 1/2`` with
-    the predicted variance floored at ``policy.eps_var`` in both the log and
+    the predicted variance floored at ``grid.EPS_VAR`` in both the log and
     the denominator.  The target variance must already sit at or above the
     floor (the dataset sigma floor guarantees this); the result is then
     non-negative for all inputs and zero exactly when the moments coincide.
@@ -238,23 +238,23 @@ def gaussian_kl(target_m: Moments, pred_m: Moments, policy: NumericPolicy = DEFA
     return float(
         _gaussian_kl_vals(
             np.float64(target_m.mu), np.float64(target_m.var),
-            np.float64(pred_m.mu), np.float64(pred_m.var), policy,
+            np.float64(pred_m.mu), np.float64(pred_m.var),
         )
     )
 
 
-def smoothness(pred, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def smoothness(pred) -> float:
     """Symmetrized shift-KL smoothness penalty of a pmf, in nats.
 
     ``(1/2) sum_{i=1}^{n-1} (p_i - p_{i+1}) ln(p_i / p_{i+1})`` over the
-    n-1 adjacent index pairs, entries floored at ``policy.eps_log`` inside
+    n-1 adjacent index pairs, entries floored at ``grid.EPS_LOG`` inside
     the logs.  Every summand is non-negative because the difference and the
     log-ratio share sign; the total is 0 exactly for a uniform pmf.
     """
     p = _as_probs(pred)
     if p.size < 2:
         raise ValueError("smoothness needs a pmf of length >= 2")
-    return float(_smoothness_vals(_log_diffs(p, np.maximum(p, policy.eps_log))))
+    return float(_smoothness_vals(_log_diffs(p, np.maximum(p, EPS_LOG))))
 
 
 def reference_loss(
@@ -262,14 +262,13 @@ def reference_loss(
     logits,
     g: LabelGrid,
     lam: float,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> LossBreakdown:
     """Reference-family loss: l_ld + lam * |mu_hat - mu|.
 
     ``l_exp`` in the returned breakdown is the raw L1 term in label units;
     lambda enters only the total.
     """
-    c = _sample_kernel(target, logits, g, LossSpec(FAMILY_REFERENCE, lam), policy, want_grad=False)[0]
+    c = _sample_kernel(target, logits, g, LossSpec(FAMILY_REFERENCE, lam), want_grad=False)[0]
     return LossBreakdown(FAMILY_REFERENCE, float(c["l_ld"]), float(c["l_exp"]), None, float(c["total"]))
 
 
@@ -278,21 +277,19 @@ def reference_grad(
     logits,
     g: LabelGrid,
     lam: float,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Analytic gradient of the reference loss with respect to the logits.
 
     ``(pred - target) + lam * sign(mu_hat - mu) * dmu_hat/dlogits`` with the
     L1 subgradient at zero set to 0.
     """
-    return _sample_kernel(target, logits, g, LossSpec(FAMILY_REFERENCE, lam), policy, want_grad=True)[1]
+    return _sample_kernel(target, logits, g, LossSpec(FAMILY_REFERENCE, lam), want_grad=True)[1]
 
 
 def full_kl_loss(
     target,
     logits,
     g: LabelGrid,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> LossBreakdown:
     """Full-KL loss: distribution KL + Gaussian-moment KL + shift-KL smoothness.
 
@@ -300,7 +297,7 @@ def full_kl_loss(
     generally zero at pred = target: the smoothness term penalizes the
     target's own roughness.
     """
-    c = _sample_kernel(target, logits, g, _FULL_KL_SPEC, policy, want_grad=False)[0]
+    c = _sample_kernel(target, logits, g, _FULL_KL_SPEC, want_grad=False)[0]
     return LossBreakdown(
         FAMILY_FULL_KL, float(c["l_ld"]), float(c["l_exp"]), float(c["l_smooth"]), float(c["total"])
     )
@@ -310,7 +307,6 @@ def full_kl_grad(
     target,
     logits,
     g: LabelGrid,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> np.ndarray:
     """Analytic gradient of the full-KL total with respect to the logits.
 
@@ -318,19 +314,19 @@ def full_kl_grad(
     through both predicted moments (``dmu/dp_i = y_i`` and
     ``dvar/dp_i = (y_i - mu_hat)^2``, mu-dependence included); the
     smoothness part flows through adjacent prediction pairs; everything is
-    composed with the softmax Jacobian.  At the eps_var floor the predicted
+    composed with the softmax Jacobian.  At the EPS_VAR floor the predicted
     variance is treated as constant (subgradient choice).
     """
-    return _sample_kernel(target, logits, g, _FULL_KL_SPEC, policy, want_grad=True)[1]
+    return _sample_kernel(target, logits, g, _FULL_KL_SPEC, want_grad=True)[1]
 
 
-def _sample_kernel(target, logits, g: LabelGrid, spec: LossSpec, policy: NumericPolicy, want_grad: bool):
+def _sample_kernel(target, logits, g: LabelGrid, spec: LossSpec, want_grad: bool):
     """Validate one (target pmf, logit vector) pair and run it through the kernel as a 1-D row."""
     t = _as_probs(target)
     if t.size != len(g):
         raise ValueError(f"target pmf has {t.size} bins but grid has {len(g)}")
     z = _as_logits(logits, len(g))
-    return _batch_kernel(t, z, g, spec, policy, None, want_grad)
+    return _batch_kernel(t, z, g, spec, None, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +334,7 @@ def _sample_kernel(target, logits, g: LabelGrid, spec: LossSpec, policy: Numeric
 # ---------------------------------------------------------------------------
 
 
-def _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad):
+def _batch_kernel(targets, logits, g, spec, target_moments, want_grad):
     """Shared body of :func:`batch_loss`, :func:`batch_loss_and_grad` and the per-sample API.
 
     Returns (components, gradient); the gradient is None unless ``want_grad``.
@@ -351,20 +347,20 @@ def _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad):
         )
     values = g.values
     preds = softmax_probs(logits)
-    pf = np.maximum(preds, policy.eps_log)
+    pf = np.maximum(preds, EPS_LOG)
     l_ld = _kl_div_vals(targets, pf)
     if target_moments is None:
         target_moments = pmf_moments(targets, values)
     mu_t, var_t = target_moments
     mu_p, var_p = pmf_moments(preds, values)
     if spec.family == FAMILY_FULL_KL:
-        l_exp = _gaussian_kl_vals(mu_t, var_t, mu_p, var_p, policy)
+        l_exp = _gaussian_kl_vals(mu_t, var_t, mu_p, var_p)
         parts = _log_diffs(preds, pf)
         l_smooth = _smoothness_vals(parts)
         comps = {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
         if want_grad:
-            dldp = _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values, policy)
-            dldp = dldp + _smoothness_dldp(preds, pf, policy.eps_log, parts)
+            dldp = _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values)
+            dldp = dldp + _smoothness_dldp(preds, pf, parts)
             head = _softmax_chain(preds, dldp)
     else:
         l_exp = np.abs(mu_p - mu_t)
@@ -382,7 +378,6 @@ def batch_loss(
     logits: np.ndarray,
     g: LabelGrid,
     spec: LossSpec,
-    policy: NumericPolicy = DEFAULT_POLICY,
     target_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Vectorized per-sample loss components without the gradient.
@@ -390,7 +385,7 @@ def batch_loss(
     Same contract and arithmetic as :func:`batch_loss_and_grad`, for
     evaluation passes where the gradient would be wasted work.
     """
-    return _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad=False)[0]
+    return _batch_kernel(targets, logits, g, spec, target_moments, want_grad=False)[0]
 
 
 def batch_loss_and_grad(
@@ -398,7 +393,6 @@ def batch_loss_and_grad(
     logits: np.ndarray,
     g: LabelGrid,
     spec: LossSpec,
-    policy: NumericPolicy = DEFAULT_POLICY,
     target_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Vectorized per-sample components and logit gradients for a batch.
@@ -414,4 +408,4 @@ def batch_loss_and_grad(
     d total_i / d logits_i.  The per-sample API runs the same kernel on a
     single row, so results agree bit for bit.
     """
-    return _batch_kernel(targets, logits, g, spec, policy, target_moments, want_grad=True)
+    return _batch_kernel(targets, logits, g, spec, target_moments, want_grad=True)

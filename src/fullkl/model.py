@@ -9,7 +9,7 @@ the standard affine/rectifier chain rule.  Training is functional —
 what makes runs bit-reproducible given (seed, config, dataset).
 
 The training state is flat: params, the gradient and both Adam moments are
-float64 vectors in the :func:`params_to_vec` layout, and ``MlpParams``
+float64 vectors in the ``MlpParams.vec`` layout, and ``MlpParams``
 exposes read-only per-layer views into its vector.  ``_backward`` writes each
 layer's gradient into its slice of one vector, and ``adam_update`` makes one
 ``_adam_arrays`` call over the whole vector and one finiteness check.  Params
@@ -21,22 +21,19 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
-from .grid import DEFAULT_POLICY, LabelGrid, NumericPolicy, _rectify, pmf_moments, row_blocks, softmax_probs
+from .data import Dataset, atomic_write
+from .grid import LabelGrid, _rectify, pmf_moments, row_blocks, softmax_probs
 from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 
 __all__ = [
     "CHECKPOINT_FORMAT", "TrainingDivergedError", "MlpParams", "OptimizerState",
     "TrainConfig", "Metrics", "TrainResult", "init_mlp", "forward", "adam_update",
     "init_adam", "train_step", "lr_at", "predict", "evaluate", "derive_seeds",
-    "train_run", "params_to_vec", "vec_to_params", "atomic_write", "save_checkpoint", "load_checkpoint",
+    "train_run", "vec_to_params", "save_checkpoint", "load_checkpoint",
 ]
 
 log = logging.getLogger(__name__)
@@ -44,6 +41,11 @@ log = logging.getLogger(__name__)
 CHECKPOINT_FORMAT = "mlp-ckpt-v1"
 
 SPLIT_TAGS = ("full", "train", "val")
+
+# Adam's fixed decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 class TrainingDivergedError(RuntimeError):
     """A forward pass, loss, or parameter update produced non-finite values.
@@ -82,9 +84,9 @@ def _param_count(dims) -> int:
 class MlpParams:
     """Immutable layer parameters for dims [d_in, hidden..., n_bins].
 
-    One read-only float64 vector ``vec`` in the :func:`params_to_vec` layout
-    holds them; ``weights`` and ``biases`` are views into it.  The
-    constructor copies and validates its arrays.
+    One read-only float64 vector ``vec`` holds them in the layout W0
+    (row-major), b0, W1, b1, ...; ``weights`` and ``biases`` are views into
+    it.  The constructor copies and validates its arrays.
     """
 
     dims: tuple[int, ...]
@@ -191,13 +193,10 @@ def _backward(params: MlpParams, caches, d_logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Adam state: hyperparameters, step counter, and read-only moments ``m``, ``v``
+    """Adam state: learning rate, step counter, and read-only moments ``m``, ``v``
     (float64 vectors in the layout of ``MlpParams.vec``)."""
 
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     step: int
     m: np.ndarray
     v: np.ndarray
@@ -205,10 +204,6 @@ class OptimizerState:
     def __post_init__(self):
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps!r}")
         if self.step < 0:
             raise ValueError(f"step must be >= 0, got {self.step!r}")
 
@@ -216,19 +211,16 @@ class OptimizerState:
 def init_adam(
     params: MlpParams,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> OptimizerState:
     m, v = np.zeros(params.size), np.zeros(params.size)
     m.flags.writeable = v.flags.writeable = False
-    return OptimizerState(lr, beta1, beta2, eps, 0, m, v)
+    return OptimizerState(lr, 0, m, v)
 
 
-def _adam_arrays(p, g, m, v, state: OptimizerState, bc1: float, bc2: float):
-    m2 = state.beta1 * m + (1.0 - state.beta1) * g
-    v2 = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-    return p - state.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + state.eps), m2, v2
+def _adam_arrays(p, g, m, v, lr: float, bc1: float, bc2: float):
+    m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    return p - lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + ADAM_EPS), m2, v2
 
 
 def adam_update(params: MlpParams, state: OptimizerState, grad: np.ndarray):
@@ -237,9 +229,9 @@ def adam_update(params: MlpParams, state: OptimizerState, grad: np.ndarray):
         shapes = f"{grad.shape}, {state.m.shape} and {state.v.shape}"
         raise ValueError(f"grad, m and v must have shape ({params.size},), got {shapes}")
     t = state.step + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    p2, m2, v2 = _adam_arrays(params.vec, grad, state.m, state.v, state, bc1, bc2)
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    p2, m2, v2 = _adam_arrays(params.vec, grad, state.m, state.v, state.lr, bc1, bc2)
     if not np.all(np.isfinite(p2)):
         raise TrainingDivergedError("non-finite parameters after optimizer update")
     m2.flags.writeable = v2.flags.writeable = False
@@ -271,7 +263,6 @@ def train_step(
     batch,
     g: LabelGrid,
     spec: LossSpec,
-    policy: NumericPolicy = DEFAULT_POLICY,
     target_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """One optimizer step on a (features, target_pmfs) batch.
@@ -291,7 +282,7 @@ def train_step(
             f"batch targets must have shape ({feats.shape[0]}, {params.n_bins}), got {targets.shape}"
         )
     logits, caches = _forward_cached(params, feats)
-    comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, policy, target_moments)
+    comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, target_moments)
     bad = np.flatnonzero(~(np.isfinite(comps["total"]) & np.isfinite(dlogits).all(axis=-1)))
     if bad.size:
         raise TrainingDivergedError(
@@ -375,7 +366,6 @@ def evaluate(
     dataset: Dataset,
     g: LabelGrid,
     spec: LossSpec,
-    policy: NumericPolicy = DEFAULT_POLICY,
     epoch: int = 0,
     split: str | None = None,
 ) -> Metrics:
@@ -392,7 +382,7 @@ def evaluate(
     for rows in row_blocks(len(dataset)):
         logits = forward(params, dataset.features[rows])
         moments = (mu_t[rows], var_t[rows])
-        chunks.append(batch_loss(dataset.target_pmfs[rows], logits, g, spec, policy, moments))
+        chunks.append(batch_loss(dataset.target_pmfs[rows], logits, g, spec, moments))
     comps = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
     mae = float(np.mean(np.abs(comps["pred_mu"] - dataset.target_mu)))
     return Metrics(epoch, split or dataset.split, _mean_breakdown(comps, spec), mae)
@@ -417,7 +407,6 @@ def train_run(
     val_ds: Dataset,
     g: LabelGrid,
     cfg: TrainConfig,
-    policy: NumericPolicy = DEFAULT_POLICY,
     quiet: bool = False,
 ) -> TrainResult:
     """One seeded training run: shuffled mini-batches, stepped lr, per-epoch metrics.
@@ -440,15 +429,15 @@ def train_run(
             batch = (train_ds.features[idx], train_ds.target_pmfs[idx])
             try:
                 params, opt, _ = train_step(
-                    params, opt, batch, g, cfg.loss, policy, (mu_t[idx], var_t[idx])
+                    params, opt, batch, g, cfg.loss, (mu_t[idx], var_t[idx])
                 )
             except TrainingDivergedError as exc:
                 msg = f"epoch {epoch + 1}, step {step + 1}: {exc}"
                 if exc.rows is not None:
                     msg += f"; sample id(s) {train_ds.ids[idx[exc.rows[:10]]].tolist()}"
                 raise TrainingDivergedError(msg, exc.rows) from exc
-        train_m = evaluate(params, train_ds, g, cfg.loss, policy, epoch=epoch + 1, split="train")
-        val_m = evaluate(params, val_ds, g, cfg.loss, policy, epoch=epoch + 1, split="val")
+        train_m = evaluate(params, train_ds, g, cfg.loss, epoch=epoch + 1, split="train")
+        val_m = evaluate(params, val_ds, g, cfg.loss, epoch=epoch + 1, split="val")
         history += [train_m, val_m]
         if not quiet:
             log.info(
@@ -462,35 +451,13 @@ def train_run(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def params_to_vec(params: MlpParams) -> np.ndarray:
-    """The flat read-only float64 vector: W0 (row-major), b0, W1, b1, ..."""
-    return params.vec
-
-
 def vec_to_params(dims, vec) -> MlpParams:
-    """Inverse of :func:`params_to_vec` for the given dims; copies ``vec``."""
+    """Inverse of ``MlpParams.vec`` for the given dims; copies ``vec``."""
     dims = _validated_dims(dims)
     vec = np.asarray(vec, dtype=np.float64).reshape(-1)
     if vec.size != _param_count(dims):
         raise ValueError(f"dims {dims} need {_param_count(dims)} parameters, got {vec.size}")
     return MlpParams(dims, *_layer_views(dims, vec))
-
-
-@contextmanager
-def atomic_write(path, binary: bool = False):
-    """Write ``path`` through a temp file beside it, moved over ``path`` by
-    ``os.replace`` on a clean exit.  If the body raises, the temp file is
-    removed and ``path`` keeps its previous content, so no reader ever sees
-    a half-written output.  Text mode is UTF-8 with no newline translation."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(params: MlpParams, path) -> None:

@@ -8,7 +8,7 @@ Every output is a deterministic function of the config file: metrics CSVs
 embed the canonical config JSON as a ``#``-prefixed header line, floats are
 serialized losslessly via ``repr``, and line endings are fixed, so rerunning
 a config reproduces byte-identical files.  Each file is written atomically
-(``model.atomic_write``): a crash leaves the old file or the new one, never a
+(``data.atomic_write``): a crash leaves the old file or the new one, never a
 partial one.
 """
 
@@ -32,7 +32,6 @@ from .model import (
     TrainConfig,
     TrainResult,
     TrainingDivergedError,
-    atomic_write,
     derive_seeds,
     save_checkpoint,
     train_run,
@@ -133,6 +132,14 @@ def _check_keys(section, where: str, required: set, optional: set = frozenset())
         raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
 
 
+def _config_int(value, key: str) -> int:
+    """``value`` as an int, if it is a whole number; JSON's true and false are not."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(raw) -> RunConfig:
     """Build a validated RunConfig from the JSON structure (strict keys)."""
     _check_keys(raw, "config", {"dataset", "grid", "loss", "train", "seeds", "out_dir"})
@@ -147,10 +154,10 @@ def config_from_dict(raw) -> RunConfig:
                 raise ConfigError("dataset.sigma_range: expected [lo, hi]")
             dataset = DatasetSpec(
                 "synthetic",
-                n=int(ds_raw["n"]),
-                d_in=int(ds_raw["d_in"]),
+                n=_config_int(ds_raw["n"], "dataset.n"),
+                d_in=_config_int(ds_raw["d_in"], "dataset.d_in"),
                 sigma_range=(float(sr[0]), float(sr[1])),
-                seed=int(ds_raw["seed"]),
+                seed=_config_int(ds_raw["seed"], "dataset.seed"),
             )
         else:
             _check_keys(ds_raw, "dataset", {"type", "path"})
@@ -169,18 +176,19 @@ def config_from_dict(raw) -> RunConfig:
             {"epochs", "batch_size", "lr", "lr_decay_factor", "lr_decay_every", "hidden", "val_fraction"},
         )
         kwargs = {k: train_raw[k] for k in ("epochs", "batch_size", "lr_decay_every") if k in train_raw}
-        kwargs = {k: int(v) for k, v in kwargs.items()}
+        kwargs = {k: _config_int(v, f"train.{k}") for k, v in kwargs.items()}
         for k in ("lr", "lr_decay_factor", "val_fraction"):
             if k in train_raw:
                 kwargs[k] = float(train_raw[k])
         if "hidden" in train_raw:
-            kwargs["hidden"] = tuple(int(h) for h in train_raw["hidden"])
+            kwargs["hidden"] = tuple(_config_int(h, "train.hidden") for h in train_raw["hidden"])
         train = TrainConfig(loss=spec, **kwargs)
 
         seeds = raw["seeds"]
         if not isinstance(seeds, list):
             raise ConfigError("seeds: expected a list of integers")
-        return RunConfig(dataset, grid, train, tuple(int(s) for s in seeds), Path(str(raw["out_dir"])))
+        seeds = tuple(_config_int(s, "seeds") for s in seeds)
+        return RunConfig(dataset, grid, train, seeds, Path(str(raw["out_dir"])))
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -274,7 +282,7 @@ def _metric_value(m: Metrics, name: str):
 
 
 def _write_metrics_csv(path: Path, header_json: str, seed: int, history) -> None:
-    with atomic_write(path) as fh:
+    with data.atomic_write(path) as fh:
         fh.write(f"# {header_json}\n")
         fh.write(",".join(METRICS_COLUMNS) + "\n")
         for m in history:
@@ -293,7 +301,7 @@ def _write_summary_csv(path: Path, header_json: str, outcomes, epochs: int) -> N
     for split_tag in ("train", "val"):
         for name in SUMMARY_METRICS:
             columns += [f"{split_tag}_{name}_mean", f"{split_tag}_{name}_std"]
-    with atomic_write(path) as fh:
+    with data.atomic_write(path) as fh:
         fh.write(f"# {header_json}\n")
         fh.write(",".join(columns) + "\n")
         for e in range(epochs):
@@ -449,14 +457,14 @@ def compare(
     out = Path(out_dir) if out_dir is not None else Path(cfg_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "comparison.csv"
-    with atomic_write(csv_path) as fh:
+    with data.atomic_write(csv_path) as fh:
         fh.write(f"# a: {json.dumps(da, sort_keys=True)}\n")
         fh.write(f"# b: {json.dumps(db, sort_keys=True)}\n")
         fh.write("seed,mae_a,mae_b\n")
         for s, xa, xb in zip(seeds, mae_a, mae_b):
             fh.write(f"{s},{_fmt(xa)},{_fmt(xb)}\n")
     txt_path = out / "comparison.txt"
-    with atomic_write(txt_path) as fh:
+    with data.atomic_write(txt_path) as fh:
         fh.write(text)
     return ComparisonResult(
         res_a, res_b, seeds, mae_a, mae_b,

@@ -15,10 +15,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import (
-    DEFAULT_POLICY,
+    EPS_VAR,
     LabelGrid,
     Moments,
-    NumericPolicy,
     Pmf,
     discretize_gaussian,
     gaussian_probs,
@@ -203,8 +202,8 @@ def numeric_gaussian_kl(
         raise ValueError(f"points must be >= {MIN_QUADRATURE_POINTS}, got {points}")
     if span_sigmas < MIN_SPAN_SIGMAS:
         raise ValueError(f"span_sigmas must be >= {MIN_SPAN_SIGMAS}, got {span_sigmas}")
-    if target_m.var < DEFAULT_POLICY.eps_var or pred_m.var < DEFAULT_POLICY.eps_var:
-        raise ValueError("variances must sit above the eps_var floor")
+    if target_m.var < EPS_VAR or pred_m.var < EPS_VAR:
+        raise ValueError("variances must sit above the EPS_VAR floor")
     reach = span_sigmas * math.sqrt(max(target_m.var, pred_m.var))
     lo = min(target_m.mu, pred_m.mu) - reach
     hi = max(target_m.mu, pred_m.mu) + reach
@@ -244,7 +243,6 @@ def gaussian_kl_sweep(
     points: int = 100_000,
     span_sigmas: float = 8.0,
     closed_form: Callable[[float, float, float, float], float] | None = None,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> SweepResult:
     """Closed form vs quadrature oracle over a moment-pair grid.
 
@@ -254,7 +252,7 @@ def gaussian_kl_sweep(
     """
     if closed_form is None:
         def closed_form(mu_t, var_t, mu_p, var_p):
-            return gaussian_kl(Moments(mu_t, var_t), Moments(mu_p, var_p), policy)
+            return gaussian_kl(Moments(mu_t, var_t), Moments(mu_p, var_p))
 
     rows = []
     for sigma_t in sigmas:
@@ -317,7 +315,7 @@ def random_instance(rng: np.random.Generator, g: LabelGrid) -> tuple[Pmf, np.nda
     Targets alternate between discretized Gaussians (the structured shapes
     the trainer sees) and softmax draws (arbitrary valid pmfs); logits are
     mild Gaussian draws, which keeps every softmax output well above the
-    eps_log floor so the analytic gradients are exact, not subgradients.
+    EPS_LOG floor so the analytic gradients are exact, not subgradients.
     It is :func:`_draw` then :func:`_build` for one row, wrapped in a
     ``Pmf`` for the per-sample API; :func:`component_minima` builds whole
     groups of draws and wraps none.
@@ -357,7 +355,6 @@ def gradient_fidelity(
     sizes: Sequence[int] = (2, 5, 101),
     seed: int = 20240,
     rel_step: float = 1e-5,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> FidelityResult:
     """Analytic vs central-finite-difference gradients on random instances.
 
@@ -380,12 +377,12 @@ def gradient_fidelity(
                     break
                 redraws += 1
             if spec.family == FAMILY_REFERENCE:
-                analytic = reference_grad(target, logits, g, spec.lam, policy)
+                analytic = reference_grad(target, logits, g, spec.lam)
             else:
-                analytic = full_kl_grad(target, logits, g, policy)
+                analytic = full_kl_grad(target, logits, g)
 
             def loss_rows(rows, _t=target, _g=g):
-                return batch_loss(np.broadcast_to(_t.probs, rows.shape), rows, _g, spec, policy)["total"]
+                return batch_loss(np.broadcast_to(_t.probs, rows.shape), rows, _g, spec)["total"]
 
             numeric = fd_grad_rows(loss_rows, logits, h)
             err = rel_norm_error(analytic, numeric)
@@ -405,7 +402,6 @@ def affine_invariance_errors(
     a: float = 3.0,
     b: float = 7.0,
     lam: float = 1.0,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> dict[str, float]:
     """Deviations under the grid transform y -> a*y + b (a > 0), pmfs fixed.
 
@@ -425,26 +421,26 @@ def affine_invariance_errors(
         g2 = LabelGrid(a * g1.lo + b, a * g1.hi + b, a * g1.spacing)
         target, logits = random_instance(rng, g1)
 
-        f1 = full_kl_loss(target, logits, g1, policy)
-        f2 = full_kl_loss(target, logits, g2, policy)
+        f1 = full_kl_loss(target, logits, g1)
+        f2 = full_kl_loss(target, logits, g2)
         denom = max(REL_ERROR_FLOOR, abs(f1.total))
         out["full_total_rel"] = max(out["full_total_rel"], abs(f2.total - f1.total) / denom)
         out["unchanged_abs"] = max(
             out["unchanged_abs"], abs(f2.l_ld - f1.l_ld), abs(f2.l_smooth - f1.l_smooth)
         )
 
-        r1 = reference_loss(target, logits, g1, lam, policy)
-        r2 = reference_loss(target, logits, g2, lam, policy)
+        r1 = reference_loss(target, logits, g1, lam)
+        r2 = reference_loss(target, logits, g2, lam)
         denom = max(REL_ERROR_FLOOR, abs(a * r1.l_exp))
         out["ref_scale_rel"] = max(out["ref_scale_rel"], abs(r2.l_exp - a * r1.l_exp) / denom)
         out["unchanged_abs"] = max(out["unchanged_abs"], abs(r2.l_ld - r1.l_ld))
     return out
 
 
-def exact_zero_violations(policy: NumericPolicy = DEFAULT_POLICY) -> dict[str, float]:
+def exact_zero_violations() -> dict[str, float]:
     """Identities that must hold exactly (0.0, not approximately).
 
-    kl_div(p, p) = 0 for pmfs with entries at or above eps_log (or exactly
+    kl_div(p, p) = 0 for pmfs with entries at or above EPS_LOG (or exactly
     zero); smoothness(uniform) = 0; gaussian_kl(m, m) = 0; and the full-KL
     loss and gradient vanish at the global minimum (uniform target, constant
     logits).  Returns the absolute deviations, all of which must be 0.0.
@@ -456,17 +452,17 @@ def exact_zero_violations(policy: NumericPolicy = DEFAULT_POLICY) -> dict[str, f
     m = Moments(40.0, 25.0)
 
     out = {
-        "kl_self_smooth": abs(kl_div(smooth_target, smooth_target, policy)),
-        "kl_self_uniform": abs(kl_div(uniform, uniform, policy)),
-        "kl_self_onehot": abs(kl_div(spiky, spiky, policy)),
-        "smoothness_uniform": abs(smoothness(uniform, policy)),
-        "gaussian_kl_self": abs(gaussian_kl(m, m, policy)),
+        "kl_self_smooth": abs(kl_div(smooth_target, smooth_target)),
+        "kl_self_uniform": abs(kl_div(uniform, uniform)),
+        "kl_self_onehot": abs(kl_div(spiky, spiky)),
+        "smoothness_uniform": abs(smoothness(uniform)),
+        "gaussian_kl_self": abs(gaussian_kl(m, m)),
     }
-    breakdown = full_kl_loss(uniform, np.zeros(101), g, policy)
+    breakdown = full_kl_loss(uniform, np.zeros(101), g)
     out["full_kl_at_minimum"] = max(
         abs(breakdown.l_ld), abs(breakdown.l_exp), abs(breakdown.l_smooth), abs(breakdown.total)
     )
-    grad = full_kl_grad(uniform, np.zeros(101), g, policy)
+    grad = full_kl_grad(uniform, np.zeros(101), g)
     out["full_kl_grad_at_minimum"] = float(np.max(np.abs(grad)))
     return out
 
@@ -475,7 +471,6 @@ def component_minima(
     n_instances: int = 10_000,
     seed: int = 20242,
     lam: float = 1.0,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> dict[str, float]:
     """Minimum observed value of every loss component on random instances.
 
@@ -497,8 +492,8 @@ def component_minima(
             by_n.setdefault(n, []).append(_draw(rng, grids[n]))
         for n, draws in by_n.items():
             targets, logits = _build(draws, grids[n])
-            f = batch_loss(targets, logits, grids[n], full, policy)
-            r = batch_loss(targets, logits, grids[n], ref, policy)
+            f = batch_loss(targets, logits, grids[n], full)
+            r = batch_loss(targets, logits, grids[n], ref)
             if not all(np.all(np.isfinite(v)) for v in (*f.values(), *r.values())):
                 raise ValueError("loss components must be finite")
             mins["l_ld"] = min(mins["l_ld"], np.min(f["l_ld"]), np.min(r["l_ld"]))
@@ -525,12 +520,11 @@ def run_all_checks(
     seed: int = 0,
     n_grad_instances: int = 100,
     n_nonneg_instances: int = 10_000,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[CheckResult, ...]:
     """Every oracle check, as a flat pass/fail list with max error values."""
     checks: list[CheckResult] = []
 
-    sweep = gaussian_kl_sweep(policy=policy)
+    sweep = gaussian_kl_sweep()
     checks.append(
         CheckResult(
             "gaussian_kl_sweep",
@@ -541,7 +535,7 @@ def run_all_checks(
     )
 
     hard_t, hard_p = Moments(0.0, 100.0), Moments(10.0, 0.25)
-    closed = gaussian_kl(hard_t, hard_p, policy)
+    closed = gaussian_kl(hard_t, hard_p)
     err_lo = abs(numeric_gaussian_kl(hard_t, hard_p, 10_000) - closed)
     err_hi = abs(numeric_gaussian_kl(hard_t, hard_p, 100_000) - closed)
     checks.append(
@@ -554,7 +548,7 @@ def run_all_checks(
     )
 
     for spec in (LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.0)):
-        fid = gradient_fidelity(spec, n_grad_instances, seed=seed + 100, policy=policy)
+        fid = gradient_fidelity(spec, n_grad_instances, seed=seed + 100)
         redrawn = f", {fid.redraws} redrawn next to the L1 kink" if fid.redraws else ""
         checks.append(
             CheckResult(
@@ -565,7 +559,7 @@ def run_all_checks(
             )
         )
 
-    aff = affine_invariance_errors(seed=seed + 200, policy=policy)
+    aff = affine_invariance_errors(seed=seed + 200)
     checks.append(
         CheckResult(
             "affine_invariance",
@@ -575,7 +569,7 @@ def run_all_checks(
         )
     )
 
-    zeros = exact_zero_violations(policy)
+    zeros = exact_zero_violations()
     checks.append(
         CheckResult(
             "exact_zeros",
@@ -585,7 +579,7 @@ def run_all_checks(
         )
     )
 
-    minima = component_minima(n_nonneg_instances, seed=seed + 300, policy=policy)
+    minima = component_minima(n_nonneg_instances, seed=seed + 300)
     checks.append(
         CheckResult(
             "nonnegativity",

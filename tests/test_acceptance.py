@@ -22,7 +22,7 @@ from fullkl.losses import (
     batch_loss_and_grad,
     gaussian_kl,
 )
-from fullkl.model import _backward, _forward_cached, init_mlp, params_to_vec, vec_to_params
+from fullkl.model import _backward, _forward_cached, init_mlp, vec_to_params
 from fullkl.runner import compare, config_from_dict, load_config, run_experiment
 from fullkl.verify import (
     affine_invariance_errors,
@@ -113,7 +113,7 @@ def test_criterion_2_gradient_fidelity(criterion_report):
         logits, caches = _forward_cached(params, X)
         _, dlogits = batch_loss_and_grad(T, logits, g, spec)
         analytic = _backward(params, caches, dlogits / X.shape[0])
-        vec = params_to_vec(params)
+        vec = params.vec
         numeric = fd_grad(loss_of_vec, vec, 1e-5 * np.maximum(1.0, np.abs(vec)))
         e2e = max(e2e, rel_norm_error(analytic, numeric))
     elapsed = time.perf_counter() - start

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.grid import (
-    DEFAULT_POLICY,
+    EPS_LOG,
+    EPS_VAR,
     LabelGrid,
     Moments,
-    NumericPolicy,
     Pmf,
     discretize_gaussian,
     moments,
@@ -127,7 +127,7 @@ class TestLabelGrid:
 
 
 # ---------------------------------------------------------------------------
-# Pmf / Moments / NumericPolicy
+# Pmf / Moments / numeric floors
 # ---------------------------------------------------------------------------
 
 class TestPmf:
@@ -176,14 +176,11 @@ class TestMoments:
 
 
 class TestNumericPolicy:
-    def test_defaults(self):
-        assert DEFAULT_POLICY.eps_log == 1e-12
-        assert DEFAULT_POLICY.eps_var == 1e-8
+    """The fixed numeric floors, which no caller can set."""
 
-    @pytest.mark.parametrize("kwargs", [{"eps_log": 0.0}, {"eps_var": -1e-9}])
-    def test_non_positive_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            NumericPolicy(**kwargs)
+    def test_defaults(self):
+        assert EPS_LOG == 1e-12
+        assert EPS_VAR == 1e-8
 
 
 # ---------------------------------------------------------------------------

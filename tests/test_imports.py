@@ -1,8 +1,12 @@
-"""Import hygiene: no module in src/ or tests/ imports a name it never uses.
+"""Import hygiene and dead code: no module in src/ or tests/ imports a name it
+never uses, and no private module-level name in src/fullkl goes unreferenced.
 
-The project runs no linter, so this is an AST scan: a name bound by an
+The project runs no linter, so these are AST scans.  A name bound by an
 ``import`` counts as used when it appears as a name anywhere in the module
-or is listed in the module's literal ``__all__``.
+or is listed in the module's literal ``__all__``.  A private (``_``-prefixed)
+module-level function, class or constant counts as referenced when any
+module in src/ or tests/ reads it as a name, an attribute, an imported name
+or a string constant (the form ``monkeypatch.setattr`` takes).
 """
 
 import ast
@@ -40,6 +44,44 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported_names(tree) if name not in used]
 
 
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every private module-level function, class or constant."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out += [(n, node.lineno) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def unreferenced_private(defining: dict[str, str], pool: list[str]) -> list[str]:
+    """``path:line: name`` of each private definition in ``defining`` (path -> source)
+    that no source in ``pool`` references."""
+    refs = set().union(*(referenced_names(ast.parse(src)) for src in pool))
+    return [f"{path}:{line}: {name}" for path, src in defining.items()
+            for name, line in private_definitions(ast.parse(src)) if name not in refs]
+
+
 def test_scan_covers_both_trees():
     assert any(p.parts[-2] == "fullkl" for p in MODULES)
     assert any(p.name == "test_imports.py" for p in MODULES)
@@ -58,3 +100,26 @@ def test_scan_finds_unused_and_honours_all():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_dead_code_scan_finds_orphans():
+    source = (
+        "_USED = 1\n"
+        "_DEAD: int = 2\n"
+        "def _helper():\n    return _USED\n"
+        "class _Gone:\n    pass\n"
+        "def _by_attr():\n    pass\n"
+        "def _by_string():\n    pass\n"
+        "def _by_import():\n    pass\n"
+        "def public():\n    return _helper()\n"
+        "__all__ = ['public']\n"
+    )
+    other = "import m\nfrom m import _by_import\nm._by_attr()\nsetattr(m, '_by_string', None)\n"
+    assert unreferenced_private({"m.py": source}, [source, other]) == ["m.py:2: _DEAD", "m.py:5: _Gone"]
+
+
+def test_no_unreferenced_private_code():
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in MODULES}
+    defining = {path: src for path, src in sources.items() if path.startswith("src/fullkl/")}
+    assert defining
+    assert unreferenced_private(defining, list(sources.values())) == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import gen_synthetic
-from fullkl.grid import LabelGrid, Moments, NumericPolicy, Pmf, moments, softmax_probs
+from fullkl.grid import LabelGrid, Moments, Pmf, moments, softmax_probs
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -69,14 +69,8 @@ class TestKlDiv:
         # prediction has an exact zero where the target has mass
         v = kl_div(Pmf(np.array([0.5, 0.5])), Pmf(np.array([1.0, 0.0])))
         assert math.isfinite(v)
-        # floored at eps_log=1e-12: 0.5*ln(0.5/1) + 0.5*ln(0.5/1e-12)
+        # floored at EPS_LOG=1e-12: 0.5*ln(0.5/1) + 0.5*ln(0.5/1e-12)
         assert v == pytest.approx(0.5 * math.log(0.5) + 0.5 * math.log(0.5e12), **APPROX)
-
-    def test_policy_floor_is_respected(self):
-        loose = NumericPolicy(eps_log=1e-6)
-        v_default = kl_div(HALF_HALF, Pmf(np.array([1.0, 0.0])))
-        v_loose = kl_div(HALF_HALF, Pmf(np.array([1.0, 0.0])), loose)
-        assert v_loose < v_default
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +85,7 @@ class TestKlDiv:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         t, p = random_pmf(rng, n), random_pmf(rng, n)
-        # the prediction-only floor can shave at most ~n * eps_log/e below 0
+        # the prediction-only floor can shave at most ~n * EPS_LOG/e below 0
         assert kl_div(t, p) >= -1e-9
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -135,7 +129,7 @@ class TestGaussianKl:
     def test_pred_variance_floored_not_rejected(self):
         v = gaussian_kl(Moments(0.0, 1.0), Moments(0.0, 0.0))
         assert math.isfinite(v) and v > 0.0
-        # flooring makes every prediction variance below eps_var equivalent
+        # flooring makes every prediction variance below EPS_VAR equivalent
         assert v == gaussian_kl(Moments(0.0, 1.0), Moments(0.0, 1e-12))
 
     def test_scale_invariance(self):

@@ -1,15 +1,20 @@
 """Config parsing, experiment orchestration, comparison, and the CLI."""
 
+import builtins
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fullkl.data
 import fullkl.runner
+from fullkl.data import atomic_write, gen_synthetic, save_csv
+from fullkl.grid import LabelGrid
 from fullkl.losses import LossBreakdown
-from fullkl.model import Metrics, TrainingDivergedError, atomic_write, init_mlp, load_checkpoint, save_checkpoint
+from fullkl.model import Metrics, TrainingDivergedError, init_mlp, load_checkpoint, save_checkpoint
 from fullkl.runner import (
     EXIT_CONFIG_ERROR,
     EXIT_FAILURE,
@@ -178,6 +183,25 @@ class TestConfigParsing:
         d = tiny_dict(tmp_path, seeds=(1, 1))
         with pytest.raises(ConfigError, match="unique"):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("bad", [2.7, True])
+    @pytest.mark.parametrize("key", [
+        "dataset.n", "dataset.d_in", "dataset.seed", "train.epochs", "train.batch_size",
+        "train.lr_decay_every", "train.hidden", "seeds",
+    ])
+    def test_integer_field_rejects_fraction_and_bool(self, tmp_path, key, bad):
+        d = tiny_dict(tmp_path)
+        *section, name = key.split(".")
+        target = d[section[0]] if section else d
+        target[name] = [bad, 1] if name in ("hidden", "seeds") else bad
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: expected an integer, got {bad!r}")):
+            config_from_dict(d)
+
+    def test_integer_field_accepts_whole_float(self, tmp_path):
+        d = tiny_dict(tmp_path)
+        d["train"]["epochs"] = 3.0
+        cfg = config_from_dict(d)
+        assert cfg.train.epochs == 3 and type(cfg.train.epochs) is int
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -351,6 +375,25 @@ class TestAtomicOutputs:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_csv_interrupted_mid_write(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        ds = gen_synthetic(50, 3, LabelGrid(0.0, 100.0, 1.0), (2.0, 6.0), 1)
+        save_csv(ds, path)
+        before = path.read_bytes()
+        fields = []
+
+        def repr_then_boom(x):
+            if len(fields) == 40:
+                raise self.Boom
+            fields.append(x)
+            return builtins.repr(x)
+
+        monkeypatch.setattr(fullkl.data, "repr", repr_then_boom, raising=False)
+        with pytest.raises(self.Boom):
+            save_csv(ds, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_checkpoint_interrupted_after_header(self, tmp_path):
         path = tmp_path / "model_seed0.ckpt"
         params = init_mlp((2, 3), 0)
@@ -470,6 +513,14 @@ class TestCli:
         d["trian"] = {}
         path = write_config(tmp_path, d)
         assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+
+    def test_run_fractional_epochs(self, tmp_path, capsys):
+        d = tiny_dict(tmp_path / "out")
+        d["train"]["epochs"] = 2.7
+        path = write_config(tmp_path, d)
+        assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "train.epochs: expected an integer, got 2.7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_bad_seeds_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_dict(tmp_path / "out"))

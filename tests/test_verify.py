@@ -459,9 +459,9 @@ class TestBatchedOraclesMatchPerSample:
         # Equal minima can hide a dropped instance; the rows themselves cannot.
         seen = {FAMILY_FULL_KL: [], FAMILY_REFERENCE: []}
 
-        def recording_batch_loss(targets, logits, g, spec, policy):
+        def recording_batch_loss(targets, logits, g, spec):
             seen[spec.family] += [(t.tobytes(), z.tobytes()) for t, z in zip(targets, logits)]
-            return batch_loss(targets, logits, g, spec, policy)
+            return batch_loss(targets, logits, g, spec)
 
         monkeypatch.setattr(verify, "MINIMA_BLOCK", 7)
         monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)

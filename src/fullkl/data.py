@@ -1,12 +1,12 @@
 """Synthetic distribution-regression datasets and (mean, std) CSV ingestion.
 
-Each sample pairs a feature vector with an annotated (mean, std) target,
-from which a Gaussian target pmf on the evenly spaced label grid is
-materialized at construction time.  The std is at least half the bin spacing
-and the mean lies inside the grid span; the generator draws targets that
-hold both, and the CSV loader and ``Dataset`` reject any that do not.
-Datasets are immutable and store column arrays, the layout the trainer
-batches from.
+Each sample pairs a feature vector with an annotated (mean, std) target.
+A ``Dataset`` stores exactly those columns; the Gaussian target pmfs on the
+evenly spaced label grid are derived from them on first use.  The std is at
+least half the bin spacing and the mean lies inside the grid span; the
+generator draws targets that hold both, and the CSV loader and ``Dataset``
+reject any that do not.  Datasets are immutable and store column arrays, the
+layout the trainer batches from.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -48,13 +48,17 @@ SINE_FREQ = 2.0
 MEAN_EDGE_SIGMAS = 3.0
 
 
+SPLIT_TAGS = ("full", "train", "val")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column store of samples sharing one label grid.
 
-    ``target_pmfs`` rows are the discretized Gaussian targets, materialized
-    once at construction.  ``split`` labels which partition the rows belong
-    to ("full", "train" or "val").
+    ``Dataset(grid, ids, features, target_mu, target_sigma, *, split)`` copies
+    the caller's arrays.  ``split`` labels which partition the rows belong to,
+    one of ``SPLIT_TAGS``.  ``target_pmfs`` is derived, not stored: it is
+    built on first access.
     """
 
     grid: LabelGrid
@@ -62,14 +66,13 @@ class Dataset:
     features: np.ndarray
     target_mu: np.ndarray
     target_sigma: np.ndarray
-    target_pmfs: np.ndarray
-    split: str = "full"
+    split: str = field(default="full", kw_only=True)
 
     def __post_init__(self):
         self._check_and_freeze(np.array)
 
     @classmethod
-    def _adopt(cls, grid, ids, features, target_mu, target_sigma, target_pmfs, split="full") -> "Dataset":
+    def _adopt(cls, grid, ids, features, target_mu, target_sigma, split="full") -> "Dataset":
         """Dataset over arrays its caller just allocated and will not use again.
 
         Runs every check of ``Dataset(...)`` and makes the arrays read-only in
@@ -77,17 +80,16 @@ class Dataset:
         """
         ds = object.__new__(cls)
         ds.__dict__.update(grid=grid, ids=ids, features=features, target_mu=target_mu,
-                           target_sigma=target_sigma, target_pmfs=target_pmfs, split=split)
+                           target_sigma=target_sigma, split=split)
         ds._check_and_freeze(np.asarray)
         return ds
 
     def _check_and_freeze(self, as_array):
         """Validate the fields and store them as read-only arrays made by ``as_array``."""
+        if not (isinstance(self.split, str) and self.split in SPLIT_TAGS):
+            raise ValueError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
         ids = as_array(self.ids, dtype=np.int64)
-        feats = as_array(self.features, dtype=np.float64)
-        mu = as_array(self.target_mu, dtype=np.float64)
-        sigma = as_array(self.target_sigma, dtype=np.float64)
-        pmfs = as_array(self.target_pmfs, dtype=np.float64)
+        feats, mu, sigma = (as_array(a, dtype=np.float64) for a in (self.features, self.target_mu, self.target_sigma))
         n = ids.size
         if n == 0:
             raise ValueError("dataset must not be empty")
@@ -95,8 +97,6 @@ class Dataset:
             raise ValueError(f"features must have shape ({n}, d_in >= 1), got {feats.shape}")
         if mu.shape != (n,) or sigma.shape != (n,):
             raise ValueError("target_mu and target_sigma must be one value per sample")
-        if pmfs.shape != (n, len(self.grid)):
-            raise ValueError(f"target_pmfs must have shape ({n}, {len(self.grid)}), got {pmfs.shape}")
         if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise ValueError("dataset values must be finite")
         floor = MIN_SIGMA_FACTOR * self.grid.spacing
@@ -104,12 +104,7 @@ class Dataset:
             raise ValueError(f"target sigma below the {floor!r} floor")
         if np.any(mu < self.grid.lo) or np.any(mu > self.grid.hi):
             raise ValueError("target means must lie within the grid span")
-        # min() and the row sums reduce without a (rows, n_bins) temporary;
-        # the negated comparisons also reject NaN entries.
-        if not (pmfs.min() >= 0 and np.all(np.abs(pmfs.sum(axis=1) - 1.0) <= 1e-9)):
-            raise ValueError("target pmf rows must be non-negative and sum to 1")
-        for arr, name in ((ids, "ids"), (feats, "features"), (mu, "target_mu"),
-                          (sigma, "target_sigma"), (pmfs, "target_pmfs")):
+        for arr, name in ((ids, "ids"), (feats, "features"), (mu, "target_mu"), (sigma, "target_sigma")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -119,6 +114,28 @@ class Dataset:
     @property
     def d_in(self) -> int:
         return int(self.features.shape[1])
+
+    @cached_property
+    def target_pmfs(self) -> np.ndarray:
+        """Read-only (rows, n_bins) ``gaussian_probs`` rows of the (mean, std) targets.
+
+        Built on first access, so a dataset that is only split or saved never
+        holds the table.  The constructor's sigma-floor and grid-span checks
+        are grid.discretize_gaussian's, so they hold row by row.  The rows are
+        filled one ``row_blocks`` block at a time, so no temporary spans the
+        whole table, and a row's bits do not depend on the rows around it: a
+        subset's rows equal its parent's.
+        """
+        pmfs = np.empty((len(self), len(self.grid)))
+        mu, sigma = self.target_mu[:, np.newaxis], self.target_sigma[:, np.newaxis]
+        for rows in row_blocks(len(self)):
+            pmfs[rows] = gaussian_probs(mu[rows], sigma[rows], self.grid.values)
+        # min() and the row sums reduce without a (rows, n_bins) temporary;
+        # the negated comparisons also reject NaN entries.
+        if not (pmfs.min() >= 0 and np.all(np.abs(pmfs.sum(axis=1) - 1.0) <= 1e-9)):
+            raise ValueError("target pmf rows must be non-negative and sum to 1")
+        pmfs.flags.writeable = False
+        return pmfs
 
     @cached_property
     def target_moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -133,35 +150,13 @@ class Dataset:
         var = np.empty(len(self))
         for rows in row_blocks(len(self)):
             mu[rows], var[rows] = pmf_moments(self.target_pmfs[rows], self.grid.values)
-        mu.flags.writeable = False
-        var.flags.writeable = False
+        mu.flags.writeable = var.flags.writeable = False
         return mu, var
 
     def subset(self, indices: np.ndarray, split: str) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset._adopt(
-            self.grid,
-            self.ids[idx],
-            self.features[idx],
-            self.target_mu[idx],
-            self.target_sigma[idx],
-            self.target_pmfs[idx],
-            split=split,
-        )
-
-
-def _discretize_rows(mu: np.ndarray, sigma: np.ndarray, g: LabelGrid) -> np.ndarray:
-    """Target pmf rows of ``gaussian_probs``, for means and sigmas the caller checked.
-
-    Both callers enforce the sigma floor and keep every mean inside the grid
-    span, so grid.discretize_gaussian's checks hold row by row.  The rows are
-    filled one ``row_blocks`` block at a time, so no temporary spans the whole
-    (rows, n_bins) array; a row's bits do not depend on the block holding it.
-    """
-    pmfs = np.empty((mu.size, len(g)))
-    for rows in row_blocks(mu.size):
-        pmfs[rows] = gaussian_probs(mu[rows, np.newaxis], sigma[rows, np.newaxis], g.values)
-    return pmfs
+        columns = (self.ids, self.features, self.target_mu, self.target_sigma)
+        return Dataset._adopt(self.grid, *(col[idx] for col in columns), split=split)
 
 
 def gen_synthetic(
@@ -209,8 +204,7 @@ def gen_synthetic(
     else:
         target_mu = np.full(n, 0.5 * (lo_t + hi_t))
     target_sigma = rng.uniform(sigma_lo, sigma_hi, n)
-    pmfs = _discretize_rows(target_mu, target_sigma, grid)
-    return Dataset._adopt(grid, np.arange(n, dtype=np.int64), features, target_mu, target_sigma, pmfs)
+    return Dataset._adopt(grid, np.arange(n, dtype=np.int64), features, target_mu, target_sigma)
 
 
 @contextmanager
@@ -304,8 +298,7 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
     truncated = int(np.sum((mu - grid.lo < MEAN_EDGE_SIGMAS * sigma) | (grid.hi - mu < MEAN_EDGE_SIGMAS * sigma)))
     if truncated:
         log.warning("%s: %d row(s) within 3 sigma of a grid edge; their pmfs are visibly truncated", path, truncated)
-    pmfs = _discretize_rows(mu, sigma, grid)
-    return Dataset._adopt(grid, np.array(ids, dtype=np.int64), np.array(feats), mu, sigma, pmfs)
+    return Dataset._adopt(grid, np.array(ids, dtype=np.int64), np.array(feats), mu, sigma)
 
 
 def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

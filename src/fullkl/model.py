@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, atomic_write
+from .data import SPLIT_TAGS, Dataset, atomic_write
 from .grid import LabelGrid, _rectify, pmf_moments, row_blocks, softmax_probs
 from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 
@@ -39,8 +40,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "mlp-ckpt-v1"
-
-SPLIT_TAGS = ("full", "train", "val")
 
 # Adam's fixed decay rates and denominator floor (Kingma & Ba's defaults).
 ADAM_BETA1 = 0.9
@@ -58,10 +57,25 @@ class TrainingDivergedError(RuntimeError):
         self.rows = rows
 
 
-def _validated_dims(dims) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+def _whole_int(value, key: str) -> int:
+    """``value`` as an int, if it is a whole number; bools and strings are not."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float, if it is a real number; bools and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _validated_dims(dims, where: str = "dims") -> tuple[int, ...]:
+    out = tuple(_whole_int(d, where) for d in dims)
     if len(out) < 2 or any(d < 1 for d in out):
-        raise ValueError(f"dims must list at least 2 sizes, all >= 1, got {out}")
+        raise ValueError(f"{where} must list at least 2 sizes, all >= 1, got {out}")
     return out
 
 
@@ -308,17 +322,19 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        """Checks every field; each error message starts with the field's name."""
+        for name in ("epochs", "batch_size", "lr_decay_every", "seed"):
+            value = _whole_int(getattr(self, name), name)
+            if value < 1 and name != "seed":
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+            object.__setattr__(self, name, value)
+        for name in ("lr", "lr_decay_factor", "val_fraction"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
+        object.__setattr__(self, "hidden", tuple(_whole_int(h, "hidden") for h in self.hidden))
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ValueError(f"lr_decay_factor must be in (0, 1], got {self.lr_decay_factor!r}")
-        if self.lr_decay_every < 1:
-            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every!r}")
         if not isinstance(self.loss, LossSpec):
             raise ValueError("loss must be a LossSpec")
         if any(h < 1 for h in self.hidden):
@@ -483,7 +499,7 @@ def load_checkpoint(path) -> MlpParams:
     dims = header.get("dims")
     if not isinstance(dims, list):
         raise ValueError(f"{path}: checkpoint header lacks a dims list")
-    expected = 8 * _param_count(_validated_dims(dims))
+    expected = 8 * _param_count(_validated_dims(dims, f"{path}: dims"))
     if len(payload) != expected:
         raise ValueError(f"{path}: dims {dims} need a {expected}-byte payload, got {len(payload)} bytes")
     return vec_to_params(dims, np.frombuffer(payload, dtype="<f8"))

@@ -32,6 +32,8 @@ from .model import (
     TrainConfig,
     TrainResult,
     TrainingDivergedError,
+    _number,
+    _whole_int,
     derive_seeds,
     save_checkpoint,
     train_run,
@@ -89,11 +91,13 @@ class DatasetSpec:
     path: str = ""
 
     def __post_init__(self):
+        for name in ("n", "d_in", "seed"):
+            object.__setattr__(self, name, _whole_int(getattr(self, name), name))
         if self.kind == "synthetic":
             if self.n < 1 or self.d_in < 1:
                 raise ValueError(f"synthetic dataset needs n >= 1 and d_in >= 1, got n={self.n!r}, d_in={self.d_in!r}")
             lo, hi = self.sigma_range
-            object.__setattr__(self, "sigma_range", (float(lo), float(hi)))
+            object.__setattr__(self, "sigma_range", tuple(_number(v, "sigma_range") for v in (lo, hi)))
         elif self.kind == "csv":
             if not self.path:
                 raise ValueError("csv dataset requires a path")
@@ -112,7 +116,7 @@ class RunConfig:
     out_dir: Path
 
     def __post_init__(self):
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = tuple(_whole_int(s, "seeds") for s in self.seeds)
         if not seeds:
             raise ValueError("at least one seed is required")
         if len(set(seeds)) != len(seeds):
@@ -132,14 +136,6 @@ def _check_keys(section, where: str, required: set, optional: set = frozenset())
         raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def _config_int(value, key: str) -> int:
-    """``value`` as an int, if it is a whole number; JSON's true and false are not."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return int(value)
-
-
 def config_from_dict(raw) -> RunConfig:
     """Build a validated RunConfig from the JSON structure (strict keys)."""
     _check_keys(raw, "config", {"dataset", "grid", "loss", "train", "seeds", "out_dir"})
@@ -154,41 +150,36 @@ def config_from_dict(raw) -> RunConfig:
                 raise ConfigError("dataset.sigma_range: expected [lo, hi]")
             dataset = DatasetSpec(
                 "synthetic",
-                n=_config_int(ds_raw["n"], "dataset.n"),
-                d_in=_config_int(ds_raw["d_in"], "dataset.d_in"),
-                sigma_range=(float(sr[0]), float(sr[1])),
-                seed=_config_int(ds_raw["seed"], "dataset.seed"),
+                n=_whole_int(ds_raw["n"], "dataset.n"),
+                d_in=_whole_int(ds_raw["d_in"], "dataset.d_in"),
+                sigma_range=tuple(_number(v, "dataset.sigma_range") for v in sr),
+                seed=_whole_int(ds_raw["seed"], "dataset.seed"),
             )
         else:
             _check_keys(ds_raw, "dataset", {"type", "path"})
             dataset = DatasetSpec(ds_raw["type"], path=str(ds_raw["path"]))
 
         _check_keys(raw["grid"], "grid", {"start", "stop", "step"})
-        grid = LabelGrid(float(raw["grid"]["start"]), float(raw["grid"]["stop"]), float(raw["grid"]["step"]))
+        grid = LabelGrid(*(_number(raw["grid"][k], f"grid.{k}") for k in ("start", "stop", "step")))
 
         _check_keys(raw["loss"], "loss", {"family"}, {"lambda"})
         lam = raw["loss"].get("lambda")
-        spec = LossSpec(str(raw["loss"]["family"]), None if lam is None else float(lam))
+        spec = LossSpec(str(raw["loss"]["family"]), None if lam is None else _number(lam, "loss.lambda"))
 
         train_raw = raw["train"]
         _check_keys(
             train_raw, "train", set(),
             {"epochs", "batch_size", "lr", "lr_decay_factor", "lr_decay_every", "hidden", "val_fraction"},
         )
-        kwargs = {k: train_raw[k] for k in ("epochs", "batch_size", "lr_decay_every") if k in train_raw}
-        kwargs = {k: _config_int(v, f"train.{k}") for k, v in kwargs.items()}
-        for k in ("lr", "lr_decay_factor", "val_fraction"):
-            if k in train_raw:
-                kwargs[k] = float(train_raw[k])
-        if "hidden" in train_raw:
-            kwargs["hidden"] = tuple(_config_int(h, "train.hidden") for h in train_raw["hidden"])
-        train = TrainConfig(loss=spec, **kwargs)
+        try:
+            train = TrainConfig(loss=spec, **train_raw)
+        except ValueError as exc:  # its messages start with the field name
+            raise ConfigError(f"train.{exc}") from exc
 
         seeds = raw["seeds"]
         if not isinstance(seeds, list):
             raise ConfigError("seeds: expected a list of integers")
-        seeds = tuple(_config_int(s, "seeds") for s in seeds)
-        return RunConfig(dataset, grid, train, seeds, Path(str(raw["out_dir"])))
+        return RunConfig(dataset, grid, train, tuple(seeds), Path(str(raw["out_dir"])))
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:

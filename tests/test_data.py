@@ -2,19 +2,40 @@
 
 import logging
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fullkl.data
+from fullkl import runner
 from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split
 from fullkl.grid import BLOCK_ROWS, LabelGrid, discretize_gaussian, gaussian_probs, pmf_moments
+from fullkl.model import derive_seeds
 
 G101 = LabelGrid(0.0, 100.0, 1.0)
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def arrays_of(ds: Dataset) -> tuple[np.ndarray, ...]:
-    return ds.ids, ds.features, ds.target_mu, ds.target_sigma, ds.target_pmfs
+    """The columns a dataset stores, in constructor order."""
+    return ds.ids, ds.features, ds.target_mu, ds.target_sigma
+
+
+def traced_peak(build):
+    """``build()`` and the peak bytes tracemalloc saw it allocate beyond what was live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:
@@ -35,6 +56,7 @@ def datasets_equal(a: Dataset, b: Dataset) -> bool:
 class TestGenSynthetic:
     def test_shapes_and_ranges(self):
         ds = gen_synthetic(200, 5, G101, (2.0, 6.0), seed=0)
+        assert "target_pmfs" not in vars(ds)
         assert len(ds) == 200 and ds.d_in == 5
         np.testing.assert_array_equal(ds.ids, np.arange(200))
         assert np.all(ds.features >= -1.0) and np.all(ds.features <= 1.0)
@@ -108,7 +130,7 @@ class TestDataset:
         # 6 rows fit one block; 2 * BLOCK_ROWS + 37 rows take three.
         for n in (6, 2 * BLOCK_ROWS + 37):
             ds = self.base(n)
-            assert "target_moments" not in vars(ds)
+            assert "target_moments" not in vars(ds) and "target_pmfs" not in vars(ds)
             mu, var = ds.target_moments
             ref_mu, ref_var = pmf_moments(ds.target_pmfs, G101.values)
             assert mu.tobytes() == ref_mu.tobytes() and var.tobytes() == ref_var.tobytes()
@@ -137,31 +159,26 @@ class TestDataset:
             *split(base, 0.5, seed=0),
         ]
         for ds in datasets:
-            for arr in arrays_of(ds) + ds.target_moments:
+            for arr in arrays_of(ds) + (ds.target_pmfs, *ds.target_moments):
                 assert not arr.flags.writeable
 
     def test_subset_shares_no_memory_with_parent(self):
         ds = self.base(6)
         for sub in (ds.subset(np.array([4, 1]), "val"), ds.subset(np.arange(6), "train")):
-            for a, b in zip(arrays_of(ds), arrays_of(sub)):
+            for a, b in zip(arrays_of(ds) + (ds.target_pmfs,), arrays_of(sub) + (sub.target_pmfs,)):
                 assert not np.shares_memory(a, b)
 
     def test_build_and_moments_peak_below_one_and_a_half_results(self):
         # Pmfs and moments are built in row blocks and the builder's arrays are
-        # not copied again, so the peak stays near the result's own size.
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
+        # not copied again, so the peak stays near the result's own size,
+        # the derived pmf table included.
+        def build():
             ds = gen_synthetic(5000, 16, G101, (2.0, 6.0), seed=0)
             ds.target_moments
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        nbytes = sum(a.nbytes for a in arrays_of(ds))
+            return ds
+
+        ds, peak = traced_peak(build)
+        nbytes = sum(a.nbytes for a in arrays_of(ds) + (ds.target_pmfs,))
         assert peak < 1.5 * nbytes, f"peak {peak} bytes for a {nbytes}-byte dataset"
 
     def test_subset_selects_rows_and_tags(self):
@@ -174,55 +191,69 @@ class TestDataset:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            Dataset(G101, np.array([], dtype=np.int64), np.zeros((0, 3)),
-                    np.zeros(0), np.zeros(0), np.zeros((0, 101)))
+            Dataset(G101, np.array([], dtype=np.int64), np.zeros((0, 3)), np.zeros(0), np.zeros(0))
 
     def test_shape_mismatches_rejected(self):
         ds = self.base()
         with pytest.raises(ValueError):
-            Dataset(G101, ds.ids, ds.features[:2], ds.target_mu, ds.target_sigma, ds.target_pmfs)
+            Dataset(G101, ds.ids, ds.features[:2], ds.target_mu, ds.target_sigma)
         with pytest.raises(ValueError):
-            Dataset(G101, ds.ids, ds.features, ds.target_mu[:2], ds.target_sigma, ds.target_pmfs)
-        with pytest.raises(ValueError):
-            Dataset(G101, ds.ids, ds.features, ds.target_mu, ds.target_sigma, ds.target_pmfs[:, :50])
+            Dataset(G101, ds.ids, ds.features, ds.target_mu[:2], ds.target_sigma)
 
     def test_non_finite_rejected(self):
         ds = self.base()
         feats = np.array(ds.features)
         feats[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            Dataset(G101, ds.ids, feats, ds.target_mu, ds.target_sigma, ds.target_pmfs)
+            Dataset(G101, ds.ids, feats, ds.target_mu, ds.target_sigma)
 
     def test_sigma_floor_enforced(self):
         ds = self.base()
         sigma = np.array(ds.target_sigma)
         sigma[0] = 0.4
         with pytest.raises(ValueError, match="floor"):
-            Dataset(G101, ds.ids, ds.features, ds.target_mu, sigma, ds.target_pmfs)
+            Dataset(G101, ds.ids, ds.features, ds.target_mu, sigma)
 
     def test_mean_span_enforced(self):
         ds = self.base()
         mu = np.array(ds.target_mu)
         mu[0] = 101.0
         with pytest.raises(ValueError, match="span"):
-            Dataset(G101, ds.ids, ds.features, mu, ds.target_sigma, ds.target_pmfs)
+            Dataset(G101, ds.ids, ds.features, mu, ds.target_sigma)
 
-    def test_pmf_rows_must_sum_to_one(self):
+    @pytest.mark.parametrize("fault", ["half_sum", "negative", "nan"])
+    def test_derived_pmf_rows_checked_when_built(self, monkeypatch, fault):
+        def faulty_gaussian_probs(mu, sigma, values):
+            rows = gaussian_probs(mu, sigma, values)
+            if fault == "half_sum":
+                rows[0] *= 0.5
+            elif fault == "negative":
+                rows[0, :2] += [-0.25, 0.25]    # the row still sums to 1
+            else:
+                rows[0, 0] = np.nan
+            return rows
+
+        ds = self.base()
+        monkeypatch.setattr(fullkl.data, "gaussian_probs", faulty_gaussian_probs)
+        with pytest.raises(ValueError, match="non-negative and sum to 1"):
+            ds.target_pmfs
+        assert "target_pmfs" not in vars(ds)
+
+    @pytest.mark.parametrize("tag", ["test", "", None])
+    def test_split_tag_checked_at_construction(self, tag):
+        ds = self.base()
+        with pytest.raises(ValueError, match="split must be one of"):
+            Dataset(G101, *arrays_of(ds), split=tag)
+        with pytest.raises(ValueError, match="split must be one of"):
+            ds.subset(np.array([0, 1]), tag)
+
+    def test_split_is_keyword_only(self):
+        # a stale call that still passes a pmf table lands on no field
         ds = self.base()
         pmfs = np.array(ds.target_pmfs)
-        pmfs[0] *= 0.5
-        with pytest.raises(ValueError, match="sum to 1"):
-            Dataset(G101, ds.ids, ds.features, ds.target_mu, ds.target_sigma, pmfs)
-
-    def test_pmf_entries_must_be_non_negative_numbers(self):
-        ds = self.base()
-        negative = np.array(ds.target_pmfs)
-        negative[0, :2] += [-0.25, 0.25]    # the row still sums to 1
-        nan = np.array(ds.target_pmfs)
-        nan[0, 0] = np.nan
-        for pmfs in (negative, nan):
-            with pytest.raises(ValueError, match="non-negative"):
-                Dataset(G101, ds.ids, ds.features, ds.target_mu, ds.target_sigma, pmfs)
+        with pytest.raises(TypeError):
+            Dataset(G101, *arrays_of(ds), pmfs)
+        assert Dataset(G101, *arrays_of(ds), split="val").split == "val"
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +288,18 @@ class TestBlockRowsMatchWholeArray:
     def test_load_csv_rows(self, tmp_path, n):
         save_csv(gen_synthetic(n, 3, G101, (2.0, 6.0), seed=n), tmp_path / "d.csv")
         assert_rows_are_whole_array_gaussian_probs(load_csv(tmp_path / "d.csv", G101))
+
+    @pytest.mark.parametrize("n_val", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 36])
+    def test_split_rows(self, n_val):
+        # Each subset builds its own table in its own blocks; its rows come
+        # from every block of the parent's, so block edges fall differently.
+        full = gen_synthetic(2 * BLOCK_ROWS + 37, 3, G101, (2.0, 6.0), seed=n_val)
+        parts = split(full, n_val / len(full), seed=n_val)
+        assert len(parts[1]) == n_val
+        for part in parts:
+            assert "target_pmfs" not in vars(part)
+            assert_rows_are_whole_array_gaussian_probs(part)
+            assert part.target_pmfs.tobytes() == full.target_pmfs[part.ids].tobytes()
 
 
 class TestTargetRowsMatchDiscretizeGaussian:
@@ -375,6 +418,7 @@ class TestLoadCsvErrors:
     def test_std_at_floor_accepted(self, tmp_path):
         text = HEADER + "0,0.5,50.0,0.5\n"
         ds = load_csv(write(tmp_path, text), G101)
+        assert "target_pmfs" not in vars(ds)
         assert ds.target_sigma[0] == 0.5
 
     def test_mean_outside_span_rejected(self, tmp_path):
@@ -423,6 +467,23 @@ class TestSplit:
         train, val = split(self.base(), 0.2, seed=0)
         assert len(train) == 80 and len(val) == 20
         assert train.split == "train" and val.split == "val"
+
+    def test_committed_protocol_builds_no_pmf_table(self):
+        # The full dataset is only split, so building and splitting the
+        # committed protocol must peak below one full (rows, n_bins) table;
+        # the subsets build theirs when training first reads them.
+        cfg = runner.load_config(REPO_CONFIGS / "full_kl.json")
+
+        def build():
+            full = runner.build_dataset(cfg.dataset, cfg.grid)
+            return full, *split(full, cfg.train.val_fraction, derive_seeds(cfg.seeds[0])[0])
+
+        (full, *parts), peak = traced_peak(build)
+        table = len(full) * len(cfg.grid) * 8
+        assert (len(full), len(cfg.grid)) == (5000, 101)
+        assert peak < table, f"peak {peak} bytes, one pmf table is {table} bytes"
+        for ds in (full, *parts):
+            assert "target_pmfs" not in vars(ds)
 
     def test_disjoint_and_exhaustive(self):
         ds = self.base()

@@ -1,5 +1,6 @@
 """Network, optimizer, training loop, and checkpoints."""
 
+import json
 import math
 import re
 from dataclasses import fields, replace
@@ -9,7 +10,9 @@ import pytest
 
 from fullkl.data import Dataset, gen_synthetic, split
 from fullkl.grid import BLOCK_ROWS, LabelGrid, row_blocks
-from fullkl.losses import FAMILY_FULL_KL, FAMILY_REFERENCE, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
+from fullkl.losses import (
+    FAMILY_FULL_KL, FAMILY_REFERENCE, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad, smoothness,
+)
 from fullkl.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -495,28 +498,24 @@ class TestPredict:
 
 class TestEvaluate:
     def test_perfect_predictor(self):
-        # a zero network emits uniform pmfs; a dataset whose targets are
-        # uniform with mean 50 is then matched exactly
-        n, nbins = 8, 101
+        # every row shares one Gaussian target t; a bias-only net with bias
+        # ln t emits softmax(ln t) = t for every input, so l_ld, l_exp and the
+        # MAE vanish and the total is the target's own smoothness
+        n = 8
         X = np.random.default_rng(3).uniform(-1, 1, (n, 3))
-        pmfs = np.full((n, nbins), 1.0 / nbins)
-        ds = Dataset(
-            G101, np.arange(n), X,
-            np.full(n, 50.0), np.full(n, math.sqrt((nbins ** 2 - 1) / 12.0)), pmfs,
-        )
-        p = MlpParams((3, nbins), (np.zeros((3, nbins)),), (np.zeros(nbins),))
+        ds = Dataset(G101, np.arange(n), X, np.full(n, 50.0), np.full(n, 5.0))
+        target = ds.target_pmfs[0]
+        p = MlpParams((3, 101), (np.zeros((3, 101)),), (np.log(target),))
         m = evaluate(p, ds, G101, LossSpec(FAMILY_FULL_KL))
-        assert m.mae == pytest.approx(0.0, abs=1e-12)
-        assert m.breakdown.total == pytest.approx(0.0, abs=1e-12)
+        assert m.mae == pytest.approx(0.0, abs=1e-9)
+        assert m.breakdown.l_ld == pytest.approx(0.0, abs=1e-10)
+        assert m.breakdown.l_exp == pytest.approx(0.0, abs=1e-10)
+        assert m.breakdown.total == pytest.approx(smoothness(target), rel=1e-9)
 
     def test_constant_predictor_offset(self):
         n = 6
         X = np.random.default_rng(4).uniform(-1, 1, (n, 3))
-        ds_pmfs = np.stack([
-            np.exp(-0.5 * ((G101.values - 30.0) / 5.0) ** 2) for _ in range(n)
-        ])
-        ds_pmfs /= ds_pmfs.sum(axis=1, keepdims=True)
-        ds = Dataset(G101, np.arange(n), X, np.full(n, 30.0), np.full(n, 5.0), ds_pmfs)
+        ds = Dataset(G101, np.arange(n), X, np.full(n, 30.0), np.full(n, 5.0))
         p = MlpParams((3, 101), (np.zeros((3, 101)),), (np.zeros(101),))
         m = evaluate(p, ds, G101, LossSpec(FAMILY_REFERENCE, 1.0))
         assert m.mae == pytest.approx(20.0, abs=1e-9)
@@ -627,6 +626,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "lr_decay_every", "seed", "hidden"])
+    def test_integer_fields_reject_fraction_bool_and_string(self, name, bad):
+        value = (bad, 8) if name == "hidden" else bad
+        with pytest.raises(ValueError, match=re.escape(f"{name}: expected an integer, got {bad!r}")):
+            TrainConfig(**{name: value})
+
+    def test_integer_fields_accept_whole_numbers(self):
+        cfg = TrainConfig(epochs=3.0, batch_size=np.int64(16), seed=np.uint32(7), hidden=(8.0, np.int32(4)))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.hidden) == (3, 16, 7, (8, 4))
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed, *cfg.hidden))
+
 
 class TestDeriveSeeds:
     def test_deterministic_and_distinct(self):
@@ -734,6 +745,21 @@ class TestCheckpoints:
         (tmp_path / "cut.ckpt").write_bytes(blob[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "cut.ckpt")
+
+    @pytest.mark.parametrize("bad", [4.5, True, "4"])
+    def test_dims_must_be_whole_numbers(self, tmp_path, bad):
+        with pytest.raises(ValueError, match=re.escape(f"dims: expected an integer, got {bad!r}")):
+            init_mlp((3, bad), 0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_mlp((3, 4), 0), path)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        header = json.dumps({"dims": [3, bad], "format": CHECKPOINT_FORMAT})
+        path.write_bytes(header.encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: dims: expected an integer, got {bad!r}")):
+            load_checkpoint(path)
+        path.write_bytes(json.dumps({"dims": [3, 0], "format": CHECKPOINT_FORMAT}).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: dims must list at least 2 sizes")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("cut, extra", [(3, b""), (8, b""), (0, b"\x00" * 8)],
                              ids=["cut-3-bytes", "cut-8-bytes", "append-8-bytes"])

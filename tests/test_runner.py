@@ -14,13 +14,15 @@ import fullkl.runner
 from fullkl.data import atomic_write, gen_synthetic, save_csv
 from fullkl.grid import LabelGrid
 from fullkl.losses import LossBreakdown
-from fullkl.model import Metrics, TrainingDivergedError, init_mlp, load_checkpoint, save_checkpoint
+from fullkl.model import Metrics, TrainConfig, TrainingDivergedError, init_mlp, load_checkpoint, save_checkpoint
 from fullkl.runner import (
     EXIT_CONFIG_ERROR,
     EXIT_FAILURE,
     EXIT_OK,
     METRICS_COLUMNS,
     ConfigError,
+    DatasetSpec,
+    RunConfig,
     compare,
     config_from_dict,
     config_to_dict,
@@ -202,6 +204,39 @@ class TestConfigParsing:
         d["train"]["epochs"] = 3.0
         cfg = config_from_dict(d)
         assert cfg.train.epochs == 3 and type(cfg.train.epochs) is int
+
+    @pytest.mark.parametrize("bad", [True, False, "1"])
+    @pytest.mark.parametrize("key", [
+        "dataset.sigma_range", "grid.start", "grid.stop", "grid.step", "loss.lambda",
+        "train.lr", "train.lr_decay_factor", "train.val_fraction",
+    ])
+    def test_float_field_rejects_bool_and_string(self, tmp_path, key, bad):
+        d = tiny_dict(tmp_path, family="reference", lam=1.0)
+        section, name = key.split(".")
+        d[section][name] = [bad, 6.0] if name == "sigma_range" else bad
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: expected a number, got {bad!r}")):
+            config_from_dict(d)
+
+    def test_float_field_accepts_integer(self, tmp_path):
+        d = tiny_dict(tmp_path, family="reference", lam=1)
+        d["grid"] = {"start": 0, "stop": 100, "step": 1}
+        cfg = config_from_dict(d)
+        assert cfg.grid == LabelGrid(0.0, 100.0, 1.0) and cfg.train.loss.lam == 1.0
+
+    def test_programmatic_integer_fields_checked(self, tmp_path):
+        grid = LabelGrid(0.0, 10.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape("hidden: expected an integer, got 8.9")):
+            RunConfig(DatasetSpec("csv", path="x.csv"), grid, TrainConfig(hidden=(8.9,)), (0.7, 2.2), "out")
+        with pytest.raises(ValueError, match=re.escape("seeds: expected an integer, got 0.7")):
+            RunConfig(DatasetSpec("csv", path="x.csv"), grid, TrainConfig(hidden=(8,)), (0.7, 2.2), "out")
+        with pytest.raises(ValueError, match=re.escape("n: expected an integer, got 10.5")):
+            DatasetSpec("synthetic", n=10.5, d_in=True, seed=1.5, sigma_range=(2.0, 6.0))
+        with pytest.raises(ValueError, match=re.escape("d_in: expected an integer, got True")):
+            DatasetSpec("synthetic", n=10, d_in=True, seed=1, sigma_range=(2.0, 6.0))
+        with pytest.raises(ValueError, match=re.escape("seed: expected an integer, got 1.5")):
+            DatasetSpec("synthetic", n=10, d_in=3, seed=1.5, sigma_range=(2.0, 6.0))
+        cfg = RunConfig(DatasetSpec("csv", path="x.csv"), grid, TrainConfig(), (np.int64(3), 4.0), "out")
+        assert cfg.seeds == (3, 4) and all(type(s) is int for s in cfg.seeds)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -550,10 +585,14 @@ class TestCli:
         assert main(["--help"]) == EXIT_OK
         assert "run" in capsys.readouterr().out
 
-    def test_gen_data(self, tmp_path, capsys):
+    def test_gen_data(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, tiny_dict(tmp_path / "out"))
         out_csv = tmp_path / "data.csv"
+        saved = []
+        save_csv = fullkl.data.save_csv
+        monkeypatch.setattr(fullkl.data, "save_csv", lambda ds, dest: (saved.append(ds), save_csv(ds, dest)))
         assert main(["gen-data", str(path), str(out_csv), "--quiet"]) == EXIT_OK
+        assert len(saved) == 1 and "target_pmfs" not in vars(saved[0])
         assert "wrote 60 samples" in capsys.readouterr().out
         first = out_csv.read_text(encoding="utf-8").splitlines()[0]
         assert first == "id,f0,f1,f2,mean,std"

@@ -6,10 +6,15 @@ construction), targets and predictions live on that grid as pmfs, and
 (mu, var) moments are read directly off a pmf.  Everything here is
 a pure function of immutable values, so instances are safe to share across
 threads.
+
+As the lowest layer that holds a config value, it also has the rules every
+config type applies to its own integer and float fields, ``_whole_int`` and
+``_number``, whose errors start with the field's config key.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +51,21 @@ EPS_VAR = 1e-8
 BLOCK_ROWS = 256
 
 
+def _whole_int(value, key: str) -> int:
+    """``value`` as an int, if it is a whole number; bools and strings are not."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float, if it is a real number; bools and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key}: expected a number, got {value!r}")
+    return float(value)
+
+
 def row_blocks(n: int) -> list[slice]:
     """Slices of at most BLOCK_ROWS rows covering range(n), none of one row unless n == 1."""
     starts = list(range(0, max(n - 1, 1), BLOCK_ROWS))
@@ -75,7 +95,7 @@ class LabelGrid:
     ``(hi - lo) / spacing`` must be a whole number of steps (within 1e-9
     relative).  ``values`` is ``np.linspace(lo, hi, n)``: derived, read-only,
     and left out of ``==``, ``hash`` and ``repr``, which see only the three
-    fields.
+    fields.  Errors name the config keys ``start``, ``stop`` and ``step``.
     """
 
     lo: float
@@ -84,9 +104,11 @@ class LabelGrid:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lo, hi, spacing = float(self.lo), float(self.hi), float(self.spacing)
-        if not all(np.isfinite(v) for v in (lo, hi, spacing)):
-            raise ValueError("grid bounds and step must be finite")
+        keys = ("start", "stop", "step")
+        lo, hi, spacing = (_number(v, key) for v, key in zip((self.lo, self.hi, self.spacing), keys))
+        for value, key in zip((lo, hi, spacing), keys):
+            if not np.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if spacing <= 0:
             raise ValueError(f"step must be positive, got {spacing!r}")
         if hi <= lo:
@@ -94,7 +116,7 @@ class LabelGrid:
         n_steps = (hi - lo) / spacing
         n = round(n_steps)
         if n < 1 or abs(n_steps - n) > 1e-9 * max(1.0, n_steps):
-            raise ValueError(f"[{lo!r}, {hi!r}] is not an integral number of {spacing!r} steps")
+            raise ValueError(f"step: [{lo!r}, {hi!r}] is not an integral number of {spacing!r} steps")
         values = np.linspace(lo, hi, n + 1)
         values.flags.writeable = False
         for name, value in (("lo", lo), ("hi", hi), ("spacing", spacing), ("values", values)):

@@ -24,6 +24,7 @@ from .grid import (
     LabelGrid,
     Moments,
     Pmf,
+    _number,
     _rectify,
     pmf_moments,
     softmax_probs,
@@ -91,22 +92,25 @@ class LossSpec:
     lam*l_exp``.  It has no principled default — exposing it reproduces
     exactly the tuning burden the full-KL family removes — so the reference
     family requires it, and the full-KL family (which by construction has
-    nothing to weight) must omit it.
+    nothing to weight) must omit it.  ``lam`` is stored as a float, and
+    errors name the config keys ``family`` and ``lambda``.
     """
 
     family: str
     lam: float | None = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown loss family {self.family!r}; expected one of {FAMILIES}")
+        if not isinstance(self.family, str) or self.family not in FAMILIES:
+            raise ValueError(f"family: unknown loss family {self.family!r}; expected one of {FAMILIES}")
         if self.family == FAMILY_REFERENCE:
             if self.lam is None:
-                raise ValueError("reference family requires lambda")
-            if not (np.isfinite(self.lam) and self.lam >= 0):
-                raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
+                raise ValueError("lambda: the reference family requires lambda")
+            lam = _number(self.lam, "lambda")
+            if not (np.isfinite(lam) and lam >= 0):
+                raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+            object.__setattr__(self, "lam", lam)
         elif self.lam is not None:
-            raise ValueError("full_kl family takes no lambda")
+            raise ValueError("lambda: the full_kl family takes no lambda")
 
 
 _FULL_KL_SPEC = LossSpec(FAMILY_FULL_KL)

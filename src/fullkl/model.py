@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import SPLIT_TAGS, Dataset, atomic_write
-from .grid import LabelGrid, _rectify, pmf_moments, row_blocks, softmax_probs
+from .grid import LabelGrid, _number, _rectify, _whole_int, pmf_moments, row_blocks, softmax_probs
 from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 
 __all__ = [
@@ -55,21 +54,6 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message: str, rows=None):
         super().__init__(message)
         self.rows = rows
-
-
-def _whole_int(value, key: str) -> int:
-    """``value`` as an int, if it is a whole number; bools and strings are not."""
-    whole = isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
-    if isinstance(value, bool) or not whole:
-        raise ValueError(f"{key}: expected an integer, got {value!r}")
-    return int(value)
-
-
-def _number(value, key: str) -> float:
-    """``value`` as a float, if it is a real number; bools and strings are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{key}: expected a number, got {value!r}")
-    return float(value)
 
 
 def _validated_dims(dims, where: str = "dims") -> tuple[int, ...]:
@@ -330,6 +314,8 @@ class TrainConfig:
             object.__setattr__(self, name, value)
         for name in ("lr", "lr_decay_factor", "val_fraction"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ValueError(f"hidden: expected a list of integers, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(_whole_int(h, "hidden") for h in self.hidden))
         if not (np.isfinite(self.lr) and self.lr >= 0.0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")

@@ -18,6 +18,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,19 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .grid import LabelGrid
+from .grid import LabelGrid, _number, _whole_int
 from .losses import FAMILY_REFERENCE, LossSpec
-from .model import (
-    Metrics,
-    TrainConfig,
-    TrainResult,
-    TrainingDivergedError,
-    _number,
-    _whole_int,
-    derive_seeds,
-    save_checkpoint,
-    train_run,
-)
+from .model import Metrics, TrainConfig, TrainResult, TrainingDivergedError, derive_seeds, save_checkpoint, train_run
 from .verify import CheckResult, run_all_checks
 
 __all__ = [
@@ -81,7 +72,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Dataset source: synthetic generator parameters or a CSV path."""
+    """Dataset source: synthetic generator parameters or a CSV path; ``kind`` is the config's ``type``."""
 
     kind: str
     n: int = 0
@@ -94,15 +85,18 @@ class DatasetSpec:
         for name in ("n", "d_in", "seed"):
             object.__setattr__(self, name, _whole_int(getattr(self, name), name))
         if self.kind == "synthetic":
-            if self.n < 1 or self.d_in < 1:
-                raise ValueError(f"synthetic dataset needs n >= 1 and d_in >= 1, got n={self.n!r}, d_in={self.d_in!r}")
-            lo, hi = self.sigma_range
-            object.__setattr__(self, "sigma_range", tuple(_number(v, "sigma_range") for v in (lo, hi)))
+            for name, value in (("n", self.n), ("d_in", self.d_in)):
+                if value < 1:
+                    raise ValueError(f"{name} must be >= 1 for a synthetic dataset, got {value!r}")
+            sr = self.sigma_range
+            if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
+                raise ValueError(f"sigma_range: expected [lo, hi], got {sr!r}")
+            object.__setattr__(self, "sigma_range", tuple(_number(v, "sigma_range") for v in sr))
         elif self.kind == "csv":
-            if not self.path:
-                raise ValueError("csv dataset requires a path")
+            if not (isinstance(self.path, str) and self.path):
+                raise ValueError(f"path: expected a non-empty string, got {self.path!r}")
         else:
-            raise ValueError(f"dataset type must be 'synthetic' or 'csv', got {self.kind!r}")
+            raise ValueError(f"type: expected 'synthetic' or 'csv', got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -116,11 +110,16 @@ class RunConfig:
     out_dir: Path
 
     def __post_init__(self):
+        """Checks ``seeds`` and ``out_dir``; each error message starts with the field's name."""
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ValueError(f"seeds: expected a list of integers, got {self.seeds!r}")
         seeds = tuple(_whole_int(s, "seeds") for s in self.seeds)
         if not seeds:
-            raise ValueError("at least one seed is required")
+            raise ValueError("seeds: expected at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be unique, got {seeds}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir: expected a string or a path, got {self.out_dir!r}")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -136,54 +135,37 @@ def _check_keys(section, where: str, required: set, optional: set = frozenset())
         raise ConfigError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def config_from_dict(raw) -> RunConfig:
-    """Build a validated RunConfig from the JSON structure (strict keys)."""
-    _check_keys(raw, "config", {"dataset", "grid", "loss", "train", "seeds", "out_dir"})
+def _built(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, whose ValueError (it starts with a config key) gets ``where`` in front."""
     try:
-        ds_raw = raw["dataset"]
-        if not isinstance(ds_raw, dict) or "type" not in ds_raw:
-            raise ConfigError("dataset: expected an object with a 'type' key")
-        if ds_raw.get("type") == "synthetic":
-            _check_keys(ds_raw, "dataset", {"type", "n", "d_in", "sigma_range", "seed"})
-            sr = ds_raw["sigma_range"]
-            if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
-                raise ConfigError("dataset.sigma_range: expected [lo, hi]")
-            dataset = DatasetSpec(
-                "synthetic",
-                n=_whole_int(ds_raw["n"], "dataset.n"),
-                d_in=_whole_int(ds_raw["d_in"], "dataset.d_in"),
-                sigma_range=tuple(_number(v, "dataset.sigma_range") for v in sr),
-                seed=_whole_int(ds_raw["seed"], "dataset.seed"),
-            )
-        else:
-            _check_keys(ds_raw, "dataset", {"type", "path"})
-            dataset = DatasetSpec(ds_raw["type"], path=str(ds_raw["path"]))
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}{exc}") from exc
 
-        _check_keys(raw["grid"], "grid", {"start", "stop", "step"})
-        grid = LabelGrid(*(_number(raw["grid"][k], f"grid.{k}") for k in ("start", "stop", "step")))
 
-        _check_keys(raw["loss"], "loss", {"family"}, {"lambda"})
-        lam = raw["loss"].get("lambda")
-        spec = LossSpec(str(raw["loss"]["family"]), None if lam is None else _number(lam, "loss.lambda"))
+def config_from_dict(raw) -> RunConfig:
+    """Build a RunConfig from the JSON structure.
 
-        train_raw = raw["train"]
-        _check_keys(
-            train_raw, "train", set(),
-            {"epochs", "batch_size", "lr", "lr_decay_factor", "lr_decay_every", "hidden", "val_fraction"},
-        )
-        try:
-            train = TrainConfig(loss=spec, **train_raw)
-        except ValueError as exc:  # its messages start with the field name
-            raise ConfigError(f"train.{exc}") from exc
-
-        seeds = raw["seeds"]
-        if not isinstance(seeds, list):
-            raise ConfigError("seeds: expected a list of integers")
-        return RunConfig(dataset, grid, train, tuple(seeds), Path(str(raw["out_dir"])))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(str(exc)) from exc
+    This checks keys only: each section must be an object without unknown or
+    missing keys.  Each value is checked once, by the type that holds it
+    (``DatasetSpec``, ``LabelGrid``, ``LossSpec``, ``TrainConfig``,
+    ``RunConfig``), whose errors start with the field's config key; a
+    section's errors get the section name in front, as in
+    ``train.lr: expected a number, got True``.
+    """
+    _check_keys(raw, "config", {"dataset", "grid", "loss", "train", "seeds", "out_dir"})
+    ds = raw["dataset"]
+    synthetic = isinstance(ds, dict) and ds.get("type") == "synthetic"
+    _check_keys(ds, "dataset", {"type", "n", "d_in", "sigma_range", "seed"} if synthetic else {"type", "path"})
+    dataset = _built("dataset.", DatasetSpec, ds["type"], **{k: v for k, v in ds.items() if k != "type"})
+    _check_keys(raw["grid"], "grid", {"start", "stop", "step"})
+    grid = _built("grid.", LabelGrid, *(raw["grid"][k] for k in ("start", "stop", "step")))
+    _check_keys(raw["loss"], "loss", {"family"}, {"lambda"})
+    spec = _built("loss.", LossSpec, raw["loss"]["family"], raw["loss"].get("lambda"))
+    train_keys = {"epochs", "batch_size", "lr", "lr_decay_factor", "lr_decay_every", "hidden", "val_fraction"}
+    _check_keys(raw["train"], "train", set(), train_keys)
+    train = _built("train.", TrainConfig, loss=spec, **raw["train"])
+    return _built("", RunConfig, dataset, grid, train, raw["seeds"], raw["out_dir"])
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -400,16 +382,19 @@ def compare(
 ) -> ComparisonResult:
     """Run both configs and pair their final-epoch validation MAEs per seed.
 
-    Both configs must share the dataset, grid, and seed list (the paired
+    Both configs must share the dataset, grid, seed list and validation
+    fraction, which together fix each seed's validation rows (the paired
     protocol); the relative difference is (mean_a - mean_b) / mean_b, i.e.
     the second config is the baseline.  Writes ``comparison.csv`` and
     ``comparison.txt`` to ``out_dir`` (default: cfg_a's output directory).
     A diverged seed of cfg_a stops the comparison before cfg_b is trained.
     """
     da, db = config_to_dict(cfg_a), config_to_dict(cfg_b)
-    for key in ("dataset", "grid", "seeds"):
-        if da[key] != db[key]:
-            raise ConfigError(f"compare requires identical {key!r} sections, got {da[key]} vs {db[key]}")
+    shared = {key: (da[key], db[key]) for key in ("dataset", "grid", "seeds")}
+    shared["train.val_fraction"] = (cfg_a.train.val_fraction, cfg_b.train.val_fraction)
+    for key, (va, vb) in shared.items():
+        if va != vb:
+            raise ConfigError(f"compare requires identical {key!r}, got {va} vs {vb}")
     res_a = _run_comparable(cfg_a, quiet)
     res_b = _run_comparable(cfg_b, quiet)
     by_seed_a = {o.seed: o.result for o in res_a.outcomes}
@@ -467,7 +452,7 @@ def compare(
 # Verification suite
 # ---------------------------------------------------------------------------
 
-def verify_suite(print_fn=print, as_json: bool = False) -> tuple[CheckResult, ...]:
+def verify_suite(as_json: bool = False) -> tuple[CheckResult, ...]:
     """Run all numeric checks, print one PASS/FAIL line each, return results.
 
     With ``as_json`` each check is printed as one strict JSON object instead
@@ -479,16 +464,16 @@ def verify_suite(print_fn=print, as_json: bool = False) -> tuple[CheckResult, ..
     if as_json:
         for r in results:
             err = float(r.max_error)
-            print_fn(json.dumps({
+            print(json.dumps({
                 "name": r.name, "passed": bool(r.passed), "max_error": err if math.isfinite(err) else None,
                 "max_error_hex": err.hex(), "detail": r.detail,
             }, allow_nan=False))
         return tuple(results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print_fn(f"{status}  {r.name:<24}  max_error={r.max_error:.3e}  ({r.detail})")
+        print(f"{status}  {r.name:<24}  max_error={r.max_error:.3e}  ({r.detail})")
     n_ok = sum(r.passed for r in results)
-    print_fn(f"verification: {n_ok}/{len(results)} checks passed")
+    print(f"verification: {n_ok}/{len(results)} checks passed")
     return tuple(results)
 
 

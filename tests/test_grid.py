@@ -67,6 +67,16 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="finite"):
             LabelGrid(start, stop, 1.0)
 
+    @pytest.mark.parametrize("bounds, key, bad", [
+        ((True, 100, 1), "start", True),
+        (("0", "100", "1"), "start", "0"),
+        ((0, True, 0.5), "stop", True),
+        ((0, 100, "1"), "step", "1"),
+    ])
+    def test_bools_and_strings_rejected(self, bounds, key, bad):
+        with pytest.raises(ValueError, match=f"^{key}: expected a number, got {bad!r}$"):
+            LabelGrid(*bounds)
+
     def test_single_bin_rejected(self):
         with pytest.raises(ValueError):
             LabelGrid(0.0, 0.0, 1.0)

@@ -5,6 +5,7 @@ frozen; agreement is asserted at 1e-13 relative (double rounding budget).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,21 @@ class TestLossSpec:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             LossSpec("huber")
+
+    @pytest.mark.parametrize("family", [5, None, [FAMILY_FULL_KL]])
+    def test_family_must_be_a_string(self, family):
+        with pytest.raises(ValueError, match=f"^family: unknown loss family {re.escape(repr(family))}"):
+            LossSpec(family)
+
+    @pytest.mark.parametrize("lam", [True, "1"])
+    def test_lambda_must_be_a_number(self, lam):
+        with pytest.raises(ValueError, match=f"^lambda: expected a number, got {re.escape(repr(lam))}$"):
+            LossSpec(FAMILY_REFERENCE, lam)
+
+    @pytest.mark.parametrize("lam", [1, np.float32(0.5), np.int64(2)])
+    def test_lambda_stored_as_float(self, lam):
+        spec = LossSpec(FAMILY_REFERENCE, lam)
+        assert type(spec.lam) is float and spec.lam == lam and spec == LossSpec(FAMILY_REFERENCE, float(lam))
 
 
 # ---------------------------------------------------------------------------

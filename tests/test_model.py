@@ -633,6 +633,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=re.escape(f"{name}: expected an integer, got {bad!r}")):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("bad", [5, "88", None])
+    def test_hidden_must_be_a_list(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"hidden: expected a list of integers, got {bad!r}")):
+            TrainConfig(hidden=bad)
+
     def test_integer_fields_accept_whole_numbers(self):
         cfg = TrainConfig(epochs=3.0, batch_size=np.int64(16), seed=np.uint32(7), hidden=(8.0, np.int32(4)))
         assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.hidden) == (3, 16, 7, (8, 4))

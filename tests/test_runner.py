@@ -13,7 +13,7 @@ import fullkl.data
 import fullkl.runner
 from fullkl.data import atomic_write, gen_synthetic, save_csv
 from fullkl.grid import LabelGrid
-from fullkl.losses import LossBreakdown
+from fullkl.losses import LossBreakdown, LossSpec
 from fullkl.model import Metrics, TrainConfig, TrainingDivergedError, init_mlp, load_checkpoint, save_checkpoint
 from fullkl.runner import (
     EXIT_CONFIG_ERROR,
@@ -237,6 +237,64 @@ class TestConfigParsing:
             DatasetSpec("synthetic", n=10, d_in=3, seed=1.5, sigma_range=(2.0, 6.0))
         cfg = RunConfig(DatasetSpec("csv", path="x.csv"), grid, TrainConfig(), (np.int64(3), 4.0), "out")
         assert cfg.seeds == (3, 4) and all(type(s) is int for s in cfg.seeds)
+
+    @pytest.mark.parametrize("key, section", [
+        ("out_dir", True),
+        ("dataset.path", {"type": "csv", "path": 5}),
+        ("loss.family", {"family": 5}),
+    ], ids=["out_dir", "dataset.path", "loss.family"])
+    def test_string_field_not_coerced(self, tmp_path, monkeypatch, capsys, key, section):
+        d = tiny_dict(tmp_path / "out")
+        d[key.split(".")[0]] = section
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            config_from_dict(d)
+        path = write_config(tmp_path, d)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert f"config error: {key}: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    # Every key whose value the loader rejects, with the object that holds it built in Python.
+    PYTHON_BUILDS = {
+        "dataset": lambda d: DatasetSpec(**{("kind" if k == "type" else k): v for k, v in d["dataset"].items()}),
+        "grid": lambda d: LabelGrid(d["grid"]["start"], d["grid"]["stop"], d["grid"]["step"]),
+        "loss": lambda d: LossSpec(d["loss"]["family"], d["loss"].get("lambda")),
+        "train": lambda d: TrainConfig(**d["train"]),
+        "": lambda d: RunConfig(
+            DatasetSpec("csv", path="x.csv"), LabelGrid(0.0, 10.0, 1.0), TrainConfig(), d["seeds"], d["out_dir"]
+        ),
+    }
+
+    @pytest.mark.parametrize("key", [
+        "dataset.n", "dataset.d_in", "dataset.seed", "train.epochs", "train.batch_size",
+        "train.lr_decay_every", "train.hidden", "seeds",
+        "dataset.sigma_range", "grid.start", "grid.stop", "grid.step", "loss.lambda",
+        "train.lr", "train.lr_decay_factor", "train.val_fraction",
+        "loss.family", "dataset.path", "out_dir",
+    ])
+    def test_python_types_raise_the_loader_message(self, tmp_path, key):
+        d = tiny_dict(tmp_path, family="reference", lam=1.0)
+        if key == "dataset.path":
+            d["dataset"] = {"type": "csv", "path": "x.csv"}
+        *section, name = key.split(".")
+        target = d[section[0]] if section else d
+        target[name] = [True, 6.0] if name in ("hidden", "seeds", "sigma_range") else True
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as loaded:
+            config_from_dict(d)
+        with pytest.raises(ValueError) as built:
+            self.PYTHON_BUILDS[section[0] if section else ""](d)
+        assert str(built.value) == str(loaded.value).removeprefix(f"{section[0]}." if section else "")
+
+    def test_python_lambda_written_as_loaded(self, tmp_path):
+        d = tiny_dict(tmp_path / "out", family="reference", lam=1)
+        built = RunConfig(
+            DatasetSpec("synthetic", n=60, d_in=3, sigma_range=(2.0, 6.0), seed=1), LabelGrid(0.0, 100.0, 1.0),
+            TrainConfig(**d["train"], loss=LossSpec("reference", 1)), [0, 1], tmp_path / "out",
+        )
+        assert config_to_dict(built)["loss"] == {"family": "reference", "lambda": 1.0}
+        assert type(built.train.loss.lam) is float
+        header = json.dumps(config_to_dict(built), sort_keys=True)
+        assert header == json.dumps(config_to_dict(config_from_dict(d)), sort_keys=True)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -493,6 +551,15 @@ class TestCompare:
         with pytest.raises(ConfigError, match="identical 'seeds'"):
             compare(cfg_a, cfg_b, quiet=True)
 
+    def test_mismatched_val_fraction_rejected(self, tmp_path):
+        # val_fraction decides which rows data.split puts in each seed's validation set.
+        d = tiny_dict(tmp_path / "b")
+        d["train"]["val_fraction"] = 0.5
+        cfg_a = config_from_dict(tiny_dict(tmp_path / "a"))
+        with pytest.raises(ConfigError, match=re.escape("identical 'train.val_fraction', got 0.2 vs 0.5")):
+            compare(cfg_a, config_from_dict(d), out_dir=tmp_path / "cmp", quiet=True)
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_seed_fails_comparison(self, tmp_path):
         cfg_a = config_from_dict(tiny_dict(tmp_path / "a", lr=1e200))
@@ -508,9 +575,9 @@ class TestCompare:
 # ---------------------------------------------------------------------------
 
 class TestVerifySuite:
-    def test_prints_one_line_per_check_plus_tally(self):
-        lines: list[str] = []
-        results = verify_suite(print_fn=lines.append)
+    def test_prints_one_line_per_check_plus_tally(self, capsys):
+        results = verify_suite()
+        lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(results) + 1
         assert all(l.startswith(("PASS", "FAIL")) for l in lines[:-1])
         assert all("max_error=" in l for l in lines[:-1])

@@ -63,7 +63,10 @@ def _number(value, key: str) -> float:
     """``value`` as a float, if it is a real number; bools and strings are not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key}: expected a number within float range") from None
 
 
 def row_blocks(n: int) -> list[slice]:

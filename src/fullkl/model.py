@@ -12,9 +12,10 @@ The training state is flat: params, the gradient and both Adam moments are
 float64 vectors in the ``MlpParams.vec`` layout, and ``MlpParams``
 exposes read-only per-layer views into its vector.  ``_backward`` writes each
 layer's gradient into its slice of one vector, and ``adam_update`` makes one
-``_adam_arrays`` call over the whole vector and one finiteness check.  Params
-are validated where they enter the program (``MlpParams(...)``,
-``init_mlp``, ``vec_to_params``, ``load_checkpoint``), not after every step.
+``_adam_arrays`` call over the whole vector and one finiteness check.  The
+one way in is ``MlpParams(dims, vec)``, which copies and checks the vector;
+``init_mlp``, ``load_checkpoint``, pickling and copying all go through it,
+and only ``adam_update`` wraps its own fresh vector without a second check.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
     "CHECKPOINT_FORMAT", "TrainingDivergedError", "MlpParams", "OptimizerState",
     "TrainConfig", "Metrics", "TrainResult", "init_mlp", "forward", "adam_update",
     "init_adam", "train_step", "lr_at", "predict", "evaluate", "derive_seeds",
-    "train_run", "vec_to_params", "save_checkpoint", "load_checkpoint",
+    "train_run", "save_checkpoint", "load_checkpoint",
 ]
 
 log = logging.getLogger(__name__)
@@ -84,7 +85,8 @@ class MlpParams:
 
     One read-only float64 vector ``vec`` holds them in the layout W0
     (row-major), b0, W1, b1, ...; ``weights`` and ``biases`` are views into
-    it.  The constructor copies and validates its arrays.
+    it.  The constructor copies ``vec`` and checks its length and values;
+    pickling and copying go through it, so a copy keeps its views.
     """
 
     dims: tuple[int, ...]
@@ -92,25 +94,17 @@ class MlpParams:
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
-    def __init__(self, dims, weights, biases):
+    def __init__(self, dims, vec):
         dims = _validated_dims(dims)
-        n_layers = len(dims) - 1
-        if len(weights) != n_layers or len(biases) != n_layers:
-            raise ValueError(f"expected {n_layers} weight/bias pairs for dims {dims}")
-        parts = []
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
-                raise ValueError(
-                    f"layer {i}: expected weights {(dims[i], dims[i + 1])} and "
-                    f"biases ({dims[i + 1]},), got {w.shape} and {b.shape}"
-                )
-            parts += [w.ravel(), b]
-        vec = np.concatenate(parts)
+        vec = np.array(vec, dtype=np.float64)
+        if vec.shape != (_param_count(dims),):
+            raise ValueError(f"dims {dims} need a vector of shape ({_param_count(dims)},), got {vec.shape}")
         if not np.all(np.isfinite(vec)):
             raise ValueError("parameters must be finite")
         self.__dict__.update(MlpParams._wrap(dims, vec).__dict__)
+
+    def __reduce__(self):
+        return MlpParams, (self.dims, self.vec)
 
     @classmethod
     def _wrap(cls, dims: tuple[int, ...], vec: np.ndarray) -> "MlpParams":
@@ -142,11 +136,10 @@ def init_mlp(dims, seed: int) -> MlpParams:
     """Seeded init: weights zero-mean normal scaled by 1/sqrt(fan_in), biases zero."""
     dims = _validated_dims(dims)
     rng = np.random.default_rng(seed)
-    ws, bs = [], []
+    parts = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        ws.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
-        bs.append(np.zeros(fan_out))
-    return MlpParams(dims, tuple(ws), tuple(bs))
+        parts += [rng.normal(0.0, 1.0 / np.sqrt(fan_in), fan_in * fan_out), np.zeros(fan_out)]
+    return MlpParams(dims, np.concatenate(parts))
 
 
 def _forward_cached(params: MlpParams, x: np.ndarray):
@@ -309,8 +302,9 @@ class TrainConfig:
         """Checks every field; each error message starts with the field's name."""
         for name in ("epochs", "batch_size", "lr_decay_every", "seed"):
             value = _whole_int(getattr(self, name), name)
-            if value < 1 and name != "seed":
-                raise ValueError(f"{name} must be >= 1, got {value!r}")
+            least = 0 if name == "seed" else 1
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
             object.__setattr__(self, name, value)
         for name in ("lr", "lr_decay_factor", "val_fraction"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
@@ -453,15 +447,6 @@ def train_run(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def vec_to_params(dims, vec) -> MlpParams:
-    """Inverse of ``MlpParams.vec`` for the given dims; copies ``vec``."""
-    dims = _validated_dims(dims)
-    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    if vec.size != _param_count(dims):
-        raise ValueError(f"dims {dims} need {_param_count(dims)} parameters, got {vec.size}")
-    return MlpParams(dims, *_layer_views(dims, vec))
-
-
 def save_checkpoint(params: MlpParams, path) -> None:
     """Lossless binary checkpoint: one JSON header line (format tag + dims)
     followed by the raw little-endian float64 bytes of the flat parameter
@@ -488,4 +473,4 @@ def load_checkpoint(path) -> MlpParams:
     expected = 8 * _param_count(_validated_dims(dims, f"{path}: dims"))
     if len(payload) != expected:
         raise ValueError(f"{path}: dims {dims} need a {expected}-byte payload, got {len(payload)} bytes")
-    return vec_to_params(dims, np.frombuffer(payload, dtype="<f8"))
+    return MlpParams(dims, np.frombuffer(payload, dtype="<f8"))

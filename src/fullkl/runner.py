@@ -84,6 +84,8 @@ class DatasetSpec:
     def __post_init__(self):
         for name in ("n", "d_in", "seed"):
             object.__setattr__(self, name, _whole_int(getattr(self, name), name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.kind == "synthetic":
             for name, value in (("n", self.n), ("d_in", self.d_in)):
                 if value < 1:
@@ -118,8 +120,12 @@ class RunConfig:
             raise ValueError("seeds: expected at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be unique, got {seeds}")
+        if min(seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {seeds}")
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir: expected a string or a path, got {self.out_dir!r}")
+        if os.fspath(self.out_dir) == "":
+            raise ValueError("out_dir: expected a non-empty path")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -494,16 +500,22 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         seeds = tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise ConfigError(f"--seeds: expected a comma-separated integer list, got {text!r}") from exc
-    if not seeds:
-        raise ConfigError("--seeds: expected at least one seed")
     return seeds
+
+
+def _replaced(cfg: RunConfig, flag: str, **changes) -> RunConfig:
+    """``replace(cfg, **changes)``, whose ValueError becomes a ConfigError naming the CLI flag."""
+    try:
+        return replace(cfg, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
 
 
 def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
     if getattr(args, "seeds", None) is not None:
-        cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
+        cfg = _replaced(cfg, "--seeds", seeds=_parse_seeds(args.seeds))
     if out_dir is not None:
-        cfg = replace(cfg, out_dir=Path(out_dir))
+        cfg = _replaced(cfg, "--out-dir", out_dir=out_dir)
     return cfg
 
 
@@ -560,6 +572,8 @@ def _cmd_compare(args) -> int:
     cfg_b = load_config(args.config_b)
     out_dir = None
     if args.out_dir is not None:
+        if not args.out_dir:
+            raise ConfigError("--out-dir: expected a non-empty path")
         out_dir = Path(args.out_dir)
         cfg_a = replace(cfg_a, out_dir=out_dir / "a")
         cfg_b = replace(cfg_b, out_dir=out_dir / "b")

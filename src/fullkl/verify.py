@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -70,7 +70,16 @@ KINK_REACH_MARGIN = 2.0
 MINIMA_BLOCK = 1024
 
 MIN_QUADRATURE_POINTS = 10_000
-MIN_SPAN_SIGMAS = 8.0
+
+# The suites' fixed settings: the quadrature window (in wider sigmas past both
+# means), the sweep's sigma and mean-offset grids, gradient_fidelity's grid
+# sizes and relative step, affine_invariance_errors' y -> a*y + b, and the
+# reference family's lambda there and in component_minima.
+SPAN_SIGMAS = 8.0
+SWEEP_SIGMAS, SWEEP_DMUS = (0.5, 1.0, 2.0, 5.0, 10.0), (0.0, 1.0, 10.0)
+FIDELITY_SIZES, FD_REL_STEP = (2, 5, 101), 1e-5
+AFFINE_SCALE, AFFINE_SHIFT = 3.0, 7.0
+ORACLE_LAMBDA = 1.0
 
 
 @dataclass(frozen=True)
@@ -181,16 +190,11 @@ def _log_normalize(a: np.ndarray, scratch: np.ndarray) -> None:
     np.subtract(a, m + float(np.log(np.sum(scratch))), out=a)
 
 
-def numeric_gaussian_kl(
-    target_m: Moments,
-    pred_m: Moments,
-    points: int = 100_000,
-    span_sigmas: float = 8.0,
-) -> float:
+def numeric_gaussian_kl(target_m: Moments, pred_m: Moments, points: int = 100_000) -> float:
     """Quadrature oracle for the closed-form Gaussian-moment KL.
 
     Both densities are sampled on a shared uniform grid covering both means
-    +- span_sigmas * max(sigma, sigma_hat), renormalized, and fed through
+    +- SPAN_SIGMAS * max(sigma, sigma_hat), renormalized, and fed through
     the discrete KL sum.  All of it runs in log space (log-densities and a
     log-sum-exp normalizer), so extreme moment pairs — where one density
     underflows across most of the window — lose nothing to rounding.  It
@@ -200,11 +204,9 @@ def numeric_gaussian_kl(
     """
     if points < MIN_QUADRATURE_POINTS:
         raise ValueError(f"points must be >= {MIN_QUADRATURE_POINTS}, got {points}")
-    if span_sigmas < MIN_SPAN_SIGMAS:
-        raise ValueError(f"span_sigmas must be >= {MIN_SPAN_SIGMAS}, got {span_sigmas}")
     if target_m.var < EPS_VAR or pred_m.var < EPS_VAR:
         raise ValueError("variances must sit above the EPS_VAR floor")
-    reach = span_sigmas * math.sqrt(max(target_m.var, pred_m.var))
+    reach = SPAN_SIGMAS * math.sqrt(max(target_m.var, pred_m.var))
     lo = min(target_m.mu, pred_m.mu) - reach
     hi = max(target_m.mu, pred_m.mu) + reach
     x = np.linspace(lo, hi, points)
@@ -237,14 +239,8 @@ class SweepResult:
         return max(self.rows, key=lambda r: r.abs_err)
 
 
-def gaussian_kl_sweep(
-    sigmas: Sequence[float] = (0.5, 1.0, 2.0, 5.0, 10.0),
-    dmus: Sequence[float] = (0.0, 1.0, 10.0),
-    points: int = 100_000,
-    span_sigmas: float = 8.0,
-    closed_form: Callable[[float, float, float, float], float] | None = None,
-) -> SweepResult:
-    """Closed form vs quadrature oracle over a moment-pair grid.
+def gaussian_kl_sweep(closed_form: Callable[[float, float, float, float], float] | None = None) -> SweepResult:
+    """Closed form vs quadrature oracle over the SWEEP_SIGMAS x SWEEP_DMUS moment pairs.
 
     ``closed_form(mu_t, var_t, mu_p, var_p)`` defaults to the library's
     gaussian_kl; it is injectable so a deliberately perturbed closed form
@@ -255,13 +251,13 @@ def gaussian_kl_sweep(
             return gaussian_kl(Moments(mu_t, var_t), Moments(mu_p, var_p))
 
     rows = []
-    for sigma_t in sigmas:
-        for sigma_p in sigmas:
-            for dmu in dmus:
+    for sigma_t in SWEEP_SIGMAS:
+        for sigma_p in SWEEP_SIGMAS:
+            for dmu in SWEEP_DMUS:
                 target_m = Moments(0.0, sigma_t * sigma_t)
                 pred_m = Moments(float(dmu), sigma_p * sigma_p)
                 closed = float(closed_form(target_m.mu, target_m.var, pred_m.mu, pred_m.var))
-                numeric = numeric_gaussian_kl(target_m, pred_m, points, span_sigmas)
+                numeric = numeric_gaussian_kl(target_m, pred_m)
                 rows.append(SweepRow(sigma_t, sigma_p, float(dmu), closed, numeric, abs(closed - numeric)))
     return SweepResult(tuple(rows), max(r.abs_err for r in rows))
 
@@ -349,30 +345,25 @@ def _near_l1_kink(target: Pmf, logits: np.ndarray, values: np.ndarray, h: np.nda
     return abs(mu_hat - mu) <= KINK_REACH_MARGIN * reach
 
 
-def gradient_fidelity(
-    spec: LossSpec,
-    n_instances: int = 100,
-    sizes: Sequence[int] = (2, 5, 101),
-    seed: int = 20240,
-    rel_step: float = 1e-5,
-) -> FidelityResult:
+def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 20240) -> FidelityResult:
     """Analytic vs central-finite-difference gradients on random instances.
 
-    Per instance the step is h_i = rel_step * max(1, |logit_i|) and the
-    discrepancy is measured with :func:`rel_norm_error`.  The reference
-    loss has a kink where mu_hat = mu; a reference instance whose steps
-    could cross it is redrawn, since central differences straddling the
-    kink measure neither one-sided gradient.  ``redraws`` counts them.
+    On grids of FIDELITY_SIZES bins, per instance the step is h_i =
+    FD_REL_STEP * max(1, |logit_i|) and the discrepancy is measured with
+    :func:`rel_norm_error`.  The reference loss has a kink where mu_hat =
+    mu; a reference instance whose steps could cross it is redrawn, since
+    central differences straddling the kink measure neither one-sided
+    gradient.  ``redraws`` counts them.
     """
     rng = np.random.default_rng(seed)
     worst = (-1.0, 0, 0)
     redraws = 0
-    for n in sizes:
+    for n in FIDELITY_SIZES:
         g = LabelGrid(0.0, float(n - 1), 1.0)
         for k in range(n_instances):
             while True:
                 target, logits = random_instance(rng, g)
-                h = rel_step * np.maximum(1.0, np.abs(logits))
+                h = FD_REL_STEP * np.maximum(1.0, np.abs(logits))
                 if spec.family != FAMILY_REFERENCE or not _near_l1_kink(target, logits, g.values, h):
                     break
                 redraws += 1
@@ -388,7 +379,7 @@ def gradient_fidelity(
             err = rel_norm_error(analytic, numeric)
             if err > worst[0]:
                 worst = (err, n, k)
-    return FidelityResult(spec.family, tuple(sizes), n_instances, worst[0], worst[1], worst[2], redraws)
+    return FidelityResult(spec.family, FIDELITY_SIZES, n_instances, worst[0], worst[1], worst[2], redraws)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +387,8 @@ def gradient_fidelity(
 # ---------------------------------------------------------------------------
 
 
-def affine_invariance_errors(
-    n_instances: int = 100,
-    seed: int = 20241,
-    a: float = 3.0,
-    b: float = 7.0,
-    lam: float = 1.0,
-) -> dict[str, float]:
-    """Deviations under the grid transform y -> a*y + b (a > 0), pmfs fixed.
+def affine_invariance_errors(n_instances: int = 100, seed: int = 20241) -> dict[str, float]:
+    """Deviations under the grid transform y -> a*y + b (AFFINE_SCALE, AFFINE_SHIFT), pmfs fixed.
 
     Returns the worst relative deviation of the full-KL total (expected 0
     within 1e-9), the worst relative deviation of the reference l_exp from
@@ -411,8 +396,7 @@ def affine_invariance_errors(
     absolute change of l_ld and l_smooth (expected exactly 0.0 — neither
     touches the grid values).
     """
-    if a <= 0:
-        raise ValueError("affine scale must be positive")
+    a, b = AFFINE_SCALE, AFFINE_SHIFT
     rng = np.random.default_rng(seed)
     out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
     for _ in range(n_instances):
@@ -429,8 +413,8 @@ def affine_invariance_errors(
             out["unchanged_abs"], abs(f2.l_ld - f1.l_ld), abs(f2.l_smooth - f1.l_smooth)
         )
 
-        r1 = reference_loss(target, logits, g1, lam)
-        r2 = reference_loss(target, logits, g2, lam)
+        r1 = reference_loss(target, logits, g1, ORACLE_LAMBDA)
+        r2 = reference_loss(target, logits, g2, ORACLE_LAMBDA)
         denom = max(REL_ERROR_FLOOR, abs(a * r1.l_exp))
         out["ref_scale_rel"] = max(out["ref_scale_rel"], abs(r2.l_exp - a * r1.l_exp) / denom)
         out["unchanged_abs"] = max(out["unchanged_abs"], abs(r2.l_ld - r1.l_ld))
@@ -467,18 +451,14 @@ def exact_zero_violations() -> dict[str, float]:
     return out
 
 
-def component_minima(
-    n_instances: int = 10_000,
-    seed: int = 20242,
-    lam: float = 1.0,
-) -> dict[str, float]:
+def component_minima(n_instances: int = 10_000, seed: int = 20242) -> dict[str, float]:
     """Minimum observed value of every loss component on random instances.
 
     All minima must be >= 0: l_ld, l_exp and l_smooth are KL divergences
     (the full-KL family) and the reference l_exp is an absolute value.
     """
     rng = np.random.default_rng(seed)
-    full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, lam)
+    full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)
     grids: dict[int, LabelGrid] = {}
     mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
     for start in range(0, n_instances, MINIMA_BLOCK):

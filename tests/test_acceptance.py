@@ -22,7 +22,7 @@ from fullkl.losses import (
     batch_loss_and_grad,
     gaussian_kl,
 )
-from fullkl.model import _backward, _forward_cached, init_mlp, vec_to_params
+from fullkl.model import MlpParams, _backward, _forward_cached, init_mlp
 from fullkl.runner import compare, config_from_dict, load_config, run_experiment
 from fullkl.verify import (
     affine_invariance_errors,
@@ -107,7 +107,7 @@ def test_criterion_2_gradient_fidelity(criterion_report):
     e2e = 0.0
     for spec in (LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.0)):
         def loss_of_vec(vec, _s=spec):
-            logits = _forward_cached(vec_to_params(dims, vec), X)[0]
+            logits = _forward_cached(MlpParams(dims, vec), X)[0]
             return float(np.mean(batch_loss_and_grad(T, logits, g, _s)[0]["total"]))
 
         logits, caches = _forward_cached(params, X)

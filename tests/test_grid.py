@@ -77,6 +77,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match=f"^{key}: expected a number, got {bad!r}$"):
             LabelGrid(*bounds)
 
+    @pytest.mark.parametrize("bounds, key", [((0, 10 ** 400, 1), "stop"), ((0, 100, -10 ** 400), "step")])
+    def test_integers_beyond_float_range_rejected(self, bounds, key):
+        with pytest.raises(ValueError, match=f"^{key}: expected a number within float range$"):
+            LabelGrid(*bounds)
+
     def test_single_bin_rejected(self):
         with pytest.raises(ValueError):
             LabelGrid(0.0, 0.0, 1.0)

@@ -1,7 +1,9 @@
 """Network, optimizer, training loop, and checkpoints."""
 
+import copy
 import json
 import math
+import pickle
 import re
 from dataclasses import fields, replace
 
@@ -35,10 +37,9 @@ from fullkl.model import (
     save_checkpoint,
     train_run,
     train_step,
-    vec_to_params,
 )
 import fullkl.model
-from fullkl.model import _backward, _forward_cached, _rectify
+from fullkl.model import _backward, _forward_cached, _layer_views, _rectify
 from fullkl.verify import fd_grad, rel_norm_error
 
 G101 = LabelGrid(0.0, 100.0, 1.0)
@@ -49,6 +50,11 @@ def params_equal(a: MlpParams, b: MlpParams) -> bool:
     return a.dims == b.dims and all(
         np.array_equal(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases)
     )
+
+
+def bias_only(b) -> MlpParams:
+    """A (3, 101) network with zero weights and biases ``b``: it emits ``b`` for every input."""
+    return MlpParams((3, 101), np.concatenate([np.zeros(3 * 101), b]))
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +81,14 @@ class TestInitMlp:
         p = init_mlp((4, 8, 5), 3)
         assert all(np.all(b == 0.0) for b in p.biases)
 
+    def test_same_bits_as_per_layer_matrix_draws(self):
+        # each layer draws its (fan_in, fan_out) weights row-major, then zero biases
+        rng = np.random.default_rng(5)
+        p = init_mlp((4, 8, 6, 5), 5)
+        for w, b in zip(p.weights, p.biases):
+            assert w.tobytes() == rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), w.shape).tobytes()
+            assert b.tobytes() == np.zeros(b.size).tobytes()
+
     def test_weight_scale_tracks_fan_in(self):
         p = init_mlp((400, 100, 5), 1)
         assert np.std(p.weights[0]) == pytest.approx(1.0 / math.sqrt(400), rel=0.1)
@@ -92,24 +106,20 @@ class TestInitMlp:
 
 class TestMlpParamsValidation:
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="layer 0"):
-            MlpParams((3, 4), (np.zeros((3, 5)),), (np.zeros(4),))
+        for shape in [(15,), (17,), (4, 4), ()]:
+            with pytest.raises(ValueError, match=re.escape(f"dims (3, 4) need a vector of shape (16,), got {shape}")):
+                MlpParams((3, 4), np.zeros(shape))
 
     def test_non_finite_rejected(self):
-        w = np.full((3, 4), np.inf)
         with pytest.raises(ValueError):
-            MlpParams((3, 4), (w,), (np.zeros(4),))
+            MlpParams((3, 4), np.full(16, np.inf))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_every_entry_point_rejects_non_finite(self, bad, tmp_path):
-        b = np.zeros(4)
-        b[2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            MlpParams((3, 4), (np.zeros((3, 4)),), (b,))
         vec = np.zeros(16)
         vec[5] = bad
         with pytest.raises(ValueError, match="finite"):
-            vec_to_params((3, 4), vec)
+            MlpParams((3, 4), vec)
         path = tmp_path / "bad.ckpt"
         save_checkpoint(init_mlp((3, 4), 0), path)
         header = path.read_bytes().split(b"\n", 1)[0]
@@ -118,16 +128,36 @@ class TestMlpParamsValidation:
             load_checkpoint(path)
 
     def test_constructor_copies_caller_arrays(self):
-        w, b = np.ones((3, 4)), np.zeros(4)
-        p = MlpParams((3, 4), (w,), (b,))
-        w[0, 0] = 5.0
-        assert p.weights[0][0, 0] == 1.0
+        vec = np.ones(16)
+        p = MlpParams((3, 4), vec)
+        vec[0] = 5.0
+        assert p.weights[0][0, 0] == 1.0 and vec.flags.writeable
         assert not (p.vec.flags.writeable or p.weights[0].flags.writeable or p.biases[0].flags.writeable)
         assert np.shares_memory(p.weights[0], p.vec) and np.shares_memory(p.biases[0], p.vec)
 
     def test_layer_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MlpParams((3, 4, 5), (np.zeros((3, 4)),), (np.zeros(4),))
+        # a one-layer vector for two-layer dims
+        with pytest.raises(ValueError, match=re.escape("shape (41,)")):
+            MlpParams((3, 4, 5), np.zeros(16))
+
+    @pytest.mark.parametrize(
+        "copy_fn", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
+    )
+    def test_copies_keep_read_only_views_into_their_vector(self, copy_fn):
+        p = init_mlp((16, 64, 64, 101), 0)
+        q = copy_fn(p)
+        assert type(q) is MlpParams and q.dims == p.dims
+        assert q.vec.tobytes() == p.vec.tobytes() and not np.shares_memory(q.vec, p.vec)
+        assert not q.vec.flags.writeable
+        for a in (*q.weights, *q.biases):
+            assert not a.flags.writeable and np.shares_memory(a, q.vec)
+        assert params_equal(p, q)
+        x = np.random.default_rng(0).uniform(-1, 1, (4, 16))
+        assert forward(q, x).tobytes() == forward(p, x).tobytes()
+
+    def test_pickle_holds_the_vector_once(self):
+        p = init_mlp((16, 64, 64, 101), 0)
+        assert len(pickle.dumps(p)) < 1.1 * p.vec.nbytes
 
 
 class TestRectify:
@@ -145,7 +175,7 @@ class TestRectify:
 
 class TestForward:
     def test_zero_params_zero_logits(self):
-        p = MlpParams((3, 5), (np.zeros((3, 5)),), (np.zeros(5),))
+        p = MlpParams((3, 5), np.zeros(20))
         logits = forward(p, np.array([0.3, -0.2, 0.9]))
         assert np.all(logits == 0.0)
 
@@ -179,9 +209,9 @@ class TestForward:
 
     def test_zeroed_first_layer_column_blocks_sensitivity(self):
         p = init_mlp((4, 8, 5), 0)
-        w0 = np.array(p.weights[0])
-        w0[2, :] = 0.0  # feature 2 disconnected
-        p = MlpParams(p.dims, (w0, p.weights[1]), p.biases)
+        vec = p.vec.copy()
+        _layer_views(p.dims, vec)[0][0][2, :] = 0.0  # feature 2 disconnected
+        p = MlpParams(p.dims, vec)
         x = np.array([0.1, -0.5, 0.9, 0.0])
         x2 = x.copy()
         x2[2] += 1e-3
@@ -194,8 +224,7 @@ class TestForward:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_activations_raise(self):
-        big = np.full((2, 3), 1e308)
-        p = MlpParams((2, 3), (big,), (np.zeros(3),))
+        p = MlpParams((2, 3), np.concatenate([np.full(6, 1e308), np.zeros(3)]))
         with pytest.raises(TrainingDivergedError):
             forward(p, np.array([1e30, 1e30]))
 
@@ -216,7 +245,7 @@ class TestAdam:
 
     def test_first_step_hand_computed(self):
         # single weight w=1.0, gradient 0.5: first Adam step re-derived inline
-        p = MlpParams((1, 1), (np.array([[1.0]]),), (np.zeros(1),))
+        p = MlpParams((1, 1), np.array([1.0, 0.0]))
         s = init_adam(p, lr=1e-3)
         g = 0.5
         p2, s2 = adam_update(p, s, np.array([g, 0.0]))
@@ -230,7 +259,7 @@ class TestAdam:
         assert s2.m[0] == m and s2.v[0] == v
 
     def test_second_step_hand_computed(self):
-        p = MlpParams((1, 1), (np.array([[1.0]]),), (np.zeros(1),))
+        p = MlpParams((1, 1), np.array([1.0, 0.0]))
         s = init_adam(p, lr=1e-3)
         p, s = adam_update(p, s, np.array([0.5, 0.0]))
         p, s = adam_update(p, s, np.array([-0.25, 0.0]))
@@ -267,11 +296,11 @@ class TestAdam:
     def test_flat_update_matches_per_layer_adam_bitwise(self):
         # Adam written out per array (W0, b0, W1, b1, ...): the flat update
         # must give the same bits at every step, across lr changes.
-        per_layer = lambda q: [a for pair in zip(q.weights, q.biases) for a in pair]
+        per_layer = lambda ws, bs: [a for pair in zip(ws, bs) for a in pair]
         flat = lambda arrays: np.concatenate([a.ravel() for a in arrays]).tobytes()
         p = init_mlp((4, 8, 6, 5), 3)
         s = init_adam(p)
-        params = [np.array(a) for a in per_layer(p)]
+        params = [np.array(a) for a in per_layer(p.weights, p.biases)]
         ms = [np.zeros_like(a) for a in params]
         vs = [np.zeros_like(a) for a in params]
         rng = np.random.default_rng(4)
@@ -279,7 +308,7 @@ class TestAdam:
             grad = rng.normal(0.0, 1.0, p.size) * 10.0 ** rng.integers(-6, 3, p.size)
             p, s = adam_update(p, replace(s, lr=lr), grad)
             bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-            for k, g in enumerate(per_layer(vec_to_params(p.dims, grad))):
+            for k, g in enumerate(per_layer(*_layer_views(p.dims, grad))):
                 ms[k] = 0.9 * ms[k] + (1.0 - 0.9) * g
                 vs[k] = 0.999 * vs[k] + (1.0 - 0.999) * (g * g)
                 params[k] = params[k] - lr * (ms[k] / bc1) / (np.sqrt(vs[k] / bc2) + 1e-8)
@@ -320,7 +349,7 @@ class TestTrainStep:
 
     def test_stationary_point_no_change(self):
         # uniform target + zero network: head gradient is exactly zero
-        p = MlpParams((3, 5), (np.zeros((3, 5)),), (np.zeros(5),))
+        p = MlpParams((3, 5), np.zeros(20))
         s = init_adam(p)
         X = np.array([[0.3, -0.2, 0.9]])
         T = np.full((1, 5), 0.2)
@@ -442,7 +471,7 @@ class TestEndToEndGradient:
         T /= T.sum(axis=1, keepdims=True)
 
         def loss_of_vec(vec):
-            logits = forward(vec_to_params(dims, vec), X)
+            logits = forward(MlpParams(dims, vec), X)
             comps, _ = batch_loss_and_grad(T, logits, g, spec)
             return float(np.mean(comps["total"]))
 
@@ -474,13 +503,13 @@ class TestLrAt:
 
 class TestPredict:
     def test_uniform_center(self):
-        p = MlpParams((3, 101), (np.zeros((3, 101)),), (np.zeros(101),))
+        p = bias_only(np.zeros(101))
         assert predict(p, np.array([0.5, 0.5, 0.5]), G101) == pytest.approx(50.0, abs=1e-9)
 
     def test_saturated_bin(self):
         b = np.zeros(101)
         b[23] = 50.0
-        p = MlpParams((3, 101), (np.zeros((3, 101)),), (b,))
+        p = bias_only(b)
         assert predict(p, np.array([0.1, 0.2, 0.3]), G101) == pytest.approx(23.0, abs=1e-6)
 
     def test_always_inside_grid(self):
@@ -505,7 +534,7 @@ class TestEvaluate:
         X = np.random.default_rng(3).uniform(-1, 1, (n, 3))
         ds = Dataset(G101, np.arange(n), X, np.full(n, 50.0), np.full(n, 5.0))
         target = ds.target_pmfs[0]
-        p = MlpParams((3, 101), (np.zeros((3, 101)),), (np.log(target),))
+        p = bias_only(np.log(target))
         m = evaluate(p, ds, G101, LossSpec(FAMILY_FULL_KL))
         assert m.mae == pytest.approx(0.0, abs=1e-9)
         assert m.breakdown.l_ld == pytest.approx(0.0, abs=1e-10)
@@ -516,7 +545,7 @@ class TestEvaluate:
         n = 6
         X = np.random.default_rng(4).uniform(-1, 1, (n, 3))
         ds = Dataset(G101, np.arange(n), X, np.full(n, 30.0), np.full(n, 5.0))
-        p = MlpParams((3, 101), (np.zeros((3, 101)),), (np.zeros(101),))
+        p = bias_only(np.zeros(101))
         m = evaluate(p, ds, G101, LossSpec(FAMILY_REFERENCE, 1.0))
         assert m.mae == pytest.approx(20.0, abs=1e-9)
 
@@ -711,11 +740,11 @@ class TestTrainRun:
 class TestCheckpoints:
     def test_vec_round_trip(self):
         p = init_mlp((4, 8, 5), 0)
-        assert params_equal(p, vec_to_params(p.dims, p.vec))
+        assert params_equal(p, MlpParams(p.dims, p.vec))
 
     def test_vec_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            vec_to_params((4, 8, 5), np.zeros(10))
+            MlpParams((4, 8, 5), np.zeros(10))
 
     def test_save_load_lossless(self, tmp_path):
         p = init_mlp((4, 16, 101), 3)

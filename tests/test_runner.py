@@ -199,6 +199,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape(f"{key}: expected an integer, got {bad!r}")):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("key, bad", [
+        ("seeds", [-1]), ("seeds", [0, -2]), ("dataset.seed", -3), ("out_dir", ""),
+    ], ids=["seeds", "seeds_tail", "dataset.seed", "out_dir"])
+    def test_negative_seed_or_empty_out_dir_fails_before_any_write(self, tmp_path, monkeypatch, capsys, key, bad):
+        d = tiny_dict(tmp_path / "out")
+        *section, name = key.split(".")
+        (d[section[0]] if section else d)[name] = bad
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}"):
+            config_from_dict(d)
+        path = write_config(tmp_path, d)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_programmatic_seeds_and_out_dir_checked(self):
+        grid, ds = LabelGrid(0.0, 10.0, 1.0), DatasetSpec("csv", path="x.csv")
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            TrainConfig(seed=-1)
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            DatasetSpec("csv", path="x.csv", seed=-1)
+        with pytest.raises(ValueError, match=re.escape("seeds must be >= 0, got (3, -1)")):
+            RunConfig(ds, grid, TrainConfig(), (3, -1), "out")
+        with pytest.raises(ValueError, match=re.escape("out_dir: expected a non-empty path")):
+            RunConfig(ds, grid, TrainConfig(), (0,), "")
+        assert TrainConfig(seed=0).seed == 0 and RunConfig(ds, grid, TrainConfig(), (0,), ".").seeds == (0,)
+
+    def test_float_beyond_float_range_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        d = tiny_dict(tmp_path / "out")
+        d["train"]["lr"] = 10 ** 400
+        with pytest.raises(ConfigError, match=re.escape("train.lr: expected a number within float range")):
+            config_from_dict(d)
+        path = write_config(tmp_path, d)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "config error: train.lr: " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_integer_field_accepts_whole_float(self, tmp_path):
         d = tiny_dict(tmp_path)
         d["train"]["epochs"] = 3.0
@@ -635,6 +673,18 @@ class TestCli:
         assert main(["run", str(REPO_CONFIGS / "full_kl.json"), "--seeds", ",", "--quiet"]) == EXIT_CONFIG_ERROR
         assert "--seeds" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flags", [
+        ["--seeds", "1,1"], ["--seeds", "-1"], ["--out-dir", ""],
+    ], ids=["duplicate_seeds", "negative_seed", "empty_out_dir"])
+    def test_rejected_override_fails_before_any_write(self, tmp_path, monkeypatch, capsys, command, flags):
+        paths = [write_config(tmp_path, tiny_dict(tmp_path / "out"), name=f"{c}.json") for c in "ab"]
+        monkeypatch.chdir(tmp_path)
+        configs = [str(paths[0])] if command == "run" else [str(p) for p in paths]
+        assert main([command, *configs, *flags, "--quiet"]) == EXIT_CONFIG_ERROR
+        assert f"config error: {flags[0]}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_run_divergence_exit_code(self, tmp_path, capsys):

@@ -214,10 +214,6 @@ class TestNumericGaussianKl:
         with pytest.raises(ValueError, match="points"):
             numeric_gaussian_kl(Moments(0.0, 1.0), Moments(0.0, 1.0), points=999)
 
-    def test_minimum_span_enforced(self):
-        with pytest.raises(ValueError, match="span"):
-            numeric_gaussian_kl(Moments(0.0, 1.0), Moments(0.0, 1.0), span_sigmas=4.0)
-
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ValueError):
             numeric_gaussian_kl(Moments(0.0, 0.0), Moments(0.0, 1.0))

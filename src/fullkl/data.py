@@ -6,7 +6,8 @@ evenly spaced label grid are derived from them on first use.  The std is at
 least half the bin spacing and the mean lies inside the grid span; the
 generator draws targets that hold both, and the CSV loader and ``Dataset``
 reject any that do not.  Datasets are immutable and store column arrays, the
-layout the trainer batches from.
+layout the trainer batches from; every builder, pickle and copy goes through
+the ``Dataset`` constructor, which copies and checks them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +52,16 @@ MEAN_EDGE_SIGMAS = 3.0
 SPLIT_TAGS = ("full", "train", "val")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable column store of samples sharing one label grid.
 
-    ``Dataset(grid, ids, features, target_mu, target_sigma, *, split)`` copies
-    the caller's arrays.  ``split`` labels which partition the rows belong to,
-    one of ``SPLIT_TAGS``.  ``target_pmfs`` is derived, not stored: it is
-    built on first access.
+    ``Dataset(grid, ids, features, target_mu, target_sigma, *, split)`` is the
+    only way in: it copies, checks and freezes the caller's arrays, and
+    pickling and copying rebuild through it, without the cached tables.
+    ``split`` labels which partition the rows belong to, one of
+    ``SPLIT_TAGS``.  ``target_pmfs`` is derived, not stored: it is built on
+    first access.  Datasets compare and hash by identity.
     """
 
     grid: LabelGrid
@@ -69,27 +72,10 @@ class Dataset:
     split: str = field(default="full", kw_only=True)
 
     def __post_init__(self):
-        self._check_and_freeze(np.array)
-
-    @classmethod
-    def _adopt(cls, grid, ids, features, target_mu, target_sigma, split="full") -> "Dataset":
-        """Dataset over arrays its caller just allocated and will not use again.
-
-        Runs every check of ``Dataset(...)`` and makes the arrays read-only in
-        place, without the copy that shields a caller's own arrays.
-        """
-        ds = object.__new__(cls)
-        ds.__dict__.update(grid=grid, ids=ids, features=features, target_mu=target_mu,
-                           target_sigma=target_sigma, split=split)
-        ds._check_and_freeze(np.asarray)
-        return ds
-
-    def _check_and_freeze(self, as_array):
-        """Validate the fields and store them as read-only arrays made by ``as_array``."""
         if not (isinstance(self.split, str) and self.split in SPLIT_TAGS):
             raise ValueError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
-        ids = as_array(self.ids, dtype=np.int64)
-        feats, mu, sigma = (as_array(a, dtype=np.float64) for a in (self.features, self.target_mu, self.target_sigma))
+        ids = np.array(self.ids, dtype=np.int64)
+        feats, mu, sigma = (np.array(a, dtype=np.float64) for a in (self.features, self.target_mu, self.target_sigma))
         n = ids.size
         if n == 0:
             raise ValueError("dataset must not be empty")
@@ -107,6 +93,10 @@ class Dataset:
         for arr, name in ((ids, "ids"), (feats, "features"), (mu, "target_mu"), (sigma, "target_sigma")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        columns = (self.grid, self.ids, self.features, self.target_mu, self.target_sigma)
+        return partial(Dataset, split=self.split), columns
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -156,7 +146,7 @@ class Dataset:
     def subset(self, indices: np.ndarray, split: str) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         columns = (self.ids, self.features, self.target_mu, self.target_sigma)
-        return Dataset._adopt(self.grid, *(col[idx] for col in columns), split=split)
+        return Dataset(self.grid, *(col[idx] for col in columns), split=split)
 
 
 def gen_synthetic(
@@ -204,7 +194,7 @@ def gen_synthetic(
     else:
         target_mu = np.full(n, 0.5 * (lo_t + hi_t))
     target_sigma = rng.uniform(sigma_lo, sigma_hi, n)
-    return Dataset._adopt(grid, np.arange(n, dtype=np.int64), features, target_mu, target_sigma)
+    return Dataset(grid, np.arange(n, dtype=np.int64), features, target_mu, target_sigma)
 
 
 @contextmanager
@@ -293,12 +283,12 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
             raise ValueError(f"{path}: {len(bad)} invalid row(s): {shown}{more}")
         if not ids:
             raise ValueError(f"{path}: no data rows")
-    mu = np.array(mus)
-    sigma = np.array(sigmas)
+    ds = Dataset(grid, ids, feats, mus, sigmas)
+    mu, sigma = ds.target_mu, ds.target_sigma
     truncated = int(np.sum((mu - grid.lo < MEAN_EDGE_SIGMAS * sigma) | (grid.hi - mu < MEAN_EDGE_SIGMAS * sigma)))
     if truncated:
         log.warning("%s: %d row(s) within 3 sigma of a grid edge; their pmfs are visibly truncated", path, truncated)
-    return Dataset._adopt(grid, np.array(ids, dtype=np.int64), np.array(feats), mu, sigma)
+    return ds
 
 
 def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -5,7 +5,9 @@ discretized into evenly spaced bins (a :class:`LabelGrid` is uniform by
 construction), targets and predictions live on that grid as pmfs, and
 (mu, var) moments are read directly off a pmf.  Everything here is
 a pure function of immutable values, so instances are safe to share across
-threads.
+threads.  A ``LabelGrid`` or ``Pmf`` is built only by its constructor:
+pickling and copying rebuild through it, so a copy is checked again and its
+arrays stay read-only.
 
 As the lowest layer that holds a config value, it also has the rules every
 config type applies to its own integer and float fields, ``_whole_int`` and
@@ -83,14 +85,6 @@ def _rectify(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.bitwise_and(x.view(np.int64), keep).view(np.float64)
 
 
-def _readonly_vector(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True)
 class LabelGrid:
     """Evenly spaced bin centers from ``lo`` to ``hi`` inclusive, ``spacing`` apart.
@@ -125,6 +119,9 @@ class LabelGrid:
         for name, value in (("lo", lo), ("hi", hi), ("spacing", spacing), ("values", values)):
             object.__setattr__(self, name, value)
 
+    def __reduce__(self):
+        return LabelGrid, (self.lo, self.hi, self.spacing)
+
     def __len__(self) -> int:
         return int(self.values.size)
 
@@ -133,14 +130,17 @@ class LabelGrid:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
-    """Probability mass function over a label grid: non-negative, sums to 1."""
+    """Read-only pmf over a label grid: non-negative, sums to 1; compared by identity."""
 
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _readonly_vector(self.probs, "pmf probabilities")
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.ndim != 1:
+            raise ValueError(f"pmf probabilities must be one-dimensional, got shape {probs.shape}")
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         if probs.size == 0:
             raise ValueError("pmf must not be empty")
@@ -151,6 +151,9 @@ class Pmf:
         total = float(probs.sum())
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise ValueError(f"pmf must sum to 1 within {PMF_SUM_TOL}, got {total!r}")
+
+    def __reduce__(self):
+        return Pmf, (self.probs,)
 
     def __len__(self) -> int:
         return int(self.probs.size)

@@ -79,14 +79,15 @@ def _param_count(dims) -> int:
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class MlpParams:
     """Immutable layer parameters for dims [d_in, hidden..., n_bins].
 
     One read-only float64 vector ``vec`` holds them in the layout W0
     (row-major), b0, W1, b1, ...; ``weights`` and ``biases`` are views into
     it.  The constructor copies ``vec`` and checks its length and values;
-    pickling and copying go through it, so a copy keeps its views.
+    pickling and copying go through it, so a copy keeps its views.  Params
+    compare and hash by identity.
     """
 
     dims: tuple[int, ...]
@@ -182,10 +183,13 @@ def _backward(params: MlpParams, caches, d_logits: np.ndarray) -> np.ndarray:
     return grad
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerState:
-    """Adam state: learning rate, step counter, and read-only moments ``m``, ``v``
-    (float64 vectors in the layout of ``MlpParams.vec``)."""
+    """Adam state: learning rate, step counter, and moments ``m``, ``v`` (float64
+    vectors in the layout of ``MlpParams.vec``), which the constructor makes
+    read-only in place, without a copy.  Pickling and copying rebuild through
+    it; states compare and hash by identity.
+    """
 
     lr: float
     step: int
@@ -197,15 +201,15 @@ class OptimizerState:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
         if self.step < 0:
             raise ValueError(f"step must be >= 0, got {self.step!r}")
+        for arr in (self.m, self.v):
+            arr.flags.writeable = False
+
+    def __reduce__(self):
+        return OptimizerState, (self.lr, self.step, self.m, self.v)
 
 
-def init_adam(
-    params: MlpParams,
-    lr: float = 1e-3,
-) -> OptimizerState:
-    m, v = np.zeros(params.size), np.zeros(params.size)
-    m.flags.writeable = v.flags.writeable = False
-    return OptimizerState(lr, 0, m, v)
+def init_adam(params: MlpParams, lr: float = 1e-3) -> OptimizerState:
+    return OptimizerState(lr, 0, np.zeros(params.size), np.zeros(params.size))
 
 
 def _adam_arrays(p, g, m, v, lr: float, bc1: float, bc2: float):
@@ -225,7 +229,6 @@ def adam_update(params: MlpParams, state: OptimizerState, grad: np.ndarray):
     p2, m2, v2 = _adam_arrays(params.vec, grad, state.m, state.v, state.lr, bc1, bc2)
     if not np.all(np.isfinite(p2)):
         raise TrainingDivergedError("non-finite parameters after optimizer update")
-    m2.flags.writeable = v2.flags.writeable = False
     return MlpParams._wrap(params.dims, p2), replace(state, step=t, m=m2, v=v2)
 
 

@@ -390,9 +390,10 @@ def compare(
 
     Both configs must share the dataset, grid, seed list and validation
     fraction, which together fix each seed's validation rows (the paired
-    protocol); the relative difference is (mean_a - mean_b) / mean_b, i.e.
-    the second config is the baseline.  Writes ``comparison.csv`` and
-    ``comparison.txt`` to ``out_dir`` (default: cfg_a's output directory).
+    protocol), and must not share an output directory.  The relative
+    difference is (mean_a - mean_b) / mean_b, i.e. the second config is the
+    baseline.  Writes ``comparison.csv`` and ``comparison.txt`` to
+    ``out_dir`` (default: cfg_a's output directory).
     A diverged seed of cfg_a stops the comparison before cfg_b is trained.
     """
     da, db = config_to_dict(cfg_a), config_to_dict(cfg_b)
@@ -401,6 +402,8 @@ def compare(
     for key, (va, vb) in shared.items():
         if va != vb:
             raise ConfigError(f"compare requires identical {key!r}, got {va} vs {vb}")
+    if cfg_a.out_dir.resolve() == cfg_b.out_dir.resolve():
+        raise ConfigError(f"compare requires distinct out_dir, both write to {cfg_a.out_dir.resolve()}")
     res_a = _run_comparable(cfg_a, quiet)
     res_b = _run_comparable(cfg_b, quiet)
     by_seed_a = {o.seed: o.result for o in res_a.outcomes}

@@ -169,9 +169,8 @@ class TestDataset:
                 assert not np.shares_memory(a, b)
 
     def test_build_and_moments_peak_below_one_and_a_half_results(self):
-        # Pmfs and moments are built in row blocks and the builder's arrays are
-        # not copied again, so the peak stays near the result's own size,
-        # the derived pmf table included.
+        # Pmfs and moments are built in row blocks, so the peak stays near the
+        # result's own size, the derived pmf table included.
         def build():
             ds = gen_synthetic(5000, 16, G101, (2.0, 6.0), seed=0)
             ds.target_moments

@@ -6,12 +6,14 @@ import math
 import pickle
 import re
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fullkl import runner
 from fullkl.data import Dataset, gen_synthetic, split
-from fullkl.grid import BLOCK_ROWS, LabelGrid, row_blocks
+from fullkl.grid import BLOCK_ROWS, LabelGrid, Pmf, discretize_gaussian, row_blocks
 from fullkl.losses import (
     FAMILY_FULL_KL, FAMILY_REFERENCE, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad, smoothness,
 )
@@ -44,6 +46,9 @@ from fullkl.verify import fd_grad, rel_norm_error
 
 G101 = LabelGrid(0.0, 100.0, 1.0)
 G5 = LabelGrid(0.0, 4.0, 1.0)
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+COPIES = [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy]
+COPY_IDS = ["pickle", "deepcopy", "copy"]
 
 
 def params_equal(a: MlpParams, b: MlpParams) -> bool:
@@ -140,9 +145,7 @@ class TestMlpParamsValidation:
         with pytest.raises(ValueError, match=re.escape("shape (41,)")):
             MlpParams((3, 4, 5), np.zeros(16))
 
-    @pytest.mark.parametrize(
-        "copy_fn", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"]
-    )
+    @pytest.mark.parametrize("copy_fn", COPIES, ids=COPY_IDS)
     def test_copies_keep_read_only_views_into_their_vector(self, copy_fn):
         p = init_mlp((16, 64, 64, 101), 0)
         q = copy_fn(p)
@@ -158,6 +161,72 @@ class TestMlpParamsValidation:
     def test_pickle_holds_the_vector_once(self):
         p = init_mlp((16, 64, 64, 101), 0)
         assert len(pickle.dumps(p)) < 1.1 * p.vec.nbytes
+
+
+@pytest.fixture(scope="module")
+def frozen_values() -> dict:
+    """One value of each array-holding type.  The dataset is the committed
+    protocol's seed-0 train split, with its pmf table and moments built."""
+    cfg = runner.load_config(REPO_CONFIGS / "full_kl.json")
+    full = runner.build_dataset(cfg.dataset, cfg.grid)
+    train, _ = split(full, cfg.train.val_fraction, derive_seeds(cfg.seeds[0])[0])
+    train.target_moments
+    p = init_mlp((3, 4, 5), 0)
+    state = adam_update(p, init_adam(p, lr=0.01), np.linspace(-1.0, 1.0, p.size))[1]
+    return {LabelGrid: G101, Pmf: discretize_gaussian(40.0, 5.0, G101), Dataset: train,
+            OptimizerState: state, MlpParams: p}
+
+
+class TestFrozenValues:
+    """Every array-holding value type has one way in, its constructor, for copies too."""
+
+    ARRAYS = {
+        LabelGrid: ("values",),
+        Pmf: ("probs",),
+        Dataset: ("ids", "features", "target_mu", "target_sigma"),
+        OptimizerState: ("m", "v"),
+    }
+
+    @pytest.mark.parametrize("copy_fn", COPIES, ids=COPY_IDS)
+    @pytest.mark.parametrize("cls", list(ARRAYS), ids=lambda c: c.__name__)
+    def test_copies_rebuild_through_the_constructor(self, monkeypatch, frozen_values, cls, copy_fn):
+        x = frozen_values[cls]
+        built = []
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self) or post_init(self))
+        y = copy_fn(x)
+        assert type(y) is cls and built == [y]
+        for name in self.ARRAYS[cls]:
+            a, b = getattr(x, name), getattr(y, name)
+            assert not b.flags.writeable
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        if cls is Dataset:
+            assert y.split == x.split == "train" and y.grid == x.grid
+            assert "target_pmfs" not in vars(y) and "target_moments" not in vars(y)
+            assert y.target_pmfs.tobytes() == x.target_pmfs.tobytes()
+            assert [a.tobytes() for a in y.target_moments] == [a.tobytes() for a in x.target_moments]
+        elif cls is OptimizerState:
+            assert (y.lr, y.step) == (x.lr, x.step) == (0.01, 1)
+        elif cls is LabelGrid:
+            assert y == x
+
+    def test_pickled_dataset_holds_only_its_columns(self, frozen_values):
+        ds = frozen_values[Dataset]
+        columns = sum(getattr(ds, name).nbytes for name in self.ARRAYS[Dataset])
+        assert "target_pmfs" in vars(ds) and columns == 4000 * (16 + 3) * 8
+        assert len(pickle.dumps(ds)) < 1.1 * columns
+
+    def test_constructor_freezes_adam_moments_in_place(self):
+        m, v = np.zeros(4), np.ones(4)
+        s = OptimizerState(0.1, 0, m, v)
+        assert s.m is m and s.v is v and not (m.flags.writeable or v.flags.writeable)
+
+    @pytest.mark.parametrize("cls", [MlpParams, Pmf, OptimizerState, Dataset], ids=lambda c: c.__name__)
+    def test_equality_is_identity_and_values_hash(self, frozen_values, cls):
+        a = frozen_values[cls]
+        b = copy.deepcopy(a)
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestRectify:

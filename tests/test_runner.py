@@ -737,6 +737,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "relative difference" in out and "report:" in out
 
+    def test_compare_refuses_a_shared_out_dir_before_any_write(self, tmp_path, monkeypatch, capsys):
+        # a relative path and an absolute one with ".." that resolve to the same directory
+        monkeypatch.chdir(tmp_path)
+        pa = write_config(tmp_path, tiny_dict("runs/x"), name="a.json")
+        pb = write_config(
+            tmp_path, tiny_dict(tmp_path / "runs" / "y" / ".." / "x", family="reference", lam=1.0), name="b.json"
+        )
+        assert main(["compare", str(pa), str(pb), "--quiet"]) == EXIT_CONFIG_ERROR
+        shared = (tmp_path / "runs" / "x").resolve()
+        assert f"config error: compare requires distinct out_dir, both write to {shared}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
     def test_verify_cli(self, capsys):
         assert main(["verify", "--quiet"]) == EXIT_OK
         out = capsys.readouterr().out

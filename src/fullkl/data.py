@@ -16,13 +16,13 @@ import csv
 import logging
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .grid import LabelGrid, MIN_SIGMA_FACTOR, gaussian_probs, pmf_moments, row_blocks
+from .grid import LabelGrid, MIN_SIGMA_FACTOR, PMF_SUM_TOL, gaussian_probs, pmf_moments, row_blocks
 
 __all__ = [
     "Dataset",
@@ -49,19 +49,15 @@ SINE_FREQ = 2.0
 MEAN_EDGE_SIGMAS = 3.0
 
 
-SPLIT_TAGS = ("full", "train", "val")
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable column store of samples sharing one label grid.
 
-    ``Dataset(grid, ids, features, target_mu, target_sigma, *, split)`` is the
-    only way in: it copies, checks and freezes the caller's arrays, and
-    pickling and copying rebuild through it, without the cached tables.
-    ``split`` labels which partition the rows belong to, one of
-    ``SPLIT_TAGS``.  ``target_pmfs`` is derived, not stored: it is built on
-    first access.  Datasets compare and hash by identity.
+    ``Dataset(grid, ids, features, target_mu, target_sigma)`` is the only way
+    in: it copies, checks and freezes the caller's arrays, and pickling and
+    copying rebuild through it, without the cached tables.  ``target_pmfs``
+    is derived, not stored: it is built on first access.  Datasets compare
+    and hash by identity.
     """
 
     grid: LabelGrid
@@ -69,11 +65,8 @@ class Dataset:
     features: np.ndarray
     target_mu: np.ndarray
     target_sigma: np.ndarray
-    split: str = field(default="full", kw_only=True)
 
     def __post_init__(self):
-        if not (isinstance(self.split, str) and self.split in SPLIT_TAGS):
-            raise ValueError(f"split must be one of {SPLIT_TAGS}, got {self.split!r}")
         ids = np.array(self.ids, dtype=np.int64)
         feats, mu, sigma = (np.array(a, dtype=np.float64) for a in (self.features, self.target_mu, self.target_sigma))
         n = ids.size
@@ -95,8 +88,7 @@ class Dataset:
             object.__setattr__(self, name, arr)
 
     def __reduce__(self):
-        columns = (self.grid, self.ids, self.features, self.target_mu, self.target_sigma)
-        return partial(Dataset, split=self.split), columns
+        return Dataset, (self.grid, self.ids, self.features, self.target_mu, self.target_sigma)
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -122,7 +114,7 @@ class Dataset:
             pmfs[rows] = gaussian_probs(mu[rows], sigma[rows], self.grid.values)
         # min() and the row sums reduce without a (rows, n_bins) temporary;
         # the negated comparisons also reject NaN entries.
-        if not (pmfs.min() >= 0 and np.all(np.abs(pmfs.sum(axis=1) - 1.0) <= 1e-9)):
+        if not (pmfs.min() >= 0 and np.all(np.abs(pmfs.sum(axis=1) - 1.0) <= PMF_SUM_TOL)):
             raise ValueError("target pmf rows must be non-negative and sum to 1")
         pmfs.flags.writeable = False
         return pmfs
@@ -143,10 +135,10 @@ class Dataset:
         mu.flags.writeable = var.flags.writeable = False
         return mu, var
 
-    def subset(self, indices: np.ndarray, split: str) -> "Dataset":
+    def subset(self, indices: np.ndarray) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         columns = (self.ids, self.features, self.target_mu, self.target_sigma)
-        return Dataset(self.grid, *(col[idx] for col in columns), split=split)
+        return Dataset(self.grid, *(col[idx] for col in columns))
 
 
 def gen_synthetic(
@@ -302,4 +294,4 @@ def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset
     perm = np.random.default_rng(seed).permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
-    return ds.subset(train_idx, "train"), ds.subset(val_idx, "val")
+    return ds.subset(train_idx), ds.subset(val_idx)

@@ -26,12 +26,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SPLIT_TAGS, Dataset, atomic_write
+from .data import Dataset, atomic_write
 from .grid import LabelGrid, _number, _rectify, _whole_int, pmf_moments, row_blocks, softmax_probs
 from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
 
 __all__ = [
-    "CHECKPOINT_FORMAT", "TrainingDivergedError", "MlpParams", "OptimizerState",
+    "CHECKPOINT_FORMAT", "SPLIT_TAGS", "TrainingDivergedError", "MlpParams", "OptimizerState",
     "TrainConfig", "Metrics", "TrainResult", "init_mlp", "forward", "adam_update",
     "init_adam", "train_step", "lr_at", "predict", "evaluate", "derive_seeds",
     "train_run", "save_checkpoint", "load_checkpoint",
@@ -259,12 +259,12 @@ def train_step(
     spec: LossSpec,
     target_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """One optimizer step on a (features, target_pmfs) batch.
+    """One optimizer step on a (features, target_pmfs) batch; returns (params', opt_state').
 
     The batch gradient is the arithmetic mean of per-sample loss gradients in
     the given order.  ``target_moments`` optionally passes the batch's cached
-    target (mu, var) through to the loss.  Returns (params', opt_state',
-    mean LossBreakdown).
+    target (mu, var) through to the loss.  The step's loss values are only
+    checked for finiteness; ``evaluate`` reports losses.
     """
     feats, targets = batch
     feats = np.asarray(feats, dtype=np.float64)
@@ -283,8 +283,7 @@ def train_step(
             f"non-finite {_non_finite_terms(comps, dlogits)} at batch row(s) {bad[:10].tolist()}", bad
         )
     grad = _backward(params, caches, dlogits / feats.shape[0])
-    params2, opt2 = adam_update(params, opt_state, grad)
-    return params2, opt2, _mean_breakdown(comps, spec)
+    return adam_update(params, opt_state, grad)
 
 
 @dataclass(frozen=True)
@@ -342,6 +341,10 @@ def predict(params: MlpParams, features, g: LabelGrid):
     return float(mu) if np.ndim(mu) == 0 else mu
 
 
+# The partitions ``train_run`` evaluates each epoch, in the order it records them.
+SPLIT_TAGS = ("train", "val")
+
+
 @dataclass(frozen=True)
 class Metrics:
     """Per-split evaluation snapshot: mean loss components plus MAE."""
@@ -360,31 +363,23 @@ class Metrics:
             raise ValueError(f"mae must be finite and >= 0, got {self.mae!r}")
 
 
-def evaluate(
-    params: MlpParams,
-    dataset: Dataset,
-    g: LabelGrid,
-    spec: LossSpec,
-    epoch: int = 0,
-    split: str | None = None,
-) -> Metrics:
-    """Mean loss components and MAE of ``params`` over a dataset split.
+def evaluate(params: MlpParams, dataset: Dataset, spec: LossSpec, epoch: int, split: str) -> Metrics:
+    """Mean loss components and MAE of ``params`` over ``dataset``, on its own grid.
 
-    Runs one ``grid.row_blocks`` block of rows at a time; the per-row values
-    are joined before the means are taken, so the result has the bits of one
-    pass over the whole split.
+    ``epoch`` and ``split`` (one of ``SPLIT_TAGS``) label the returned
+    ``Metrics``.  Runs one ``grid.row_blocks`` block of rows at a time; the
+    per-row values are joined before the means are taken, so the result has
+    the bits of one pass over the whole dataset.
     """
-    if g != dataset.grid:
-        raise ValueError("grid does not match the dataset's grid")
     mu_t, var_t = dataset.target_moments
     chunks = []
     for rows in row_blocks(len(dataset)):
         logits = forward(params, dataset.features[rows])
         moments = (mu_t[rows], var_t[rows])
-        chunks.append(batch_loss(dataset.target_pmfs[rows], logits, g, spec, moments))
+        chunks.append(batch_loss(dataset.target_pmfs[rows], logits, dataset.grid, spec, moments))
     comps = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
     mae = float(np.mean(np.abs(comps["pred_mu"] - dataset.target_mu)))
-    return Metrics(epoch, split or dataset.split, _mean_breakdown(comps, spec), mae)
+    return Metrics(epoch, split, _mean_breakdown(comps, spec), mae)
 
 
 def derive_seeds(seed: int) -> tuple[int, int, int]:
@@ -401,18 +396,17 @@ class TrainResult:
     history: tuple[Metrics, ...]
 
 
-def train_run(
-    train_ds: Dataset,
-    val_ds: Dataset,
-    g: LabelGrid,
-    cfg: TrainConfig,
-    quiet: bool = False,
-) -> TrainResult:
+def train_run(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig, quiet: bool = False) -> TrainResult:
     """One seeded training run: shuffled mini-batches, stepped lr, per-epoch metrics.
 
-    Initialization and shuffling use sub-seeds derived from ``cfg.seed``, so
-    the run is a deterministic function of (seed, config, datasets).
+    The network's output bins are ``train_ds.grid``, which ``val_ds`` must
+    share.  Initialization and shuffling use sub-seeds derived from
+    ``cfg.seed``, so the run is a deterministic function of (seed, config,
+    datasets).
     """
+    g = train_ds.grid
+    if val_ds.grid != g:
+        raise ValueError(f"val_ds has grid {val_ds.grid}, but train_ds has {g}")
     _, init_seed, shuffle_seed = derive_seeds(cfg.seed)
     params = init_mlp((train_ds.d_in, *cfg.hidden, len(g)), init_seed)
     opt = init_adam(params, lr=cfg.lr)
@@ -427,16 +421,14 @@ def train_run(
             idx = perm[start:start + cfg.batch_size]
             batch = (train_ds.features[idx], train_ds.target_pmfs[idx])
             try:
-                params, opt, _ = train_step(
-                    params, opt, batch, g, cfg.loss, (mu_t[idx], var_t[idx])
-                )
+                params, opt = train_step(params, opt, batch, g, cfg.loss, (mu_t[idx], var_t[idx]))
             except TrainingDivergedError as exc:
                 msg = f"epoch {epoch + 1}, step {step + 1}: {exc}"
                 if exc.rows is not None:
                     msg += f"; sample id(s) {train_ds.ids[idx[exc.rows[:10]]].tolist()}"
                 raise TrainingDivergedError(msg, exc.rows) from exc
-        train_m = evaluate(params, train_ds, g, cfg.loss, epoch=epoch + 1, split="train")
-        val_m = evaluate(params, val_ds, g, cfg.loss, epoch=epoch + 1, split="val")
+        train_m = evaluate(params, train_ds, cfg.loss, epoch + 1, "train")
+        val_m = evaluate(params, val_ds, cfg.loss, epoch + 1, "val")
         history += [train_m, val_m]
         if not quiet:
             log.info(

@@ -202,14 +202,26 @@ def config_to_dict(cfg: RunConfig) -> dict:
     }
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.loads`` that refuses a key given twice in one object."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(raw)
 
 
@@ -304,12 +316,12 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
     A diverged seed is recorded (and reported) without aborting the others;
     the summary then covers the surviving seeds.
     """
+    full = build_dataset(cfg.dataset, cfg.grid)
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
-    full = build_dataset(cfg.dataset, cfg.grid)
     header_json = json.dumps(config_to_dict(cfg), sort_keys=True)
     outcomes: list[SeedOutcome] = []
     metrics_paths: list[Path] = []
@@ -319,7 +331,7 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
         split_seed, _, _ = derive_seeds(seed)
         train_ds, val_ds = data.split(full, tcfg.val_fraction, split_seed)
         try:
-            result = train_run(train_ds, val_ds, cfg.grid, tcfg, quiet=quiet)
+            result = train_run(train_ds, val_ds, cfg=tcfg, quiet=quiet)
         except TrainingDivergedError as exc:
             log.error("seed %d diverged: %s", seed, exc)
             outcomes.append(SeedOutcome(seed, None, str(exc)))
@@ -506,19 +518,11 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _replaced(cfg: RunConfig, flag: str, **changes) -> RunConfig:
-    """``replace(cfg, **changes)``, whose ValueError becomes a ConfigError naming the CLI flag."""
-    try:
-        return replace(cfg, **changes)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from exc
-
-
 def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
     if getattr(args, "seeds", None) is not None:
-        cfg = _replaced(cfg, "--seeds", seeds=_parse_seeds(args.seeds))
+        cfg = _built("--seeds: ", replace, cfg, seeds=_parse_seeds(args.seeds))
     if out_dir is not None:
-        cfg = _replaced(cfg, "--out-dir", out_dir=out_dir)
+        cfg = _built("--out-dir: ", replace, cfg, out_dir=out_dir)
     return cfg
 
 

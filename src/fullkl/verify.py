@@ -74,7 +74,7 @@ MIN_QUADRATURE_POINTS = 10_000
 # The suites' fixed settings: the quadrature window (in wider sigmas past both
 # means), the sweep's sigma and mean-offset grids, gradient_fidelity's grid
 # sizes and relative step, affine_invariance_errors' y -> a*y + b, and the
-# reference family's lambda there and in component_minima.
+# reference family's lambda there, in component_minima and in run_all_checks.
 SPAN_SIGMAS = 8.0
 SWEEP_SIGMAS, SWEEP_DMUS = (0.5, 1.0, 2.0, 5.0, 10.0), (0.0, 1.0, 10.0)
 FIDELITY_SIZES, FD_REL_STEP = (2, 5, 101), 1e-5
@@ -527,7 +527,7 @@ def run_all_checks(
         )
     )
 
-    for spec in (LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.0)):
+    for spec in (LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)):
         fid = gradient_fidelity(spec, n_grad_instances, seed=seed + 100)
         redrawn = f", {fid.redraws} redrawn next to the L1 kink" if fid.redraws else ""
         checks.append(

@@ -34,6 +34,8 @@ from fullkl.verify import (
     rel_norm_error,
 )
 
+pytestmark = pytest.mark.acceptance
+
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 G101 = LabelGrid(0.0, 100.0, 1.0)
 

@@ -66,7 +66,6 @@ class TestGenSynthetic:
         assert ds.target_pmfs.shape == (200, 101)
         np.testing.assert_allclose(ds.target_pmfs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         assert np.all(ds.target_pmfs >= 0.0)
-        assert ds.split == "full"
 
     def test_rescaled_means_touch_both_ends(self):
         ds = gen_synthetic(500, 5, G101, (2.0, 6.0), seed=0)
@@ -155,7 +154,7 @@ class TestDataset:
             base,
             Dataset(G101, *[np.array(a) for a in arrays_of(base)]),
             load_csv(tmp_path / "d.csv", G101),
-            base.subset(np.array([4, 1]), "val"),
+            base.subset(np.array([4, 1])),
             *split(base, 0.5, seed=0),
         ]
         for ds in datasets:
@@ -164,7 +163,7 @@ class TestDataset:
 
     def test_subset_shares_no_memory_with_parent(self):
         ds = self.base(6)
-        for sub in (ds.subset(np.array([4, 1]), "val"), ds.subset(np.arange(6), "train")):
+        for sub in (ds.subset(np.array([4, 1])), ds.subset(np.arange(6))):
             for a, b in zip(arrays_of(ds) + (ds.target_pmfs,), arrays_of(sub) + (sub.target_pmfs,)):
                 assert not np.shares_memory(a, b)
 
@@ -182,8 +181,8 @@ class TestDataset:
 
     def test_subset_selects_rows_and_tags(self):
         ds = self.base(6)
-        sub = ds.subset(np.array([4, 1]), "val")
-        assert sub.split == "val"
+        sub = ds.subset(np.array([4, 1]))
+        assert not hasattr(sub, "split")
         np.testing.assert_array_equal(sub.ids, ds.ids[[4, 1]])
         np.testing.assert_array_equal(sub.features, ds.features[[4, 1]])
         np.testing.assert_array_equal(sub.target_pmfs, ds.target_pmfs[[4, 1]])
@@ -238,21 +237,16 @@ class TestDataset:
             ds.target_pmfs
         assert "target_pmfs" not in vars(ds)
 
-    @pytest.mark.parametrize("tag", ["test", "", None])
-    def test_split_tag_checked_at_construction(self, tag):
-        ds = self.base()
-        with pytest.raises(ValueError, match="split must be one of"):
-            Dataset(G101, *arrays_of(ds), split=tag)
-        with pytest.raises(ValueError, match="split must be one of"):
-            ds.subset(np.array([0, 1]), tag)
-
     def test_split_is_keyword_only(self):
-        # a stale call that still passes a pmf table lands on no field
+        # a stale call that still passes a pmf table or a split tag lands on no field
         ds = self.base()
         pmfs = np.array(ds.target_pmfs)
         with pytest.raises(TypeError):
             Dataset(G101, *arrays_of(ds), pmfs)
-        assert Dataset(G101, *arrays_of(ds), split="val").split == "val"
+        with pytest.raises(TypeError):
+            Dataset(G101, *arrays_of(ds), split="val")
+        with pytest.raises(TypeError):
+            ds.subset(np.array([0, 1]), "val")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +459,7 @@ class TestSplit:
     def test_counts_and_tags(self):
         train, val = split(self.base(), 0.2, seed=0)
         assert len(train) == 80 and len(val) == 20
-        assert train.split == "train" and val.split == "val"
+        assert not hasattr(train, "split") and not hasattr(val, "split")
 
     def test_committed_protocol_builds_no_pmf_table(self):
         # The full dataset is only split, so building and splitting the

@@ -344,6 +344,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
+    def test_non_utf8_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"out_dir": "r\xe9sultats"}')
+        with pytest.raises(ConfigError, match="codec can't decode"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, given, again", [
+        ("seeds", '"seeds": [0]', '"seeds": [3]'), ("lr", '"lr": 0.001', '"lr": 0.01'),
+    ], ids=["top_level", "in_train"])
+    def test_duplicate_key_rejected_before_any_write(self, tmp_path, monkeypatch, capsys, key, given, again):
+        text = json.dumps(tiny_dict(tmp_path / "out", seeds=(0,)))
+        path = tmp_path / "cfg.json"
+        path.write_text(text.replace(given, f"{given}, {again}"), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: duplicate key {key!r}")):
+            load_config(path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert f"duplicate key {key!r}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
 
 # ---------------------------------------------------------------------------
 # run_experiment
@@ -736,6 +756,23 @@ class TestCli:
         assert (tmp_path / "cmp" / "b" / "summary.csv").is_file()
         out = capsys.readouterr().out
         assert "relative difference" in out and "report:" in out
+
+    @pytest.mark.parametrize("dataset", [
+        {"type": "synthetic", "n": 60, "d_in": 3, "sigma_range": [0.1, 0.2], "seed": 1},
+        {"type": "csv", "path": "absent.csv"},
+    ], ids=["sigma_below_floor", "missing_csv"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_failed_dataset_build_creates_no_directory(self, tmp_path, monkeypatch, capsys, command, dataset):
+        monkeypatch.chdir(tmp_path)
+        configs = []
+        for name, family, lam in (("a", "full_kl", None), ("b", "reference", 1.0)):
+            d = tiny_dict(f"runs/{name}", family=family, lam=lam)
+            d["dataset"] = dataset
+            configs.append(str(write_config(tmp_path, d, name=f"{name}.json")))
+        args = [configs[0]] if command == "run" else [*configs, "--out-dir", "cmp"]
+        assert main([command, *args, "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "config error: cannot build dataset" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_compare_refuses_a_shared_out_dir_before_any_write(self, tmp_path, monkeypatch, capsys):
         # a relative path and an absolute one with ".." that resolve to the same directory

@@ -155,27 +155,21 @@ def _kl_div_vals(targets: np.ndarray, qf: np.ndarray) -> np.ndarray:
     return np.sum(targets * np.log(np.maximum(targets / qf, _TINY)), axis=-1)
 
 
-def _kl_div_grad(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    # Standard softmax-KL identity; exact wherever the EPS_LOG floor is
-    # inactive, and the conventional subgradient elsewhere.
-    return preds - targets
-
-
-def _gaussian_kl_vals(mu_t, var_t, mu_p, var_p) -> np.ndarray:
+def _gaussian_kl_terms(mu_t, var_t, mu_p, var_p):
+    """(l_exp, vf, dmu, ratio): the Gaussian-moment KL and the intermediates its gradient reuses,
+    where ``vf`` is the predicted variance floored at EPS_VAR."""
     if np.any(var_t < EPS_VAR):
         raise ValueError(f"target variance below the {EPS_VAR!r} floor")
     vf = np.maximum(var_p, EPS_VAR)
     dmu = mu_p - mu_t
-    return 0.5 * np.log(vf / var_t) + (var_t + dmu * dmu) / (2.0 * vf) - 0.5
+    ratio = (var_t + dmu * dmu) / (2.0 * vf)
+    return 0.5 * np.log(vf / var_t) + ratio - 0.5, vf, dmu, ratio
 
 
-def _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values) -> np.ndarray:
+def _gaussian_kl_dldp(mu_p, var_p, vf, dmu, ratio, values) -> np.ndarray:
     # d l_exp / d pred_i with the mu-dependence of the predicted variance
     # included; the variance is treated as constant at the EPS_VAR floor
     # (subgradient choice).
-    vf = np.maximum(var_p, EPS_VAR)
-    dmu = mu_p - mu_t
-    ratio = (var_t + dmu * dmu) / (2.0 * vf)
     a = dmu / vf
     b = np.where(var_p > EPS_VAR, (0.5 - ratio) / vf, 0.0)
     dev = values - np.asarray(mu_p)[..., np.newaxis]
@@ -240,10 +234,10 @@ def gaussian_kl(target_m: Moments, pred_m: Moments) -> float:
     non-negative for all inputs and zero exactly when the moments coincide.
     """
     return float(
-        _gaussian_kl_vals(
+        _gaussian_kl_terms(
             np.float64(target_m.mu), np.float64(target_m.var),
             np.float64(pred_m.mu), np.float64(pred_m.var),
-        )
+        )[0]
     )
 
 
@@ -358,12 +352,12 @@ def _batch_kernel(targets, logits, g, spec, target_moments, want_grad):
     mu_t, var_t = target_moments
     mu_p, var_p = pmf_moments(preds, values)
     if spec.family == FAMILY_FULL_KL:
-        l_exp = _gaussian_kl_vals(mu_t, var_t, mu_p, var_p)
+        l_exp, vf, dmu, ratio = _gaussian_kl_terms(mu_t, var_t, mu_p, var_p)
         parts = _log_diffs(preds, pf)
         l_smooth = _smoothness_vals(parts)
         comps = {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
         if want_grad:
-            dldp = _gaussian_kl_dldp(mu_t, var_t, mu_p, var_p, values)
+            dldp = _gaussian_kl_dldp(mu_p, var_p, vf, dmu, ratio, values)
             dldp = dldp + _smoothness_dldp(preds, pf, parts)
             head = _softmax_chain(preds, dldp)
     else:
@@ -374,7 +368,9 @@ def _batch_kernel(targets, logits, g, spec, target_moments, want_grad):
             dmu_dz = preds * (values - np.asarray(mu_p)[..., np.newaxis])
             head = (spec.lam * np.asarray(sign))[..., np.newaxis] * dmu_dz
     comps["pred_mu"] = mu_p
-    return comps, (_kl_div_grad(targets, preds) + head if want_grad else None)
+    # preds - targets is the standard softmax-KL identity; exact wherever the
+    # EPS_LOG floor is inactive, and the conventional subgradient elsewhere.
+    return comps, (preds - targets + head if want_grad else None)
 
 
 def batch_loss(

@@ -15,6 +15,7 @@ partial one.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
@@ -59,7 +60,7 @@ EXIT_CONFIG_ERROR = 1
 EXIT_FAILURE = 2
 
 METRICS_COLUMNS = ("seed", "epoch", "split", "l_ld", "l_exp", "l_smooth", "total", "mae")
-SUMMARY_METRICS = ("l_ld", "l_exp", "l_smooth", "total", "mae")
+SUMMARY_METRICS = METRICS_COLUMNS[3:]
 
 
 class ConfigError(Exception):
@@ -250,11 +251,18 @@ class SeedOutcome:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """One config's seeded runs (outcomes in ``config.seeds`` order) and the files they wrote.
+
+    ``data_sha256`` is the SHA-256 of the built dataset's features shape, then of its ``ids``,
+    ``features``, ``target_mu`` and ``target_sigma`` bytes; :func:`compare` pairs equal ones only.
+    """
+
     config: RunConfig
     outcomes: tuple[SeedOutcome, ...]
     metrics_paths: tuple[Path, ...]
     checkpoint_paths: tuple[Path, ...]
     summary_path: Path | None
+    data_sha256: str
 
     @property
     def failed_seeds(self) -> tuple[int, ...]:
@@ -262,8 +270,8 @@ class ExperimentResult:
 
 
 def _fmt(x) -> str:
-    """Lossless, deterministic float-to-text (shortest round-trip repr)."""
-    return repr(float(x))
+    """Lossless, deterministic float-to-text (shortest round-trip repr); None is an empty cell."""
+    return "" if x is None else repr(float(x))
 
 
 def _metric_value(m: Metrics, name: str):
@@ -272,42 +280,43 @@ def _metric_value(m: Metrics, name: str):
     return getattr(m.breakdown, name)
 
 
-def _write_metrics_csv(path: Path, header_json: str, seed: int, history) -> None:
+def _write_table(path: Path, comments, columns, rows) -> None:
+    """Write one CSV atomically: a ``# `` line per comment, the header, then the rows (lists of cells)."""
     with data.atomic_write(path) as fh:
-        fh.write(f"# {header_json}\n")
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for m in history:
-            b = m.breakdown
-            smooth = "" if b.l_smooth is None else _fmt(b.l_smooth)
-            fh.write(",".join([
-                str(seed), str(m.epoch), m.split,
-                _fmt(b.l_ld), _fmt(b.l_exp), smooth, _fmt(b.total), _fmt(m.mae),
-            ]) + "\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _write_metrics_csv(path: Path, header_json: str, seed: int, history) -> None:
+    rows = ([str(seed), str(m.epoch), m.split, *(_fmt(_metric_value(m, n)) for n in SUMMARY_METRICS)]
+            for m in history)
+    _write_table(path, [header_json], METRICS_COLUMNS, rows)
 
 
 def _write_summary_csv(path: Path, header_json: str, outcomes, epochs: int) -> None:
     """One row per epoch; across-seed mean/std of every metric for both splits."""
     oks = [o.result for o in outcomes if o.result is not None]
-    columns = ["epoch"]
-    for split_tag in ("train", "val"):
-        for name in SUMMARY_METRICS:
-            columns += [f"{split_tag}_{name}_mean", f"{split_tag}_{name}_std"]
-    with data.atomic_write(path) as fh:
-        fh.write(f"# {header_json}\n")
-        fh.write(",".join(columns) + "\n")
-        for e in range(epochs):
-            row = [str(e + 1)]
-            for offset, split_tag in ((0, "train"), (1, "val")):
-                metrics = [r.history[2 * e + offset] for r in oks]
-                assert all(m.epoch == e + 1 and m.split == split_tag for m in metrics)
-                for name in SUMMARY_METRICS:
-                    vals = [_metric_value(m, name) for m in metrics]
-                    if any(v is None for v in vals):
-                        row += ["", ""]
-                    else:
-                        arr = np.array(vals, dtype=np.float64)
-                        row += [_fmt(arr.mean()), _fmt(arr.std())]
-            fh.write(",".join(row) + "\n")
+    splits = ("train", "val")
+    columns = ["epoch"] + [f"{t}_{name}_{stat}"
+                           for t in splits for name in SUMMARY_METRICS for stat in ("mean", "std")]
+    rows = []
+    for e in range(epochs):
+        row = [str(e + 1)]
+        for offset, split_tag in enumerate(splits):
+            metrics = [r.history[2 * e + offset] for r in oks]
+            assert all(m.epoch == e + 1 and m.split == split_tag for m in metrics)
+            for name in SUMMARY_METRICS:
+                vals = [_metric_value(m, name) for m in metrics]
+                if any(v is None for v in vals):
+                    row += ["", ""]
+                else:
+                    arr = np.array(vals, dtype=np.float64)
+                    row += [_fmt(arr.mean()), _fmt(arr.std())]
+        rows.append(row)
+    _write_table(path, [header_json], columns, rows)
 
 
 def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
@@ -317,7 +326,10 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
     the summary then covers the surviving seeds.
     """
     full = build_dataset(cfg.dataset, cfg.grid)
-    out = Path(cfg.out_dir)
+    digest = hashlib.sha256(str(full.features.shape).encode())
+    for column in (full.ids, full.features, full.target_mu, full.target_sigma):
+        digest.update(column)
+    out = cfg.out_dir
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -344,21 +356,14 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
         checkpoint_paths.append(cpath)
         outcomes.append(SeedOutcome(seed, result, None))
         if not quiet:
-            log.info("seed %d done: final val MAE %.4f", seed, _final_val_mae(result))
+            log.info("seed %d done: final val MAE %.4f", seed, result.history[-1].mae)
     summary_path = None
     if any(o.result is not None for o in outcomes):
         summary_path = out / "summary.csv"
         _write_summary_csv(summary_path, header_json, outcomes, cfg.train.epochs)
     return ExperimentResult(
-        cfg, tuple(outcomes), tuple(metrics_paths), tuple(checkpoint_paths), summary_path
+        cfg, tuple(outcomes), tuple(metrics_paths), tuple(checkpoint_paths), summary_path, digest.hexdigest()
     )
-
-
-def _final_val_mae(result: TrainResult) -> float:
-    for m in reversed(result.history):
-        if m.split == "val":
-            return m.mae
-    raise ValueError("history contains no validation metrics")
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +389,6 @@ class ComparisonResult:
     txt_path: Path
 
 
-def _run_comparable(cfg: RunConfig, quiet: bool) -> ExperimentResult:
-    """run_experiment, raising as soon as a seed diverges: its pair cannot be compared."""
-    res = run_experiment(cfg, quiet=quiet)
-    if res.failed_seeds:
-        raise TrainingDivergedError(f"cannot compare: seed(s) {list(res.failed_seeds)} diverged")
-    return res
-
-
 def compare(
     cfg_a: RunConfig,
     cfg_b: RunConfig,
@@ -402,10 +399,12 @@ def compare(
 
     Both configs must share the dataset, grid, seed list and validation
     fraction, which together fix each seed's validation rows (the paired
-    protocol), and must not share an output directory.  The relative
-    difference is (mean_a - mean_b) / mean_b, i.e. the second config is the
-    baseline.  Writes ``comparison.csv`` and ``comparison.txt`` to
-    ``out_dir`` (default: cfg_a's output directory).
+    protocol), and must not share an output directory; a dataset that
+    changed between the two builds (a rewritten CSV) is a ``ConfigError``
+    naming both ``data_sha256`` digests.  The relative difference is
+    (mean_a - mean_b) / mean_b, i.e. the second config is the baseline.
+    Writes ``comparison.csv`` and ``comparison.txt`` to ``out_dir``
+    (default: cfg_a's output directory).
     A diverged seed of cfg_a stops the comparison before cfg_b is trained.
     """
     da, db = config_to_dict(cfg_a), config_to_dict(cfg_b)
@@ -416,16 +415,19 @@ def compare(
             raise ConfigError(f"compare requires identical {key!r}, got {va} vs {vb}")
     if cfg_a.out_dir.resolve() == cfg_b.out_dir.resolve():
         raise ConfigError(f"compare requires distinct out_dir, both write to {cfg_a.out_dir.resolve()}")
-    res_a = _run_comparable(cfg_a, quiet)
-    res_b = _run_comparable(cfg_b, quiet)
-    by_seed_a = {o.seed: o.result for o in res_a.outcomes}
-    by_seed_b = {o.seed: o.result for o in res_b.outcomes}
+    results = []
+    for cfg in (cfg_a, cfg_b):
+        res = run_experiment(cfg, quiet=quiet)
+        if res.failed_seeds:
+            raise TrainingDivergedError(f"cannot compare: seed(s) {list(res.failed_seeds)} diverged")
+        results.append(res)
+    res_a, res_b = results
+    if res_a.data_sha256 != res_b.data_sha256:
+        raise ConfigError("compare requires one dataset, but it changed between the two builds: "
+                          f"data_sha256 {res_a.data_sha256} vs {res_b.data_sha256}")
     seeds = cfg_a.seeds
-    mae_a = tuple(_final_val_mae(by_seed_a[s]) for s in seeds)
-    mae_b = tuple(_final_val_mae(by_seed_b[s]) for s in seeds)
-    arr_a, arr_b = np.array(mae_a), np.array(mae_b)
-    mean_a, std_a = float(arr_a.mean()), float(arr_a.std())
-    mean_b, std_b = float(arr_b.mean()), float(arr_b.std())
+    mae_a, mae_b = (tuple(o.result.history[-1].mae for o in res.outcomes) for res in results)
+    (mean_a, std_a), (mean_b, std_b) = ((float(np.mean(m)), float(np.std(m))) for m in (mae_a, mae_b))
     if mean_a == mean_b:
         rel = 0.0
     elif mean_b != 0.0:
@@ -454,12 +456,9 @@ def compare(
     out = Path(out_dir) if out_dir is not None else Path(cfg_a.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "comparison.csv"
-    with data.atomic_write(csv_path) as fh:
-        fh.write(f"# a: {json.dumps(da, sort_keys=True)}\n")
-        fh.write(f"# b: {json.dumps(db, sort_keys=True)}\n")
-        fh.write("seed,mae_a,mae_b\n")
-        for s, xa, xb in zip(seeds, mae_a, mae_b):
-            fh.write(f"{s},{_fmt(xa)},{_fmt(xb)}\n")
+    comments = [f"{tag}: {json.dumps(d, sort_keys=True)}" for tag, d in (("a", da), ("b", db))]
+    rows = ([str(s), _fmt(xa), _fmt(xb)] for s, xa, xb in zip(seeds, mae_a, mae_b))
+    _write_table(csv_path, comments, ("seed", "mae_a", "mae_b"), rows)
     txt_path = out / "comparison.txt"
     with data.atomic_write(txt_path) as fh:
         fh.write(text)
@@ -568,7 +567,7 @@ def _cmd_run(args) -> int:
         if o.error is not None:
             print(f"seed {o.seed}: FAILED ({o.error})")
         else:
-            print(f"seed {o.seed}: final val MAE {_final_val_mae(o.result):.6f}")
+            print(f"seed {o.seed}: final val MAE {o.result.history[-1].mae:.6f}")
     if result.summary_path is not None:
         print(f"summary: {result.summary_path}")
     return EXIT_FAILURE if result.failed_seeds else EXIT_OK

@@ -16,6 +16,7 @@ import numpy as np
 
 from .grid import (
     EPS_VAR,
+    MIN_SIGMA_FACTOR,
     LabelGrid,
     Moments,
     Pmf,
@@ -278,7 +279,7 @@ def _draw(rng: np.random.Generator, g: LabelGrid) -> tuple[np.ndarray, np.ndarra
     logits = rng.normal(0.0, 2.0, n)
     if rng.random() < 0.5:
         return logits, rng.normal(0.0, 1.5, n)
-    sigma_lo = 0.5 * g.spacing
+    sigma_lo = MIN_SIGMA_FACTOR * g.spacing
     sigma_hi = max(sigma_lo, g.span / 4.0)
     mu = rng.uniform(g.lo, g.hi)
     return logits, (mu, rng.uniform(sigma_lo, sigma_hi))

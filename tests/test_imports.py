@@ -1,15 +1,20 @@
 """Import hygiene and dead code: no module in src/ or tests/ imports a name it
-never uses, and no private module-level name in src/fullkl goes unreferenced.
+never uses, and no module-level name in src/fullkl goes unreferenced.
 
 The project runs no linter, so these are AST scans.  A name bound by an
 ``import`` counts as used when it appears as a name anywhere in the module
 or is listed in the module's literal ``__all__``.  A private (``_``-prefixed)
 module-level function, class or constant counts as referenced when any
 module in src/ or tests/ reads it as a name, an attribute, an imported name
-or a string constant (the form ``monkeypatch.setattr`` takes).
+or a string constant (the form ``monkeypatch.setattr`` takes).  A public
+module-level function or class counts as referenced when some module in
+src/, tests/ or perfbench/ reads it in one of those ways outside its own
+definition, ``__all__`` lists and imports, or README.md names it.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -123,3 +128,70 @@ def test_no_unreferenced_private_code():
     defining = {path: src for path, src in sources.items() if path.startswith("src/fullkl/")}
     assert defining
     assert unreferenced_private(defining, list(sources.values())) == []
+
+
+def public_definitions(tree: ast.Module) -> list[ast.AST]:
+    """Every public module-level function or class definition."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def reference_counts(tree: ast.AST) -> Counter:
+    """:func:`referenced_names`, counted, leaving out ``__all__`` lists and imports."""
+    refs = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs[node.value] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return refs
+
+
+def unreferenced_public(defining: dict[str, str], pool: list[str], docs: str) -> list[str]:
+    """``path:line: name`` of each public definition in ``defining`` (path -> source)
+    that no source in ``pool`` references outside the definition itself and that
+    ``docs`` does not name."""
+    refs = sum((reference_counts(ast.parse(src)) for src in pool), Counter())
+    out = []
+    for path, src in defining.items():
+        for node in public_definitions(ast.parse(src)):
+            outside = refs[node.name] - reference_counts(node)[node.name]
+            if outside <= 0 and not re.search(rf"\b{re.escape(node.name)}\b", docs):
+                out.append(f"{path}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_public_dead_code_scan_finds_orphans():
+    source = (
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Documented:\n    pass\n"
+        "class SelfReferenced:\n    def copy(self):\n        return SelfReferenced()\n"
+        "def exported():\n    pass\n"
+        "def by_string():\n    pass\n"
+        "__all__ = ['used', 'recursive', 'exported']\n"
+    )
+    init = "from .m import exported\n__all__ = ['exported']\n"
+    other = "import m\nm.used()\nsetattr(m, 'by_string', None)\n"
+    assert unreferenced_public({"m.py": source}, [source, init, other], "See `Documented`.") == [
+        "m.py:3: recursive", "m.py:7: SelfReferenced", "m.py:10: exported",
+    ]
+
+
+def test_no_unreferenced_public_code():
+    pool = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in pool}
+    defining = {path: src for path, src in sources.items() if path.startswith("src/fullkl/")}
+    assert defining and any(path.startswith("perfbench/") for path in sources)
+    docs = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unreferenced_public(defining, list(sources.values()), docs) == []

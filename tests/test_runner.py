@@ -1,6 +1,7 @@
 """Config parsing, experiment orchestration, comparison, and the CLI."""
 
 import builtins
+import hashlib
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 
 import fullkl.data
 import fullkl.runner
-from fullkl.data import atomic_write, gen_synthetic, save_csv
+from fullkl.data import Dataset, atomic_write, gen_synthetic, save_csv
 from fullkl.grid import LabelGrid
 from fullkl.losses import LossBreakdown, LossSpec
 from fullkl.model import Metrics, TrainConfig, TrainingDivergedError, init_mlp, load_checkpoint, save_checkpoint
@@ -28,6 +29,7 @@ from fullkl.runner import (
     config_to_dict,
     load_config,
     main,
+    build_dataset,
     run_experiment,
     verify_suite,
 )
@@ -446,6 +448,14 @@ class TestRunExperiment:
         result = run_experiment(config_from_dict(d), quiet=True)
         assert result.failed_seeds == ()
 
+    def test_data_sha256_digests_the_built_dataset(self, tmp_path):
+        cfg = config_from_dict(tiny_dict(tmp_path / "out", seeds=(0,)))
+        full = build_dataset(cfg.dataset, cfg.grid)
+        h = hashlib.sha256(str(full.features.shape).encode())
+        for column in (full.ids, full.features, full.target_mu, full.target_sigma):
+            h.update(column.tobytes())
+        assert run_experiment(cfg, quiet=True).data_sha256 == h.hexdigest()
+
     def test_missing_csv_is_config_error(self, tmp_path):
         d = tiny_dict(tmp_path / "out")
         d["dataset"] = {"type": "csv", "path": str(tmp_path / "absent.csv")}
@@ -596,6 +606,48 @@ class TestCompare:
         cfg_b = config_from_dict(tiny_dict(tmp_path / "b"))
         result = compare(cfg_a, cfg_b, quiet=True)
         assert result.csv_path.parent == tmp_path / "a"
+
+    def test_unsorted_seeds_pair_in_config_order(self, tmp_path):
+        cfg_a = config_from_dict(tiny_dict(tmp_path / "a", seeds=(3, 1)))
+        cfg_b = config_from_dict(tiny_dict(tmp_path / "b", family="reference", lam=1.0, seeds=(3, 1)))
+        result = compare(cfg_a, cfg_b, quiet=True)
+        assert result.seeds == (3, 1)
+        lines = result.csv_path.read_text(encoding="utf-8").splitlines()
+        assert lines[2:] == ["seed,mae_a,mae_b"] + [f"{s},{xa!r},{xb!r}" for s, xa, xb in zip((3, 1), result.mae_a, result.mae_b)]
+        for maes, out in ((result.mae_a, tmp_path / "a"), (result.mae_b, tmp_path / "b")):
+            for seed, mae in zip((3, 1), maes):
+                _, _, metrics = read_rows(out / f"metrics_seed{seed}.csv")
+                last_val = [r for r in metrics if r[2] == "val"][-1]
+                assert float(last_val[-1]) == mae
+        assert result.result_a.data_sha256 == result.result_b.data_sha256
+
+    def test_dataset_changed_between_builds_refused(self, tmp_path, monkeypatch, capsys):
+        grid = LabelGrid(0.0, 100.0, 1.0)
+        save_csv(gen_synthetic(60, 3, grid, (2.0, 6.0), 1), tmp_path / "data.csv")
+        load_csv, calls = fullkl.data.load_csv, []
+
+        def load_then_shift(path, g):
+            ds = load_csv(path, g)
+            calls.append(path)
+            if len(calls) == 1:
+                return ds
+            mu = ds.target_mu.copy()
+            mu[0] = np.nextafter(mu[0], math.inf)
+            return Dataset(ds.grid, ds.ids, ds.features, mu, ds.target_sigma)
+
+        monkeypatch.setattr(fullkl.data, "load_csv", load_then_shift)
+        configs = []
+        for name, family, lam in (("a", "full_kl", None), ("b", "reference", 1.0)):
+            d = tiny_dict(tmp_path / "ignored", family=family, lam=lam, seeds=(0,))
+            d["dataset"] = {"type": "csv", "path": str(tmp_path / "data.csv")}
+            configs.append(str(write_config(tmp_path, d, name=f"{name}.json")))
+        code = main(["compare", *configs, "--out-dir", str(tmp_path / "cmp"), "--quiet"])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "config error: compare requires one dataset, but it changed between the two builds" in err
+        assert len(re.findall(r"\b[0-9a-f]{64}\b", err)) == 2
+        assert len(calls) == 2
+        assert sorted(p.name for p in (tmp_path / "cmp").iterdir()) == ["a", "b"]
 
     def test_mismatched_dataset_rejected(self, tmp_path):
         cfg_a = config_from_dict(tiny_dict(tmp_path / "a"))

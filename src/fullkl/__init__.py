@@ -31,8 +31,6 @@ from .losses import (
     smoothness,
 )
 from .verify import (
-    GradCheckReport,
-    check_grad,
     fd_grad,
     fd_grad_rows,
     gaussian_kl_sweep,
@@ -81,7 +79,7 @@ __all__ = [
     "full_kl_grad", "full_kl_loss", "gaussian_kl", "kl_div",
     "reference_grad", "reference_loss", "smoothness",
     # verify
-    "GradCheckReport", "check_grad", "fd_grad", "fd_grad_rows", "gaussian_kl_sweep",
+    "fd_grad", "fd_grad_rows", "gaussian_kl_sweep",
     "gradient_fidelity", "numeric_gaussian_kl", "run_all_checks",
     # model
     "Metrics", "MlpParams", "OptimizerState", "TrainConfig",

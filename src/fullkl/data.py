@@ -5,9 +5,11 @@ A ``Dataset`` stores exactly those columns; the Gaussian target pmfs on the
 evenly spaced label grid are derived from them on first use.  The std is at
 least half the bin spacing and the mean lies inside the grid span; the
 generator draws targets that hold both, and the CSV loader and ``Dataset``
-reject any that do not.  Datasets are immutable and store column arrays, the
-layout the trainer batches from; every builder, pickle and copy goes through
-the ``Dataset`` constructor, which copies and checks them.
+reject any that do not.  ``Dataset`` also rejects a narrowest target whose
+pmf, put on a grid edge, has a variance below ``EPS_VAR``.  Datasets are
+immutable and store column arrays, the layout the trainer batches from; every
+builder, pickle and copy goes through the ``Dataset`` constructor, which
+copies and checks them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import LabelGrid, MIN_SIGMA_FACTOR, PMF_SUM_TOL, gaussian_probs, pmf_moments, row_blocks
+from .grid import EPS_VAR, PMF_SUM_TOL, LabelGrid, gaussian_probs, pmf_moments, row_blocks
 
 __all__ = [
     "Dataset",
@@ -31,6 +33,7 @@ __all__ = [
     "load_csv",
     "save_csv",
     "split",
+    "val_count",
 ]
 
 log = logging.getLogger(__name__)
@@ -78,11 +81,18 @@ class Dataset:
             raise ValueError("target_mu and target_sigma must be one value per sample")
         if not (np.all(np.isfinite(feats)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise ValueError("dataset values must be finite")
-        floor = MIN_SIGMA_FACTOR * self.grid.spacing
-        if np.any(sigma < floor):
-            raise ValueError(f"target sigma below the {floor!r} floor")
-        if np.any(mu < self.grid.lo) or np.any(mu > self.grid.hi):
+        g = self.grid
+        if np.any(sigma < g.sigma_floor):
+            raise ValueError(f"target sigma below the {g.sigma_floor!r} floor")
+        if np.any(mu < g.lo) or np.any(mu > g.hi):
             raise ValueError("target means must lie within the grid span")
+        # The narrowest target with its mean on a grid edge has the smallest pmf
+        # variance of any target here, and the losses need it at or above EPS_VAR.
+        narrowest = float(sigma.min())
+        var = float(pmf_moments(gaussian_probs(g.lo, narrowest, g.values), g.values)[1])
+        if var < EPS_VAR:
+            raise ValueError(f"target sigma {narrowest!r} on a grid step of {g.spacing!r} gives a pmf variance "
+                             f"of {var:.3g}, below the EPS_VAR floor of {EPS_VAR!r} label units squared")
         for arr, name in ((ids, "ids"), (feats, "features"), (mu, "target_mu"), (sigma, "target_sigma")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -163,7 +173,7 @@ def gen_synthetic(
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
     sigma_lo, sigma_hi = float(sigma_range[0]), float(sigma_range[1])
-    floor = MIN_SIGMA_FACTOR * grid.spacing
+    floor = grid.sigma_floor
     if not (floor <= sigma_lo <= sigma_hi <= grid.span / 4.0):
         raise ValueError(
             f"sigma_range must satisfy {floor} <= lo <= hi <= {grid.span / 4.0}, got ({sigma_lo}, {sigma_hi})"
@@ -260,7 +270,7 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
             mean, std = vals[-2], vals[-1]
             if not all(np.isfinite(v) for v in vals):
                 bad.append(f"line {line_no}: non-finite value")
-            elif std < MIN_SIGMA_FACTOR * grid.spacing:
+            elif std < grid.sigma_floor:
                 bad.append(f"line {line_no}: std {std!r} below the sigma floor")
             elif not (grid.lo <= mean <= grid.hi):
                 bad.append(f"line {line_no}: mean {mean!r} outside the grid span")
@@ -283,14 +293,20 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
     return ds
 
 
-def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle-then-partition into (train, val); disjoint and exhaustive."""
+def val_count(n: int, val_fraction: float) -> int:
+    """Validation rows of an ``n``-sample split, round(n * val_fraction); both parts must be non-empty."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction!r}")
-    n = len(ds)
     n_val = int(round(n * val_fraction))
     if n_val == 0 or n_val == n:
         raise ValueError(f"val_fraction {val_fraction!r} yields an empty split for {n} samples")
+    return n_val
+
+
+def split(ds: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded shuffle-then-partition into (train, val); disjoint and exhaustive."""
+    n = len(ds)
+    n_val = val_count(n, val_fraction)
     perm = np.random.default_rng(seed).permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])

@@ -129,6 +129,11 @@ class LabelGrid:
     def span(self) -> float:
         return self.hi - self.lo
 
+    @property
+    def sigma_floor(self) -> float:
+        """The narrowest target std this grid admits: MIN_SIGMA_FACTOR bin spacings."""
+        return MIN_SIGMA_FACTOR * self.spacing
+
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
@@ -235,9 +240,8 @@ def discretize_gaussian(mu: float, sigma: float, g: LabelGrid) -> Pmf:
     """
     if not (np.isfinite(mu) and np.isfinite(sigma)):
         raise ValueError("mu and sigma must be finite")
-    floor = MIN_SIGMA_FACTOR * g.spacing
-    if sigma < floor:
-        raise ValueError(f"sigma={sigma!r} below floor {floor!r} (half the bin spacing)")
+    if sigma < g.sigma_floor:
+        raise ValueError(f"sigma={sigma!r} below floor {g.sigma_floor!r} (half the bin spacing)")
     if mu < g.lo - TRUNCATION_SIGMAS * sigma or mu > g.hi + TRUNCATION_SIGMAS * sigma:
         raise ValueError(
             f"mu={mu!r} lies more than {TRUNCATION_SIGMAS} sigma outside [{g.lo}, {g.hi}]"

@@ -230,8 +230,9 @@ def gaussian_kl(target_m: Moments, pred_m: Moments) -> float:
     ``ln(sigma_hat/sigma) + (var + (mu_hat-mu)^2) / (2 var_hat) - 1/2`` with
     the predicted variance floored at ``grid.EPS_VAR`` in both the log and
     the denominator.  The target variance must already sit at or above the
-    floor (the dataset sigma floor guarantees this); the result is then
-    non-negative for all inputs and zero exactly when the moments coincide.
+    floor (``data.Dataset`` checks this of its narrowest target); the result
+    is then non-negative for all inputs and zero exactly when the moments
+    coincide.
     """
     return float(
         _gaussian_kl_terms(

@@ -326,6 +326,7 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
     the summary then covers the surviving seeds.
     """
     full = build_dataset(cfg.dataset, cfg.grid)
+    _built("train.", data.val_count, len(full), cfg.train.val_fraction)  # every seed's split, before out_dir exists
     digest = hashlib.sha256(str(full.features.shape).encode())
     for column in (full.ids, full.features, full.target_mu, full.target_sigma):
         digest.update(column)
@@ -518,18 +519,16 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         cfg = _built("--seeds: ", replace, cfg, seeds=_parse_seeds(args.seeds))
     if out_dir is not None:
         cfg = _built("--out-dir: ", replace, cfg, out_dir=out_dir)
     return cfg
 
 
-def _add_common_flags(parser, with_out_dir=True, with_seeds=True):
-    if with_out_dir:
-        parser.add_argument("--out-dir", help="override the config's output directory")
-    if with_seeds:
-        parser.add_argument("--seeds", help="override the config's seed list (comma-separated)")
+def _add_common_flags(parser):
+    parser.add_argument("--out-dir", help="override the config's output directory")
+    parser.add_argument("--seeds", help="override the config's seed list (comma-separated)")
     parser.add_argument("--quiet", action="store_true", help="suppress progress logging")
 
 
@@ -551,12 +550,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerics verification suite")
     p.add_argument("--json", action="store_true", help="print one JSON object per check")
-    _add_common_flags(p, with_out_dir=False, with_seeds=False)
 
     p = sub.add_parser("gen-data", help="generate the configured dataset and write it as CSV")
     p.add_argument("config", help="run config (JSON); only dataset and grid sections are used")
     p.add_argument("out_csv", help="output CSV path")
-    _add_common_flags(p, with_out_dir=False, with_seeds=False)
     return parser
 
 
@@ -613,11 +610,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.WARNING if getattr(args, "quiet", False) else logging.INFO,
-        format="%(message)s",
-        force=True,
-    )
+    logging.basicConfig(level=logging.INFO, format="%(message)s", force=True)
     handlers = {
         "run": _cmd_run,
         "compare": _cmd_compare,

@@ -16,7 +16,6 @@ import numpy as np
 
 from .grid import (
     EPS_VAR,
-    MIN_SIGMA_FACTOR,
     LabelGrid,
     Moments,
     Pmf,
@@ -39,7 +38,6 @@ from .losses import (
 )
 
 __all__ = [
-    "GradCheckReport",
     "SweepRow",
     "SweepResult",
     "FidelityResult",
@@ -47,7 +45,6 @@ __all__ = [
     "REL_ERROR_FLOOR",
     "fd_grad",
     "fd_grad_rows",
-    "check_grad",
     "rel_norm_error",
     "numeric_gaussian_kl",
     "gaussian_kl_sweep",
@@ -81,16 +78,6 @@ SWEEP_SIGMAS, SWEEP_DMUS = (0.5, 1.0, 2.0, 5.0, 10.0), (0.0, 1.0, 10.0)
 FIDELITY_SIZES, FD_REL_STEP = (2, 5, 101), 1e-5
 AFFINE_SCALE, AFFINE_SHIFT = 3.0, 7.0
 ORACLE_LAMBDA = 1.0
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    """Outcome of a per-coordinate analytic-vs-numeric gradient comparison."""
-
-    max_rel_error: float
-    worst_index: int
-    passed: bool
-    tolerance: float
 
 
 def _fd_steps(x, h) -> tuple[np.ndarray, np.ndarray]:
@@ -151,22 +138,6 @@ def fd_grad_rows(loss_rows: Callable[[np.ndarray], np.ndarray], x, h) -> np.ndar
     if f.shape != (2 * n,):
         raise ValueError(f"loss_rows must return one loss per row, shape {(2 * n,)}, got {f.shape}")
     return _fd_quotient(f[:n], f[n:], steps)
-
-
-def check_grad(analytic, numeric, tol: float) -> GradCheckReport:
-    """Per-coordinate relative comparison of two gradient vectors.
-
-    The metric is max_i |a_i - n_i| / max(1e-12, |a_i| + |n_i|); the
-    absolute floor keeps legitimately ~0 coordinates from failing on
-    round-off noise.  ``passed`` holds iff the max does not exceed ``tol``.
-    """
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    if a.shape != n.shape or a.ndim != 1 or a.size == 0:
-        raise ValueError(f"gradient shapes must match and be non-empty vectors: {a.shape} vs {n.shape}")
-    rel = np.abs(a - n) / np.maximum(REL_ERROR_FLOOR, np.abs(a) + np.abs(n))
-    worst = int(np.argmax(rel))
-    return GradCheckReport(float(rel[worst]), worst, bool(rel[worst] <= tol), float(tol))
 
 
 def rel_norm_error(analytic, numeric) -> float:
@@ -240,24 +211,15 @@ class SweepResult:
         return max(self.rows, key=lambda r: r.abs_err)
 
 
-def gaussian_kl_sweep(closed_form: Callable[[float, float, float, float], float] | None = None) -> SweepResult:
-    """Closed form vs quadrature oracle over the SWEEP_SIGMAS x SWEEP_DMUS moment pairs.
-
-    ``closed_form(mu_t, var_t, mu_p, var_p)`` defaults to the library's
-    gaussian_kl; it is injectable so a deliberately perturbed closed form
-    can demonstrate that the sweep actually detects mutations.
-    """
-    if closed_form is None:
-        def closed_form(mu_t, var_t, mu_p, var_p):
-            return gaussian_kl(Moments(mu_t, var_t), Moments(mu_p, var_p))
-
+def gaussian_kl_sweep() -> SweepResult:
+    """Closed-form gaussian_kl vs quadrature oracle over the SWEEP_SIGMAS x SWEEP_DMUS moment pairs."""
     rows = []
     for sigma_t in SWEEP_SIGMAS:
         for sigma_p in SWEEP_SIGMAS:
             for dmu in SWEEP_DMUS:
                 target_m = Moments(0.0, sigma_t * sigma_t)
                 pred_m = Moments(float(dmu), sigma_p * sigma_p)
-                closed = float(closed_form(target_m.mu, target_m.var, pred_m.mu, pred_m.var))
+                closed = gaussian_kl(target_m, pred_m)
                 numeric = numeric_gaussian_kl(target_m, pred_m)
                 rows.append(SweepRow(sigma_t, sigma_p, float(dmu), closed, numeric, abs(closed - numeric)))
     return SweepResult(tuple(rows), max(r.abs_err for r in rows))
@@ -279,7 +241,7 @@ def _draw(rng: np.random.Generator, g: LabelGrid) -> tuple[np.ndarray, np.ndarra
     logits = rng.normal(0.0, 2.0, n)
     if rng.random() < 0.5:
         return logits, rng.normal(0.0, 1.5, n)
-    sigma_lo = MIN_SIGMA_FACTOR * g.spacing
+    sigma_lo = g.sigma_floor
     sigma_hi = max(sigma_lo, g.span / 4.0)
     mu = rng.uniform(g.lo, g.hi)
     return logits, (mu, rng.uniform(sigma_lo, sigma_hi))

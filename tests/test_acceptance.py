@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: the six headline guarantees of this package.
+"""End-to-end acceptance gate: the seven headline guarantees of this package.
 
 Each test evaluates one criterion at its stated tolerance, appends a single
 ``[criterion N] PASS/FAIL`` line (printed in the terminal summary via
@@ -227,4 +227,48 @@ def test_criterion_6_reproducibility(criterion_report, tmp_path):
         criterion_report, 6, identical,
         f"rerunning both families (300 samples, 2 seeds, 3 epochs) reproduced all "
         f"{n_files} output files byte-identically (metrics, summary, checkpoints)",
+    )
+
+
+def test_criterion_7_unit_invariance(criterion_report, tmp_path):
+    """Labels rewritten as a*y + b: full_kl runs the same computation, the reference's lambda scales by a.
+
+    Grid, target means and target sigmas all move with the labels, so a final
+    val MAE divided by a is in the original units.  The reference's L1 term
+    scales by a, so reference(a, lambda) is reference(1, a*lambda).
+    """
+    base = load_config(REPO_CONFIGS / "full_kl.json")
+
+    def val_maes(a, b, lam=None):
+        cfg = config_from_dict({
+            "dataset": {"type": "synthetic", "n": 1000, "d_in": base.dataset.d_in,
+                        "sigma_range": [a * s for s in base.dataset.sigma_range], "seed": base.dataset.seed},
+            "grid": {"start": a * base.grid.lo + b, "stop": a * base.grid.hi + b, "step": a * base.grid.spacing},
+            "loss": {"family": FAMILY_FULL_KL} if lam is None else {"family": FAMILY_REFERENCE, "lambda": lam},
+            "train": {"epochs": 20, "batch_size": base.train.batch_size, "lr": base.train.lr,
+                      "lr_decay_factor": base.train.lr_decay_factor, "lr_decay_every": base.train.lr_decay_every,
+                      "hidden": list(base.train.hidden), "val_fraction": base.train.val_fraction},
+            "seeds": [0, 1, 2],
+            "out_dir": str(tmp_path / f"a{a}_b{b}_lam{lam}"),
+        })
+        return np.array([o.result.history[-1].mae for o in run_experiment(cfg, quiet=True).outcomes]) / a
+
+    def rel(x, y):
+        return float(np.max(np.abs(x - y) / y))
+
+    start = time.perf_counter()
+    full_1 = val_maes(1.0, 0.0)
+    full_rel = max(rel(val_maes(a, b), full_1) for a in (0.1, 10.0) for b in (0.0, 1000.0))
+    ref_1, ref_10 = val_maes(1.0, 0.0, lam=1.0), val_maes(10.0, 0.0, lam=1.0)
+    lam_rel = rel(ref_10, val_maes(1.0, 0.0, lam=10.0))
+    units_gap = abs(ref_10.mean() / ref_1.mean() - 1.0)
+    elapsed = time.perf_counter() - start
+
+    ok = full_rel <= 1e-12 and lam_rel <= 1e-12 and units_gap >= 0.01
+    check(
+        criterion_report, 7, ok,
+        f"(a) full_kl final val MAE / a under y -> a*y + b, a in {{0.1, 10}}, b in {{0, 1000}}: "
+        f"max rel diff {full_rel:.2e} (tol 1e-12); (b) reference(10, lambda=1) vs reference(1, lambda=10): "
+        f"{lam_rel:.2e} (tol 1e-12); (c) reference(10, 1) vs reference(1, 1) mean MAE: {units_gap:.2%} apart "
+        f"(at least 1%); 1000 samples, 20 epochs, seeds 0-2, {elapsed:.1f}s",
     )

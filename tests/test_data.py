@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 
 import fullkl.data
 from fullkl import runner
-from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split
-from fullkl.grid import BLOCK_ROWS, LabelGrid, discretize_gaussian, gaussian_probs, pmf_moments
+from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split, val_count
+from fullkl.grid import BLOCK_ROWS, EPS_VAR, LabelGrid, discretize_gaussian, gaussian_probs, pmf_moments
 from fullkl.model import derive_seeds
 
 G101 = LabelGrid(0.0, 100.0, 1.0)
@@ -211,6 +211,20 @@ class TestDataset:
         sigma[0] = 0.4
         with pytest.raises(ValueError, match="floor"):
             Dataset(G101, ds.ids, ds.features, ds.target_mu, sigma)
+
+    @pytest.mark.parametrize("step, admitted", [(3.2e-4, True), (3.0e-4, False), (1e-4, False)])
+    def test_narrowest_target_variance_at_eps_var(self, step, admitted):
+        # sigma = step / 2 at a grid edge has pmf variance ~0.106 step^2, below EPS_VAR for steps under ~3.07e-4
+        g = LabelGrid(0.0, 100 * step, step)
+        sigma = g.sigma_floor
+        var = pmf_moments(gaussian_probs(g.lo, sigma, g.values), g.values)[1]
+        assert bool(var >= EPS_VAR) is admitted
+        columns = ([0, 1], [[0.0], [1.0]], [g.lo, g.hi / 2], [sigma, 10 * sigma])
+        if admitted:
+            Dataset(g, *columns)
+        else:
+            with pytest.raises(ValueError, match=f"target sigma {sigma!r} on a grid step of {step!r} .* EPS_VAR"):
+                Dataset(g, *columns)
 
     def test_mean_span_enforced(self):
         ds = self.base()
@@ -512,7 +526,7 @@ class TestSplit:
 
     def test_rounded_val_count(self):
         train, val = split(self.base(10), 0.25, seed=0)
-        assert len(val) == round(10 * 0.25) and len(train) == 10 - len(val)
+        assert len(val) == round(10 * 0.25) == val_count(10, 0.25) and len(train) == 10 - len(val)
 
     @pytest.mark.parametrize("frac", [0.0, 1.0, -0.5, 1.5])
     def test_bad_fraction_rejected(self, frac):

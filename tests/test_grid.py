@@ -36,10 +36,12 @@ class TestMakeGrid:
         assert g.spacing == 1.0
         assert g.values[0] == 0.0 and g.values[-1] == 100.0
         assert g.lo == 0.0 and g.hi == 100.0 and g.span == 100.0
+        assert g.sigma_floor == 0.5  # half the spacing
 
     def test_fractional_step(self):
         g = LabelGrid(0.0, 1.0, 0.25)
         np.testing.assert_allclose(g.values, [0.0, 0.25, 0.5, 0.75, 1.0], rtol=0, atol=0)
+        assert g.sigma_floor == 0.125
 
     @pytest.mark.parametrize("bounds, n", OFFSET_GRIDS)
     def test_offset_grid(self, bounds, n):

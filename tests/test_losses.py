@@ -28,7 +28,7 @@ from fullkl.losses import (
     reference_loss,
     smoothness,
 )
-from fullkl.verify import check_grad, fd_grad, rel_norm_error
+from fullkl.verify import fd_grad, rel_norm_error
 
 APPROX = dict(rel=1e-13, abs=0.0)
 
@@ -288,8 +288,8 @@ class TestGradients:
         logits = np.array([0.5, -0.25, 1.0, 0.75, -1.5])
         analytic = full_kl_grad(target, logits, g)
         numeric = fd_grad(lambda x: full_kl_loss(target, x, g).total, logits, 1e-6)
-        report = check_grad(analytic, numeric, tol=1e-6)
-        assert report.passed, report
+        rel = np.abs(analytic - numeric) / np.maximum(1e-12, np.abs(analytic) + np.abs(numeric))
+        assert rel.max() <= 1e-6, rel
 
     def test_grad_shift_direction(self):
         # prediction mean above target mean: l_exp pushes probability mass

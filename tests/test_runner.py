@@ -704,6 +704,23 @@ class TestCli:
         assert "summary:" in out
         assert (tmp_path / "out" / "summary.csv").is_file()
 
+    @pytest.mark.parametrize("flags, logged", [([], True), (["--quiet"], False)], ids=["default", "quiet"])
+    def test_run_progress_lines(self, tmp_path, capsys, flags, logged):
+        path = write_config(tmp_path, tiny_dict(tmp_path / "out", seeds=(0,)))
+        assert main(["run", str(path), *flags]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert ("seed 0 done: final val MAE" in err) is logged
+        assert ("epoch   3" in err) is logged
+        if not logged:
+            assert err == ""
+
+    @pytest.mark.parametrize("command", [["verify"], ["gen-data", "cfg.json", "data.csv"]], ids=["verify", "gen-data"])
+    def test_quiet_is_a_usage_error_where_nothing_logs(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([*command, "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "unrecognized arguments: --quiet" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_run_seeds_override(self, tmp_path):
         path = write_config(tmp_path, tiny_dict(tmp_path / "out"))
         assert main(["run", str(path), "--seeds", "5", "--quiet"]) == EXIT_OK
@@ -780,7 +797,7 @@ class TestCli:
         saved = []
         save_csv = fullkl.data.save_csv
         monkeypatch.setattr(fullkl.data, "save_csv", lambda ds, dest: (saved.append(ds), save_csv(ds, dest)))
-        assert main(["gen-data", str(path), str(out_csv), "--quiet"]) == EXIT_OK
+        assert main(["gen-data", str(path), str(out_csv)]) == EXIT_OK
         assert len(saved) == 1 and "target_pmfs" not in vars(saved[0])
         assert "wrote 60 samples" in capsys.readouterr().out
         first = out_csv.read_text(encoding="utf-8").splitlines()[0]
@@ -789,7 +806,7 @@ class TestCli:
     def test_gen_data_unwritable_path(self, tmp_path, capsys):
         path = write_config(tmp_path, tiny_dict(tmp_path / "out"))
         target = tmp_path / "no_such_dir" / "data.csv"
-        assert main(["gen-data", str(path), str(target), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert main(["gen-data", str(path), str(target)]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
 
     def test_compare_cli_with_out_dir(self, tmp_path, capsys):
@@ -809,21 +826,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "relative difference" in out and "report:" in out
 
-    @pytest.mark.parametrize("dataset", [
-        {"type": "synthetic", "n": 60, "d_in": 3, "sigma_range": [0.1, 0.2], "seed": 1},
-        {"type": "csv", "path": "absent.csv"},
-    ], ids=["sigma_below_floor", "missing_csv"])
+    @pytest.mark.parametrize("sections, error", [
+        pytest.param({"dataset": {"type": "synthetic", "n": 60, "d_in": 3, "sigma_range": [0.1, 0.2], "seed": 1}},
+                     "cannot build dataset: ", id="sigma_below_floor"),
+        pytest.param({"dataset": {"type": "csv", "path": "absent.csv"}}, "cannot build dataset: ", id="missing_csv"),
+        # sigma = step / 2 is allowed, but on a 1e-4 step its pmf variance is below EPS_VAR
+        pytest.param({"dataset": {"type": "synthetic", "n": 60, "d_in": 3, "sigma_range": [5e-5, 1e-4], "seed": 1},
+                      "grid": {"start": 0.0, "stop": 0.01, "step": 1e-4}},
+                     "cannot build dataset: target sigma ", id="target_variance_below_eps_var"),
+        pytest.param({"dataset": {"type": "synthetic", "n": 3, "d_in": 3, "sigma_range": [2.0, 6.0], "seed": 1},
+                      "train": {"val_fraction": 0.1}},
+                     "train.val_fraction 0.1 yields an empty split for 3 samples", id="empty_val_split"),
+        pytest.param({"dataset": {"type": "synthetic", "n": 3, "d_in": 3, "sigma_range": [2.0, 6.0], "seed": 1},
+                      "train": {"val_fraction": 0.9}},
+                     "train.val_fraction 0.9 yields an empty split for 3 samples", id="empty_train_split"),
+    ])
     @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_failed_dataset_build_creates_no_directory(self, tmp_path, monkeypatch, capsys, command, dataset):
+    def test_failed_dataset_build_creates_no_directory(self, tmp_path, monkeypatch, capsys, command, sections, error):
         monkeypatch.chdir(tmp_path)
         configs = []
         for name, family, lam in (("a", "full_kl", None), ("b", "reference", 1.0)):
             d = tiny_dict(f"runs/{name}", family=family, lam=lam)
-            d["dataset"] = dataset
+            for section, values in sections.items():
+                d[section] = {**d[section], **values} if section == "train" else values
             configs.append(str(write_config(tmp_path, d, name=f"{name}.json")))
         args = [configs[0]] if command == "run" else [*configs, "--out-dir", "cmp"]
         assert main([command, *args, "--quiet"]) == EXIT_CONFIG_ERROR
-        assert "config error: cannot build dataset" in capsys.readouterr().err
+        assert f"config error: {error}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_compare_refuses_a_shared_out_dir_before_any_write(self, tmp_path, monkeypatch, capsys):
@@ -839,12 +868,12 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_verify_cli(self, capsys):
-        assert main(["verify", "--quiet"]) == EXIT_OK
+        assert main(["verify"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "checks passed" in out
 
     def test_verify_cli_json_matches_run_all_checks(self, capsys):
-        assert main(["verify", "--json", "--quiet"]) == EXIT_OK
+        assert main(["verify", "--json"]) == EXIT_OK
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         expected = run_all_checks()
         assert [r["name"] for r in records] == [c.name for c in expected]
@@ -856,7 +885,7 @@ class TestCli:
     def test_verify_cli_json_failing_check(self, monkeypatch, capsys):
         failing = (CheckResult("sweep", True, 0.5, "a"), CheckResult("minima", False, float("nan"), "b"))
         monkeypatch.setattr(fullkl.runner, "run_all_checks", lambda: failing)
-        assert main(["verify", "--json", "--quiet"]) == EXIT_FAILURE
+        assert main(["verify", "--json"]) == EXIT_FAILURE
         lines = capsys.readouterr().out.splitlines()
         assert [json.loads(line) for line in lines] == [
             {"name": "sweep", "passed": True, "max_error": 0.5, "max_error_hex": "0x1.0000000000000p-1", "detail": "a"},

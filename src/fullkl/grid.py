@@ -31,6 +31,7 @@ __all__ = [
     "pmf_moments",
     "gaussian_probs",
     "discretize_gaussian",
+    "row_blocks",
 ]
 
 PMF_SUM_TOL = 1e-9

@@ -267,8 +267,8 @@ def reference_loss(
     ``l_exp`` in the returned breakdown is the raw L1 term in label units;
     lambda enters only the total.
     """
-    c = _sample_kernel(target, logits, g, LossSpec(FAMILY_REFERENCE, lam), want_grad=False)[0]
-    return LossBreakdown(FAMILY_REFERENCE, float(c["l_ld"]), float(c["l_exp"]), None, float(c["total"]))
+    spec = LossSpec(FAMILY_REFERENCE, lam)
+    return _breakdown(spec.family, _sample_kernel(target, logits, g, spec, want_grad=False)[0])
 
 
 def reference_grad(
@@ -296,10 +296,7 @@ def full_kl_loss(
     generally zero at pred = target: the smoothness term penalizes the
     target's own roughness.
     """
-    c = _sample_kernel(target, logits, g, _FULL_KL_SPEC, want_grad=False)[0]
-    return LossBreakdown(
-        FAMILY_FULL_KL, float(c["l_ld"]), float(c["l_exp"]), float(c["l_smooth"]), float(c["total"])
-    )
+    return _breakdown(FAMILY_FULL_KL, _sample_kernel(target, logits, g, _FULL_KL_SPEC, want_grad=False)[0])
 
 
 def full_kl_grad(
@@ -317,6 +314,12 @@ def full_kl_grad(
     variance is treated as constant (subgradient choice).
     """
     return _sample_kernel(target, logits, g, _FULL_KL_SPEC, want_grad=True)[1]
+
+
+def _breakdown(family: str, comps: dict) -> LossBreakdown:
+    """The mean over rows of each kernel component (of one row: its value); ``l_smooth`` is None when absent."""
+    means = {k: float(np.mean(comps[k])) for k in ("l_ld", "l_exp", "l_smooth", "total") if k in comps}
+    return LossBreakdown(family, means["l_ld"], means["l_exp"], means.get("l_smooth"), means["total"])
 
 
 def _sample_kernel(target, logits, g: LabelGrid, spec: LossSpec, want_grad: bool):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, atomic_write
 from .grid import LabelGrid, _number, _rectify, _whole_int, pmf_moments, row_blocks, softmax_probs
-from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad
+from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, _breakdown, batch_loss, batch_loss_and_grad
 
 __all__ = [
     "CHECKPOINT_FORMAT", "SPLIT_TAGS", "TrainingDivergedError", "MlpParams", "OptimizerState",
@@ -232,17 +232,6 @@ def adam_update(params: MlpParams, state: OptimizerState, grad: np.ndarray):
     return MlpParams._wrap(params.dims, p2), replace(state, step=t, m=m2, v=v2)
 
 
-def _mean_breakdown(comps: dict, spec: LossSpec) -> LossBreakdown:
-    smooth = float(np.mean(comps["l_smooth"])) if spec.family == FAMILY_FULL_KL else None
-    return LossBreakdown(
-        spec.family,
-        float(np.mean(comps["l_ld"])),
-        float(np.mean(comps["l_exp"])),
-        smooth,
-        float(np.mean(comps["total"])),
-    )
-
-
 def _non_finite_terms(comps: dict, dlogits: np.ndarray) -> str:
     """Which loss terms, or the gradient, hold a non-finite value (the error path only)."""
     names = [k for k in ("l_ld", "l_exp", "l_smooth") if k in comps and not np.all(np.isfinite(comps[k]))]
@@ -379,7 +368,7 @@ def evaluate(params: MlpParams, dataset: Dataset, spec: LossSpec, epoch: int, sp
         chunks.append(batch_loss(dataset.target_pmfs[rows], logits, dataset.grid, spec, moments))
     comps = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
     mae = float(np.mean(np.abs(comps["pred_mu"] - dataset.target_mu)))
-    return Metrics(epoch, split, _mean_breakdown(comps, spec), mae)
+    return Metrics(epoch, split, _breakdown(spec.family, comps), mae)
 
 
 def derive_seeds(seed: int) -> tuple[int, int, int]:

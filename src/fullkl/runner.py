@@ -29,7 +29,8 @@ import numpy as np
 from . import data
 from .grid import LabelGrid, _number, _whole_int
 from .losses import FAMILY_REFERENCE, LossSpec
-from .model import Metrics, TrainConfig, TrainResult, TrainingDivergedError, derive_seeds, save_checkpoint, train_run
+from .model import (
+    SPLIT_TAGS, Metrics, TrainConfig, TrainResult, TrainingDivergedError, derive_seeds, save_checkpoint, train_run)
 from .verify import CheckResult, run_all_checks
 
 __all__ = [
@@ -299,14 +300,13 @@ def _write_metrics_csv(path: Path, header_json: str, seed: int, history) -> None
 def _write_summary_csv(path: Path, header_json: str, outcomes, epochs: int) -> None:
     """One row per epoch; across-seed mean/std of every metric for both splits."""
     oks = [o.result for o in outcomes if o.result is not None]
-    splits = ("train", "val")
     columns = ["epoch"] + [f"{t}_{name}_{stat}"
-                           for t in splits for name in SUMMARY_METRICS for stat in ("mean", "std")]
+                           for t in SPLIT_TAGS for name in SUMMARY_METRICS for stat in ("mean", "std")]
     rows = []
     for e in range(epochs):
         row = [str(e + 1)]
-        for offset, split_tag in enumerate(splits):
-            metrics = [r.history[2 * e + offset] for r in oks]
+        for offset, split_tag in enumerate(SPLIT_TAGS):
+            metrics = [r.history[len(SPLIT_TAGS) * e + offset] for r in oks]
             assert all(m.epoch == e + 1 and m.split == split_tag for m in metrics)
             for name in SUMMARY_METRICS:
                 vals = [_metric_value(m, name) for m in metrics]
@@ -317,6 +317,21 @@ def _write_summary_csv(path: Path, header_json: str, outcomes, epochs: int) -> N
                     row += [_fmt(arr.mean()), _fmt(arr.std())]
         rows.append(row)
     _write_table(path, [header_json], columns, rows)
+
+
+def _check_out_dir(path: Path) -> None:
+    """Refuse ``path`` if its nearest existing path, itself or an ancestor, is not a directory."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError(f"cannot create output dir {path}: {existing} is not a directory")
+
+
+def _make_out_dir(path: Path) -> None:
+    """Create ``path`` and its parents; an OSError is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output dir {path}: {exc}") from exc
 
 
 def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
@@ -331,10 +346,7 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
     for column in (full.ids, full.features, full.target_mu, full.target_sigma):
         digest.update(column)
     out = cfg.out_dir
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
+    _make_out_dir(out)
     header_json = json.dumps(config_to_dict(cfg), sort_keys=True)
     outcomes: list[SeedOutcome] = []
     metrics_paths: list[Path] = []
@@ -405,7 +417,9 @@ def compare(
     naming both ``data_sha256`` digests.  The relative difference is
     (mean_a - mean_b) / mean_b, i.e. the second config is the baseline.
     Writes ``comparison.csv`` and ``comparison.txt`` to ``out_dir``
-    (default: cfg_a's output directory).
+    (default: cfg_a's output directory).  Before anything trains, an empty
+    ``out_dir`` is a ``ConfigError``, and so is a report directory or a
+    cfg_b output directory under a path that exists and is not a directory.
     A diverged seed of cfg_a stops the comparison before cfg_b is trained.
     """
     da, db = config_to_dict(cfg_a), config_to_dict(cfg_b)
@@ -416,6 +430,11 @@ def compare(
             raise ConfigError(f"compare requires identical {key!r}, got {va} vs {vb}")
     if cfg_a.out_dir.resolve() == cfg_b.out_dir.resolve():
         raise ConfigError(f"compare requires distinct out_dir, both write to {cfg_a.out_dir.resolve()}")
+    if out_dir is not None and os.fspath(out_dir) == "":
+        raise ConfigError("out_dir: expected a non-empty path")
+    report_dir = Path(out_dir) if out_dir is not None else cfg_a.out_dir
+    for path in (report_dir, cfg_b.out_dir):  # run_experiment checks cfg_a.out_dir before it trains
+        _check_out_dir(path)
     results = []
     for cfg in (cfg_a, cfg_b):
         res = run_experiment(cfg, quiet=quiet)
@@ -454,13 +473,12 @@ def compare(
     ]
     text = "\n".join(lines) + "\n"
 
-    out = Path(out_dir) if out_dir is not None else Path(cfg_a.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "comparison.csv"
+    _make_out_dir(report_dir)
+    csv_path = report_dir / "comparison.csv"
     comments = [f"{tag}: {json.dumps(d, sort_keys=True)}" for tag, d in (("a", da), ("b", db))]
     rows = ([str(s), _fmt(xa), _fmt(xb)] for s, xa, xb in zip(seeds, mae_a, mae_b))
     _write_table(csv_path, comments, ("seed", "mae_a", "mae_b"), rows)
-    txt_path = out / "comparison.txt"
+    txt_path = report_dir / "comparison.txt"
     with data.atomic_write(txt_path) as fh:
         fh.write(text)
     return ComparisonResult(

@@ -63,8 +63,9 @@ REL_ERROR_FLOOR = 1e-12  # absolute floor in relative-error denominators
 # gradient_fidelity); the factor covers the second-order terms.
 KINK_REACH_MARGIN = 2.0
 
-# component_minima draws and evaluates its instances in blocks of this many,
-# so the row stacks it builds stay small whatever n_instances is.
+# component_minima's default instance count, the one run_all_checks uses, drawn and
+# evaluated in blocks of MINIMA_BLOCK so the row stacks stay small at any count.
+MINIMA_INSTANCES = 10_000
 MINIMA_BLOCK = 1024
 
 MIN_QUADRATURE_POINTS = 10_000
@@ -414,7 +415,7 @@ def exact_zero_violations() -> dict[str, float]:
     return out
 
 
-def component_minima(n_instances: int = 10_000, seed: int = 20242) -> dict[str, float]:
+def component_minima(n_instances: int = MINIMA_INSTANCES, seed: int = 20242) -> dict[str, float]:
     """Minimum observed value of every loss component on random instances.
 
     All minima must be >= 0: l_ld, l_exp and l_smooth are KL divergences
@@ -459,12 +460,8 @@ class CheckResult:
     detail: str = ""
 
 
-def run_all_checks(
-    seed: int = 0,
-    n_grad_instances: int = 100,
-    n_nonneg_instances: int = 10_000,
-) -> tuple[CheckResult, ...]:
-    """Every oracle check, as a flat pass/fail list with max error values."""
+def run_all_checks(seed: int = 0) -> tuple[CheckResult, ...]:
+    """Every oracle check at the suites' default instance counts, as a pass/fail list with max errors."""
     checks: list[CheckResult] = []
 
     sweep = gaussian_kl_sweep()
@@ -491,7 +488,7 @@ def run_all_checks(
     )
 
     for spec in (LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)):
-        fid = gradient_fidelity(spec, n_grad_instances, seed=seed + 100)
+        fid = gradient_fidelity(spec, seed=seed + 100)
         redrawn = f", {fid.redraws} redrawn next to the L1 kink" if fid.redraws else ""
         checks.append(
             CheckResult(
@@ -522,13 +519,13 @@ def run_all_checks(
         )
     )
 
-    minima = component_minima(n_nonneg_instances, seed=seed + 300)
+    minima = component_minima(seed=seed + 300)
     checks.append(
         CheckResult(
             "nonnegativity",
             min(minima.values()) >= 0.0,
             max(0.0, -min(minima.values())),
-            f"{n_nonneg_instances} random instances, every component",
+            f"{MINIMA_INSTANCES} random instances, every component",
         )
     )
 

@@ -9,11 +9,15 @@ module in src/ or tests/ reads it as a name, an attribute, an imported name
 or a string constant (the form ``monkeypatch.setattr`` takes).  A public
 module-level function or class counts as referenced when some module in
 src/, tests/ or perfbench/ reads it in one of those ways outside its own
-definition, ``__all__`` lists and imports, or README.md names it.
+definition, ``__all__`` lists and imports, or README.md names it.  Each
+``fullkl`` module's ``__all__`` is exact: every name it lists exists, and
+every public function or class the module defines is listed.
 """
 
 import ast
+import importlib
 import re
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -195,3 +199,34 @@ def test_no_unreferenced_public_code():
     assert defining and any(path.startswith("perfbench/") for path in sources)
     docs = (ROOT / "README.md").read_text(encoding="utf-8")
     assert unreferenced_public(defining, list(sources.values()), docs) == []
+
+
+def all_mismatches(module: types.ModuleType, source: str) -> list[str]:
+    """Each name ``module.__all__`` lists that the module lacks, then each public
+    function or class ``source`` defines that ``__all__`` leaves out."""
+    listed = getattr(module, "__all__", [])
+    absent = [f"listed but absent: {name}" for name in listed if not hasattr(module, name)]
+    unlisted = [f"defined but unlisted: {node.name}"
+                for node in public_definitions(ast.parse(source)) if node.name not in listed]
+    return absent + unlisted
+
+
+def test_all_scan_finds_both_mismatches():
+    source = (
+        "def listed():\n    pass\n"
+        "def forgotten():\n    pass\n"
+        "class _Private:\n    pass\n"
+        "__all__ = ['listed', 'ghost']\n"
+    )
+    module = types.ModuleType("m")
+    exec(source, module.__dict__)
+    assert all_mismatches(module, source) == ["listed but absent: ghost", "defined but unlisted: forgotten"]
+
+
+FULLKL_MODULES = sorted((ROOT / "src" / "fullkl").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", FULLKL_MODULES, ids=lambda p: p.stem)
+def test_all_is_exact(path):
+    name = "fullkl" if path.stem == "__init__" else f"fullkl.{path.stem}"
+    assert all_mismatches(importlib.import_module(name), path.read_text(encoding="utf-8")) == []

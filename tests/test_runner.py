@@ -670,6 +670,23 @@ class TestCompare:
             compare(cfg_a, config_from_dict(d), out_dir=tmp_path / "cmp", quiet=True)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("b_dir, out_dir, error", [
+        ("b", "afile/cmp", "cannot create output dir afile/cmp: afile is not a directory"),
+        ("afile/b", None, "cannot create output dir afile/b: afile is not a directory"),
+        ("b", "", "out_dir: expected a non-empty path"),
+    ], ids=["report_under_a_file", "cfg_b_under_a_file", "empty_report_dir"])
+    def test_bad_directory_refused_before_training(self, tmp_path, monkeypatch, b_dir, out_dir, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("file, not a directory", encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(fullkl.runner, "train_run", lambda *args, **kwargs: calls.append(args))
+        cfg_a = config_from_dict(tiny_dict("a"))
+        cfg_b = config_from_dict(tiny_dict(b_dir, family="reference", lam=1.0))
+        with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+            compare(cfg_a, cfg_b, out_dir=out_dir, quiet=True)
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_seed_fails_comparison(self, tmp_path):
         cfg_a = config_from_dict(tiny_dict(tmp_path / "a", lr=1e200))
@@ -866,6 +883,15 @@ class TestCli:
         shared = (tmp_path / "runs" / "x").resolve()
         assert f"config error: compare requires distinct out_dir, both write to {shared}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    def test_compare_refuses_config_b_out_dir_under_a_file_before_any_write(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("file, not a directory", encoding="utf-8")
+        pa = write_config(tmp_path, tiny_dict("runs/a"), name="a.json")
+        pb = write_config(tmp_path, tiny_dict("afile/b", family="reference", lam=1.0), name="b.json")
+        assert main(["compare", str(pa), str(pb), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "config error: cannot create output dir afile/b: afile is not a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "afile", "b.json"]
 
     def test_verify_cli(self, capsys):
         assert main(["verify"]) == EXIT_OK

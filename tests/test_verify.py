@@ -1,5 +1,6 @@
 """The verification oracles themselves: finite differences, quadrature, suites."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -462,15 +463,29 @@ class TestInvarianceSuites:
 # composed suite
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="class")
+def suite_results():
+    """One ``run_all_checks()`` run, at the counts ``fullkl verify`` uses, shared by the class."""
+    return run_all_checks()
+
+
 class TestRunAllChecks:
-    def test_all_pass(self):
-        results = run_all_checks(n_grad_instances=20, n_nonneg_instances=1_000)
-        assert all(isinstance(r, CheckResult) for r in results)
-        failed = [r.name for r in results if not r.passed]
+    def test_all_pass(self, suite_results):
+        assert all(isinstance(r, CheckResult) for r in suite_results)
+        failed = [r.name for r in suite_results if not r.passed]
         assert not failed, failed
 
-    def test_check_names_are_stable(self):
-        names = {r.name for r in run_all_checks(n_grad_instances=5, n_nonneg_instances=100)}
+    def test_instance_counts_are_the_suite_defaults(self, suite_results):
+        # fullkl verify and acceptance criteria 2-3 must judge with the same counts.
+        details = {r.name: r.detail for r in suite_results}
+        n_grad = inspect.signature(gradient_fidelity).parameters["n_instances"].default
+        for family in (FAMILY_FULL_KL, FAMILY_REFERENCE):
+            assert details[f"grad_fidelity_{family}"].startswith(f"{n_grad} instances x n in ")
+        assert inspect.signature(component_minima).parameters["n_instances"].default == verify.MINIMA_INSTANCES
+        assert details["nonnegativity"] == f"{verify.MINIMA_INSTANCES} random instances, every component"
+
+    def test_check_names_are_stable(self, suite_results):
+        names = {r.name for r in suite_results}
         assert names == {
             "gaussian_kl_sweep",
             "quadrature_convergence",

@@ -216,20 +216,30 @@ def atomic_write(path, binary: bool = False):
         raise
 
 
+def _fmt(x) -> str:
+    """Lossless, deterministic float-to-text (shortest round-trip repr); None is an empty cell."""
+    return "" if x is None else repr(float(x))
+
+
+def _write_table(path, comments, columns, rows) -> None:
+    """Write one CSV atomically: a ``# `` line per comment, the header, then the rows (lists of unquoted cells)."""
+    with atomic_write(path) as fh:
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def _csv_header(d_in: int) -> list[str]:
     return ["id"] + [f"f{j}" for j in range(d_in)] + ["mean", "std"]
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the CSV annotation schema (lossless float text), atomically."""
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_csv_header(ds.d_in))
-        for i in range(len(ds)):
-            row = [str(int(ds.ids[i]))]
-            row += [repr(float(v)) for v in ds.features[i]]
-            row += [repr(float(ds.target_mu[i])), repr(float(ds.target_sigma[i]))]
-            writer.writerow(row)
+    rows = ([str(int(i)), *map(_fmt, x), _fmt(mu), _fmt(sigma)]
+            for i, x, mu, sigma in zip(ds.ids, ds.features, ds.target_mu, ds.target_sigma))
+    _write_table(path, [], _csv_header(ds.d_in), rows)
 
 
 def load_csv(path, grid: LabelGrid) -> Dataset:
@@ -237,9 +247,9 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
 
     Every row must satisfy the sample invariants (std at or above half the
     bin spacing, mean inside the grid span); offending rows fail the load
-    with their file line numbers.  Rows whose mean sits within 3 sigma of a
-    grid edge are accepted but counted in a truncation warning, since their
-    pmfs are visibly clipped.
+    with their file line numbers.  Rows whose mean sits within
+    ``MEAN_EDGE_SIGMAS`` sigmas of a grid edge are accepted but counted in
+    a truncation warning, since their pmfs are visibly clipped.
     """
     path = Path(path)
     if not path.is_file():
@@ -289,7 +299,8 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
     mu, sigma = ds.target_mu, ds.target_sigma
     truncated = int(np.sum((mu - grid.lo < MEAN_EDGE_SIGMAS * sigma) | (grid.hi - mu < MEAN_EDGE_SIGMAS * sigma)))
     if truncated:
-        log.warning("%s: %d row(s) within 3 sigma of a grid edge; their pmfs are visibly truncated", path, truncated)
+        log.warning("%s: %d row(s) within %g sigma of a grid edge; their pmfs are visibly truncated",
+                    path, truncated, MEAN_EDGE_SIGMAS)
     return ds
 
 

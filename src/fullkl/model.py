@@ -57,6 +57,18 @@ class TrainingDivergedError(RuntimeError):
         self.rows = rows
 
 
+def _in_context(where: str, exc: TrainingDivergedError, ids: np.ndarray) -> TrainingDivergedError:
+    """``exc`` with ``where`` in front and, if it names rows, the sample ids ``ids`` holds at those rows."""
+    msg = f"{where}: {exc}"
+    if exc.rows is not None:
+        msg += f"; sample id(s) {ids[exc.rows[:10]].tolist()}"
+    return TrainingDivergedError(msg, exc.rows)
+
+
+def _forward_diverged(rows: np.ndarray) -> TrainingDivergedError:
+    return TrainingDivergedError(f"non-finite activations in forward pass at batch row(s) {rows[:10].tolist()}", rows)
+
+
 def _validated_dims(dims, where: str = "dims") -> tuple[int, ...]:
     out = tuple(_whole_int(d, where) for d in dims)
     if len(out) < 2 or any(d < 1 for d in out):
@@ -156,8 +168,7 @@ def _forward_cached(params: MlpParams, x: np.ndarray):
         caches.append((h, keep))
         h = a if keep is None else _rectify(a, keep)
     if not np.all(np.isfinite(h)):
-        bad = np.flatnonzero(~np.isfinite(h).all(axis=-1))
-        raise TrainingDivergedError(f"non-finite activations in forward pass at batch row(s) {bad[:10].tolist()}", bad)
+        raise _forward_diverged(np.flatnonzero(~np.isfinite(h).all(axis=-1)))
     return h, caches
 
 
@@ -358,12 +369,17 @@ def evaluate(params: MlpParams, dataset: Dataset, spec: LossSpec, epoch: int, sp
     ``epoch`` and ``split`` (one of ``SPLIT_TAGS``) label the returned
     ``Metrics``.  Runs one ``grid.row_blocks`` block of rows at a time; the
     per-row values are joined before the means are taken, so the result has
-    the bits of one pass over the whole dataset.
+    the bits of one pass over the whole dataset.  A non-finite forward pass
+    raises with the epoch, the split, and its rows and ids in ``dataset``.
     """
     mu_t, var_t = dataset.target_moments
     chunks = []
     for rows in row_blocks(len(dataset)):
-        logits = forward(params, dataset.features[rows])
+        try:
+            logits = forward(params, dataset.features[rows])
+        except TrainingDivergedError as exc:
+            bad = _forward_diverged(exc.rows + rows.start)
+            raise _in_context(f"epoch {epoch}, {split} evaluation", bad, dataset.ids) from exc
         moments = (mu_t[rows], var_t[rows])
         chunks.append(batch_loss(dataset.target_pmfs[rows], logits, dataset.grid, spec, moments))
     comps = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
@@ -412,12 +428,9 @@ def train_run(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig, quiet: bool 
             try:
                 params, opt = train_step(params, opt, batch, g, cfg.loss, (mu_t[idx], var_t[idx]))
             except TrainingDivergedError as exc:
-                msg = f"epoch {epoch + 1}, step {step + 1}: {exc}"
-                if exc.rows is not None:
-                    msg += f"; sample id(s) {train_ds.ids[idx[exc.rows[:10]]].tolist()}"
-                raise TrainingDivergedError(msg, exc.rows) from exc
-        train_m = evaluate(params, train_ds, cfg.loss, epoch + 1, "train")
-        val_m = evaluate(params, val_ds, cfg.loss, epoch + 1, "val")
+                raise _in_context(f"epoch {epoch + 1}, step {step + 1}", exc, train_ds.ids[idx]) from exc
+        train_m, val_m = (evaluate(params, ds, cfg.loss, epoch + 1, tag)
+                          for tag, ds in zip(SPLIT_TAGS, (train_ds, val_ds)))
         history += [train_m, val_m]
         if not quiet:
             log.info(

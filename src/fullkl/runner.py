@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
+from .data import _fmt, _write_table
 from .grid import LabelGrid, _number, _whole_int
 from .losses import FAMILY_REFERENCE, LossSpec
 from .model import (
@@ -62,6 +63,8 @@ EXIT_FAILURE = 2
 
 METRICS_COLUMNS = ("seed", "epoch", "split", "l_ld", "l_exp", "l_smooth", "total", "mae")
 SUMMARY_METRICS = METRICS_COLUMNS[3:]
+# The ``train`` section's keys: each optional on input, each written out by ``config_to_dict``.
+TRAIN_KEYS = ("epochs", "batch_size", "lr", "lr_decay_factor", "lr_decay_every", "hidden", "val_fraction")
 
 
 class ConfigError(Exception):
@@ -170,8 +173,7 @@ def config_from_dict(raw) -> RunConfig:
     grid = _built("grid.", LabelGrid, *(raw["grid"][k] for k in ("start", "stop", "step")))
     _check_keys(raw["loss"], "loss", {"family"}, {"lambda"})
     spec = _built("loss.", LossSpec, raw["loss"]["family"], raw["loss"].get("lambda"))
-    train_keys = {"epochs", "batch_size", "lr", "lr_decay_factor", "lr_decay_every", "hidden", "val_fraction"}
-    _check_keys(raw["train"], "train", set(), train_keys)
+    _check_keys(raw["train"], "train", set(), set(TRAIN_KEYS))
     train = _built("train.", TrainConfig, loss=spec, **raw["train"])
     return _built("", RunConfig, dataset, grid, train, raw["seeds"], raw["out_dir"])
 
@@ -194,11 +196,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "dataset": dataset,
         "grid": {"start": cfg.grid.lo, "stop": cfg.grid.hi, "step": cfg.grid.spacing},
         "loss": loss,
-        "train": {
-            "epochs": t.epochs, "batch_size": t.batch_size, "lr": t.lr,
-            "lr_decay_factor": t.lr_decay_factor, "lr_decay_every": t.lr_decay_every,
-            "hidden": list(t.hidden), "val_fraction": t.val_fraction,
-        },
+        "train": {k: getattr(t, k) for k in TRAIN_KEYS} | {"hidden": list(t.hidden)},
         "seeds": list(cfg.seeds),
         "out_dir": str(cfg.out_dir),
     }
@@ -270,25 +268,10 @@ class ExperimentResult:
         return tuple(o.seed for o in self.outcomes if o.error is not None)
 
 
-def _fmt(x) -> str:
-    """Lossless, deterministic float-to-text (shortest round-trip repr); None is an empty cell."""
-    return "" if x is None else repr(float(x))
-
-
 def _metric_value(m: Metrics, name: str):
     if name == "mae":
         return m.mae
     return getattr(m.breakdown, name)
-
-
-def _write_table(path: Path, comments, columns, rows) -> None:
-    """Write one CSV atomically: a ``# `` line per comment, the header, then the rows (lists of cells)."""
-    with data.atomic_write(path) as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
 
 
 def _write_metrics_csv(path: Path, header_json: str, seed: int, history) -> None:
@@ -643,7 +626,3 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

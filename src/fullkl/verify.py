@@ -235,8 +235,9 @@ def _draw(rng: np.random.Generator, g: LabelGrid) -> tuple[np.ndarray, np.ndarra
     """One instance's RNG draws on ``g``: (logits, target draw).
 
     The target draw is a logit vector for a softmax target or a (mu, sigma)
-    pair for a discretized-Gaussian one.  The draws come in the stream
-    order :func:`random_instance` has always used.
+    pair for a discretized-Gaussian one.  The draw order (logits, the
+    target-kind coin, then the target's draws) is part of the suite's
+    format: a given seed always yields the same instances.
     """
     n = len(g)
     logits = rng.normal(0.0, 2.0, n)
@@ -470,7 +471,8 @@ def run_all_checks(seed: int = 0) -> tuple[CheckResult, ...]:
             "gaussian_kl_sweep",
             sweep.max_abs_err <= 1e-4,
             sweep.max_abs_err,
-            f"75 moment pairs, worst at sigma=({sweep.worst.sigma_t},{sweep.worst.sigma_p}), dmu={sweep.worst.dmu}",
+            f"{len(sweep.rows)} moment pairs, "
+            f"worst at sigma=({sweep.worst.sigma_t},{sweep.worst.sigma_p}), dmu={sweep.worst.dmu}",
         )
     )
 

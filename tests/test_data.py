@@ -454,6 +454,7 @@ class TestLoadCsvErrors:
             ds = load_csv(write(tmp_path, text), G101)
         assert len(ds) == 2
         assert any("visibly truncated" in r.message for r in caplog.records)
+        assert any("1 row(s) within 3 sigma of a grid edge" in r.getMessage() for r in caplog.records)
 
     def test_no_warning_when_safe(self, tmp_path, caplog):
         text = HEADER + "0,0.5,50.0,3.0\n"

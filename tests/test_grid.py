@@ -1,6 +1,7 @@
 """Label grids, pmfs, moments, and Gaussian discretization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,6 +166,14 @@ class TestPmf:
         with pytest.raises(ValueError):
             Pmf(np.array([np.nan, 1.0]))
 
+    @pytest.mark.parametrize("probs, error", [
+        (np.full((2, 2), 0.25), "pmf probabilities must be one-dimensional, got shape (2, 2)"),
+        (np.array([]), "pmf must not be empty"),
+    ], ids=["two_dimensional", "empty"])
+    def test_shape_rejected(self, probs, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            Pmf(probs)
+
     def test_exact_zero_entries_allowed(self):
         p = Pmf(np.array([1.0, 0.0, 0.0]))
         assert p.probs[1] == 0.0
@@ -217,6 +226,10 @@ class TestSoftmax:
         logits = np.array([0.125, -1.5, 2.25, 0.0])
         shifted = softmax(logits + 4.0)  # exactly representable shift
         np.testing.assert_array_equal(softmax(logits).probs, shifted.probs)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^softmax expects a non-empty logit vector$"):
+            softmax([])
 
     def test_extreme_logits_no_overflow(self):
         p = softmax(np.array([1000.0, 0.0, -1000.0]))
@@ -288,6 +301,10 @@ class TestMomentsOp:
 # ---------------------------------------------------------------------------
 
 class TestDiscretizeGaussian:
+    def test_non_finite_mean_rejected(self):
+        with pytest.raises(ValueError, match="^mu and sigma must be finite$"):
+            discretize_gaussian(math.nan, 1.0, LabelGrid(0.0, 2.0, 1.0))
+
     def test_three_bin_frozen_values(self):
         p = discretize_gaussian(1.0, 1.0, LabelGrid(0.0, 2.0, 1.0))
         np.testing.assert_allclose(

@@ -178,6 +178,10 @@ class TestSmoothness:
         spiky = Pmf(np.array([0.05, 0.9, 0.05]))
         assert smoothness(spiky) > smoothness(mild)
 
+    def test_one_bin_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("smoothness needs a pmf of length >= 2")):
+            smoothness(Pmf(np.array([1.0])))
+
     def test_exact_zero_probabilities_stay_finite(self):
         v = smoothness(Pmf(np.array([1.0, 0.0, 0.0])))
         assert math.isfinite(v) and v > 0.0

@@ -312,6 +312,10 @@ class TestAdam:
         assert s.m.shape == s.v.shape == (p.size,)
         assert np.all(s.m == 0.0) and np.all(s.v == 0.0)
 
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("step must be >= 0, got -1")):
+            OptimizerState(1e-3, -1, np.zeros(3), np.zeros(3))
+
     def test_first_step_hand_computed(self):
         # single weight w=1.0, gradient 0.5: first Adam step re-derived inline
         p = MlpParams((1, 1), np.array([1.0, 0.0]))
@@ -676,6 +680,23 @@ class TestEvaluate:
         joined = np.concatenate([forward(params, x[rows]) for rows in row_blocks(len(x))])
         assert joined.tobytes() == forward(params, x).tobytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_epoch_split_rows_and_ids(self):
+        # Only rows of the second row block overflow; the reported rows count
+        # from the start of the split, not of the block.
+        n = BLOCK_ROWS + 40
+        bad = [BLOCK_ROWS + 5, BLOCK_ROWS + 30]
+        X = np.zeros((n, 3))
+        X[bad] = 1e200
+        ds = Dataset(G101, 1000 + np.arange(n), X, np.full(n, 50.0), np.full(n, 5.0))
+        assert [rows.start for rows in row_blocks(n)] == [0, BLOCK_ROWS]
+        params = MlpParams((3, 101), init_mlp((3, 101), 0).vec * 1e200)
+        expected = (f"epoch 3, val evaluation: non-finite activations in forward pass at batch row(s) {bad}; "
+                    f"sample id(s) {[1000 + r for r in bad]}")
+        with pytest.raises(TrainingDivergedError, match=f"^{re.escape(expected)}$") as info:
+            evaluate(params, ds, LossSpec(FAMILY_FULL_KL), 3, "val")
+        assert info.value.rows.tolist() == bad
+
     def test_metrics_validation(self):
         b = LossSpec(FAMILY_FULL_KL)
         ds = gen_synthetic(10, 4, G101, (2.0, 6.0), seed=0)
@@ -844,6 +865,16 @@ class TestCheckpoints:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"\x00\x01\x02 not a checkpoint\n\xff")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, error", [
+        ([1], f"not a {CHECKPOINT_FORMAT} checkpoint"),
+        ({"format": CHECKPOINT_FORMAT}, "checkpoint header lacks a dims list"),
+    ], ids=["not_an_object", "no_dims"])
+    def test_header_without_format_or_dims_rejected(self, tmp_path, header, error):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {error}')}$"):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -15,7 +15,8 @@ import fullkl.runner
 from fullkl.data import Dataset, atomic_write, gen_synthetic, save_csv
 from fullkl.grid import LabelGrid
 from fullkl.losses import LossBreakdown, LossSpec
-from fullkl.model import Metrics, TrainConfig, TrainingDivergedError, init_mlp, load_checkpoint, save_checkpoint
+from fullkl.model import (
+    Metrics, TrainConfig, TrainingDivergedError, derive_seeds, init_mlp, load_checkpoint, save_checkpoint)
 from fullkl.runner import (
     EXIT_CONFIG_ERROR,
     EXIT_FAILURE,
@@ -124,6 +125,11 @@ class TestConfigParsing:
         d = tiny_dict(tmp_path)
         d["dataset"]["sigma_range"] = [2.0]
         with pytest.raises(ConfigError, match="sigma_range"):
+            config_from_dict(d)
+
+    def test_synthetic_dataset_needs_samples(self, tmp_path):
+        d = tiny_dict(tmp_path, n=0)
+        with pytest.raises(ConfigError, match=r"^dataset\.n must be >= 1 for a synthetic dataset, got 0$"):
             config_from_dict(d)
 
     def test_grid_unknown_key(self, tmp_path):
@@ -429,6 +435,24 @@ class TestRunExperiment:
         assert result.failed_seeds == (0, 1)
         assert all(o.result is None and "epoch" in o.error for o in result.outcomes)
         assert result.metrics_paths == () and result.summary_path is None
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_evaluation_names_epoch_split_and_ids(self, tmp_path):
+        # One step per epoch: the first non-finite forward pass is evaluate's.
+        d = tiny_dict(tmp_path / "out", epochs=2, lr=1e200)
+        d["train"].update(batch_size=128, hidden=[4])
+        cfg = config_from_dict(d)
+        result = run_experiment(cfg, quiet=True)
+        assert result.failed_seeds == (0, 1)
+        full = build_dataset(cfg.dataset, cfg.grid)
+        pattern = (r"^epoch 1, train evaluation: non-finite activations in forward pass "
+                   r"at batch row\(s\) \[([\d, ]+)\]; sample id\(s\) \[([\d, ]+)\]$")
+        for o in result.outcomes:
+            match = re.match(pattern, o.error)
+            assert match is not None, o.error
+            rows, ids = ([int(v) for v in group.split(",")] for group in match.groups())
+            train_ds, _ = fullkl.data.split(full, cfg.train.val_fraction, derive_seeds(o.seed)[0])
+            assert 1 <= len(ids) <= 10 and ids == train_ds.ids[rows].tolist()
 
     def test_unwritable_out_dir_is_config_error(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -797,6 +821,22 @@ class TestCli:
         path = write_config(tmp_path, tiny_dict(tmp_path / "out", lr=1e200, seeds=(0,)))
         assert main(["run", str(path), "--quiet"]) == EXIT_FAILURE
         assert "seed 0: FAILED" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_compare_divergence_exit_code(self, tmp_path, capsys):
+        pa = write_config(tmp_path, tiny_dict(tmp_path / "a", lr=1e200, seeds=(0,)), name="a.json")
+        pb = write_config(tmp_path, tiny_dict(tmp_path / "b", seeds=(0,)), name="b.json")
+        assert main(["compare", str(pa), str(pb), "--quiet"]) == EXIT_FAILURE
+        assert "training failure: cannot compare: seed(s) [0] diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, error", [
+        ([], "config: expected a JSON object"),
+        ({**tiny_dict("out"), "grid": 5}, "grid: expected a JSON object"),
+    ], ids=["top_level_list", "grid_number"])
+    def test_non_object_section_exit_code(self, tmp_path, capsys, raw, error):
+        path = write_config(tmp_path, raw)
+        assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert f"config error: {error}\n" == capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG_ERROR

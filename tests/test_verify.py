@@ -458,6 +458,17 @@ class TestInvarianceSuites:
         for name, v in mins.items():
             assert v >= 0.0, f"{name} dipped to {v!r}"
 
+    def test_component_minima_rejects_a_non_finite_component(self, monkeypatch):
+        real = verify.batch_loss
+
+        def nan_l_ld(*args):
+            comps = real(*args)
+            return {**comps, "l_ld": np.full_like(comps["l_ld"], np.nan)}
+
+        monkeypatch.setattr(verify, "batch_loss", nan_l_ld)
+        with pytest.raises(ValueError, match="^loss components must be finite$"):
+            component_minima(n_instances=10)
+
 
 # ---------------------------------------------------------------------------
 # composed suite

@@ -12,10 +12,11 @@ The training state is flat: params, the gradient and both Adam moments are
 float64 vectors in the ``MlpParams.vec`` layout, and ``MlpParams``
 exposes read-only per-layer views into its vector.  ``_backward`` writes each
 layer's gradient into its slice of one vector, and ``adam_update`` makes one
-``_adam_arrays`` call over the whole vector and one finiteness check.  The
-one way in is ``MlpParams(dims, vec)``, which copies and checks the vector;
-``init_mlp``, ``load_checkpoint``, pickling and copying all go through it,
-and only ``adam_update`` wraps its own fresh vector without a second check.
+``_adam_arrays`` call over the whole vector and checks that the new params
+and ``v`` are finite.  The one way in is ``MlpParams(dims, vec)``, which
+copies and checks the vector; ``init_mlp``, ``load_checkpoint``, pickling
+and copying all go through it, and only ``adam_update`` wraps its own fresh
+vector without a second check.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ ADAM_EPS = 1e-8
 class TrainingDivergedError(RuntimeError):
     """A forward pass, loss, or parameter update produced non-finite values.
 
-    ``rows`` holds the offending batch rows, or None when the parameters are at fault.
+    ``rows`` holds the offending batch rows, or None when the parameters or
+    the Adam moments are at fault.
     """
 
     def __init__(self, message: str, rows=None):
@@ -240,6 +242,10 @@ def adam_update(params: MlpParams, state: OptimizerState, grad: np.ndarray):
     p2, m2, v2 = _adam_arrays(params.vec, grad, state.m, state.v, state.lr, bc1, bc2)
     if not np.all(np.isfinite(p2)):
         raise TrainingDivergedError("non-finite parameters after optimizer update")
+    if not np.all(np.isfinite(v2)):
+        # A non-finite m makes p non-finite, but an inf in v (g * g overflowed) only
+        # freezes its coordinate: the step m / inf is 0.
+        raise TrainingDivergedError("non-finite optimizer state after update")
     return MlpParams._wrap(params.dims, p2), replace(state, step=t, m=m2, v=v2)
 
 

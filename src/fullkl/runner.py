@@ -131,6 +131,8 @@ class RunConfig:
             raise ValueError(f"out_dir: expected a string or a path, got {self.out_dir!r}")
         if os.fspath(self.out_dir) == "":
             raise ValueError("out_dir: expected a non-empty path")
+        if "\0" in os.fspath(self.out_dir):
+            raise ValueError(f"out_dir: expected a path without a NUL character, got {os.fspath(self.out_dir)!r}")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
 
@@ -250,16 +252,15 @@ class SeedOutcome:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """One config's seeded runs (outcomes in ``config.seeds`` order) and the files they wrote.
+    """One config's seeded runs (outcomes in ``config.seeds`` order) and its summary file.
 
+    Each ok seed ``s`` wrote ``metrics_seed{s}.csv`` and ``model_seed{s}.ckpt`` to ``config.out_dir``.
     ``data_sha256`` is the SHA-256 of the built dataset's features shape, then of its ``ids``,
     ``features``, ``target_mu`` and ``target_sigma`` bytes; :func:`compare` pairs equal ones only.
     """
 
     config: RunConfig
     outcomes: tuple[SeedOutcome, ...]
-    metrics_paths: tuple[Path, ...]
-    checkpoint_paths: tuple[Path, ...]
     summary_path: Path | None
     data_sha256: str
 
@@ -317,11 +318,22 @@ def _make_out_dir(path: Path) -> None:
         raise ConfigError(f"cannot create output dir {path}: {exc}") from exc
 
 
+def _run_seed(cfg: RunConfig, full: data.Dataset, seed: int, quiet: bool) -> SeedOutcome:
+    """Split ``full`` for ``seed`` and train on it; writes nothing."""
+    tcfg = replace(cfg.train, seed=seed)
+    train_ds, val_ds = data.split(full, tcfg.val_fraction, derive_seeds(seed)[0])
+    try:
+        return SeedOutcome(seed, train_run(train_ds, val_ds, cfg=tcfg, quiet=quiet), None)
+    except TrainingDivergedError as exc:
+        return SeedOutcome(seed, None, str(exc))
+
+
 def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
     """Train one run per seed; write per-seed metrics CSVs, checkpoints, and a summary.
 
-    A diverged seed is recorded (and reported) without aborting the others;
-    the summary then covers the surviving seeds.
+    Each seed's files are written as soon as it finishes, before the next
+    seed trains.  A diverged seed is recorded (and reported) without
+    aborting the others; the summary then covers the surviving seeds.
     """
     full = build_dataset(cfg.dataset, cfg.grid)
     _built("train.", data.val_count, len(full), cfg.train.val_fraction)  # every seed's split, before out_dir exists
@@ -331,35 +343,22 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
     out = cfg.out_dir
     _make_out_dir(out)
     header_json = json.dumps(config_to_dict(cfg), sort_keys=True)
-    outcomes: list[SeedOutcome] = []
-    metrics_paths: list[Path] = []
-    checkpoint_paths: list[Path] = []
+    outcomes = []
     for seed in cfg.seeds:
-        tcfg = replace(cfg.train, seed=seed)
-        split_seed, _, _ = derive_seeds(seed)
-        train_ds, val_ds = data.split(full, tcfg.val_fraction, split_seed)
-        try:
-            result = train_run(train_ds, val_ds, cfg=tcfg, quiet=quiet)
-        except TrainingDivergedError as exc:
-            log.error("seed %d diverged: %s", seed, exc)
-            outcomes.append(SeedOutcome(seed, None, str(exc)))
+        outcome = _run_seed(cfg, full, seed, quiet)
+        outcomes.append(outcome)
+        if outcome.error is not None:
+            log.error("seed %d diverged: %s", seed, outcome.error)
             continue
-        mpath = out / f"metrics_seed{seed}.csv"
-        _write_metrics_csv(mpath, header_json, seed, result.history)
-        cpath = out / f"model_seed{seed}.ckpt"
-        save_checkpoint(result.params, cpath)
-        metrics_paths.append(mpath)
-        checkpoint_paths.append(cpath)
-        outcomes.append(SeedOutcome(seed, result, None))
+        _write_metrics_csv(out / f"metrics_seed{seed}.csv", header_json, seed, outcome.result.history)
+        save_checkpoint(outcome.result.params, out / f"model_seed{seed}.ckpt")
         if not quiet:
-            log.info("seed %d done: final val MAE %.4f", seed, result.history[-1].mae)
+            log.info("seed %d done: final val MAE %.4f", seed, outcome.result.history[-1].mae)
     summary_path = None
     if any(o.result is not None for o in outcomes):
         summary_path = out / "summary.csv"
         _write_summary_csv(summary_path, header_json, outcomes, cfg.train.epochs)
-    return ExperimentResult(
-        cfg, tuple(outcomes), tuple(metrics_paths), tuple(checkpoint_paths), summary_path, digest.hexdigest()
-    )
+    return ExperimentResult(cfg, tuple(outcomes), summary_path, digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------

@@ -828,6 +828,16 @@ class TestTrainRun:
             train_run(train_ds, val_ds, cfg, quiet=True)
         assert info.value.rows is None and "sample id" not in str(info.value)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e80, 1e100])
+    def test_overflowing_second_moment_is_a_divergence(self, lr):
+        # g * g overflows v to inf while the params stay finite: the step m / inf = 0 would freeze them.
+        ds = gen_synthetic(300, 4, G101, (2.0, 6.0), seed=11)
+        train_ds, val_ds = split(ds, 0.2, 0)
+        cfg = TrainConfig(epochs=3, batch_size=128, hidden=(64, 64), lr=lr)
+        with pytest.raises(TrainingDivergedError, match=r"^epoch 1, step 2: non-finite optimizer state after update$"):
+            train_run(train_ds, val_ds, cfg, quiet=True)
+
 
 # ---------------------------------------------------------------------------
 # checkpoints

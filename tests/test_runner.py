@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -382,7 +383,9 @@ class TestRunExperiment:
         cfg = config_from_dict(tiny_dict(tmp_path / "out"))
         result = run_experiment(cfg, quiet=True)
         assert result.failed_seeds == ()
-        assert len(result.metrics_paths) == 2 and len(result.checkpoint_paths) == 2
+        assert sorted(p.name for p in (tmp_path / "out").glob("*_seed*")) == [
+            "metrics_seed0.csv", "metrics_seed1.csv", "model_seed0.ckpt", "model_seed1.ckpt",
+        ]
         assert result.summary_path is not None and result.summary_path.is_file()
 
         _, header, rows = read_rows(tmp_path / "out" / "metrics_seed0.csv")
@@ -421,10 +424,10 @@ class TestRunExperiment:
         }
 
     def test_out_dir_changes_only_header_comment(self, tmp_path):
-        res_x = run_experiment(config_from_dict(tiny_dict(tmp_path / "x")), quiet=True)
-        res_y = run_experiment(config_from_dict(tiny_dict(tmp_path / "y")), quiet=True)
-        cx, hx, rx = read_rows(res_x.metrics_paths[0])
-        cy, hy, ry = read_rows(res_y.metrics_paths[0])
+        run_experiment(config_from_dict(tiny_dict(tmp_path / "x")), quiet=True)
+        run_experiment(config_from_dict(tiny_dict(tmp_path / "y")), quiet=True)
+        cx, hx, rx = read_rows(tmp_path / "x" / "metrics_seed0.csv")
+        cy, hy, ry = read_rows(tmp_path / "y" / "metrics_seed0.csv")
         assert cx != cy  # embedded config JSON includes out_dir
         assert hx == hy and rx == ry
 
@@ -434,7 +437,40 @@ class TestRunExperiment:
         result = run_experiment(cfg, quiet=True)
         assert result.failed_seeds == (0, 1)
         assert all(o.result is None and "epoch" in o.error for o in result.outcomes)
-        assert result.metrics_paths == () and result.summary_path is None
+        assert not any((tmp_path / "out").iterdir()) and result.summary_path is None
+
+    def test_each_seed_is_written_before_the_next_trains(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = config_from_dict(tiny_dict(out))
+        run_experiment(cfg, quiet=True)
+        whole = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        train_run, seeds = fullkl.runner.train_run, []
+
+        def second_seed_fails(*args, **kwargs):
+            seeds.append(kwargs["cfg"].seed)
+            if len(seeds) == 2:
+                raise RuntimeError("interrupted")
+            return train_run(*args, **kwargs)
+
+        monkeypatch.setattr(fullkl.runner, "train_run", second_seed_fails)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_experiment(cfg, quiet=True)
+        assert seeds == [0, 1]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            name: whole[name] for name in ("metrics_seed0.csv", "model_seed0.ckpt")
+        }
+
+    def test_run_seed_writes_nothing(self, tmp_path, monkeypatch):
+        cfg = config_from_dict(tiny_dict("runs/out"))
+        full = build_dataset(cfg.dataset, cfg.grid)
+        monkeypatch.chdir(tmp_path)
+        outcome = fullkl.runner._run_seed(cfg, full, 1, quiet=True)
+        assert not any(tmp_path.iterdir())
+        assert (outcome.seed, outcome.error) == (1, None)
+        ran = run_experiment(cfg, quiet=True).outcomes[1].result
+        assert outcome.result.history == ran.history
+        assert outcome.result.params.vec.tobytes() == ran.params.vec.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_in_evaluation_names_epoch_split_and_ids(self, tmp_path):
@@ -518,13 +554,12 @@ class TestGridEdges:
             "metrics_seed0.csv", "metrics_seed1.csv",
             "model_seed0.ckpt", "model_seed1.ckpt", "summary.csv",
         }
-        for path in result.metrics_paths:
-            comment, header, rows = read_rows(path)
+        for seed in cfg.seeds:
+            comment, header, rows = read_rows(tmp_path / "out" / f"metrics_seed{seed}.csv")
             assert config_from_dict(json.loads(comment[2:])).grid == cfg.grid
             assert len(rows) == 4
             assert all(math.isfinite(float(r[i])) for r in rows for i in range(3, len(header)))
-        for path in result.checkpoint_paths:
-            assert load_checkpoint(path).n_bins == len(cfg.grid)
+            assert load_checkpoint(tmp_path / "out" / f"model_seed{seed}.ckpt").n_bins == len(cfg.grid)
 
 
 class TestAtomicOutputs:
@@ -932,6 +967,17 @@ class TestCli:
         assert main(["compare", str(pa), str(pb), "--quiet"]) == EXIT_CONFIG_ERROR
         assert "config error: cannot create output dir afile/b: afile is not a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "afile", "b.json"]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_nul_in_out_dir_is_a_config_error_before_any_write(self, tmp_path, monkeypatch, capsys, command):
+        # JSON can carry "\u0000"; the OS refuses it in a path. compare's is in config b.
+        monkeypatch.chdir(tmp_path)
+        pa = write_config(tmp_path, tiny_dict("runs/a\0x" if command == "run" else "runs/a"), name="a.json")
+        pb = write_config(tmp_path, tiny_dict("runs/b\0x", family="reference", lam=1.0), name="b.json")
+        configs = [str(pa)] if command == "run" else [str(pa), str(pb)]
+        assert main([command, *configs, "--quiet"]) == EXIT_CONFIG_ERROR
+        assert "config error: out_dir: expected a path without a NUL character, got 'runs/" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_verify_cli(self, capsys):
         assert main(["verify"]) == EXIT_OK

@@ -106,9 +106,22 @@ class DatasetSpec:
             raise ValueError(f"type: expected 'synthetic' or 'csv', got {self.kind!r}")
 
 
+def _out_path(value, name: str) -> Path:
+    """The one output-path check: a non-empty ``str`` or ``os.PathLike`` without NUL; errors start with ``name``."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name}: expected a string or a path, got {value!r}")
+    if os.fspath(value) == "":
+        raise ValueError(f"{name}: expected a non-empty path")
+    if "\0" in os.fspath(value):
+        raise ValueError(f"{name}: expected a path without a NUL character, got {os.fspath(value)!r}")
+    return Path(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Full experimental protocol: data source, grid, training, seeds, outputs."""
+    """Full experimental protocol: data source, grid, training, seeds, outputs; each error names its
+    field.  An ``out_dir`` that is empty or holds a NUL character is a ValueError, and one under a
+    file a ``ConfigError`` from :func:`run_experiment` before it writes anything."""
 
     dataset: DatasetSpec
     grid: LabelGrid
@@ -117,7 +130,6 @@ class RunConfig:
     out_dir: Path
 
     def __post_init__(self):
-        """Checks ``seeds`` and ``out_dir``; each error message starts with the field's name."""
         if not isinstance(self.seeds, (list, tuple)):
             raise ValueError(f"seeds: expected a list of integers, got {self.seeds!r}")
         seeds = tuple(_whole_int(s, "seeds") for s in self.seeds)
@@ -127,14 +139,8 @@ class RunConfig:
             raise ValueError(f"seeds must be unique, got {seeds}")
         if min(seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {seeds}")
-        if not isinstance(self.out_dir, (str, os.PathLike)):
-            raise ValueError(f"out_dir: expected a string or a path, got {self.out_dir!r}")
-        if os.fspath(self.out_dir) == "":
-            raise ValueError("out_dir: expected a non-empty path")
-        if "\0" in os.fspath(self.out_dir):
-            raise ValueError(f"out_dir: expected a path without a NUL character, got {os.fspath(self.out_dir)!r}")
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        object.__setattr__(self, "out_dir", _out_path(self.out_dir, "out_dir"))
 
 
 def _check_keys(section, where: str, required: set, optional: set = frozenset()):
@@ -399,9 +405,9 @@ def compare(
     naming both ``data_sha256`` digests.  The relative difference is
     (mean_a - mean_b) / mean_b, i.e. the second config is the baseline.
     Writes ``comparison.csv`` and ``comparison.txt`` to ``out_dir``
-    (default: cfg_a's output directory).  Before anything trains, an empty
-    ``out_dir`` is a ``ConfigError``, and so is a report directory or a
-    cfg_b output directory under a path that exists and is not a directory.
+    (default: cfg_a's output directory).  Before anything trains or is written,
+    a report ``out_dir`` that is empty or holds a NUL character is a ``ConfigError``
+    naming ``out_dir``, and so is the report or either config's directory under a file.
     A diverged seed of cfg_a stops the comparison before cfg_b is trained.
     """
     da, db = config_to_dict(cfg_a), config_to_dict(cfg_b)
@@ -412,10 +418,8 @@ def compare(
             raise ConfigError(f"compare requires identical {key!r}, got {va} vs {vb}")
     if cfg_a.out_dir.resolve() == cfg_b.out_dir.resolve():
         raise ConfigError(f"compare requires distinct out_dir, both write to {cfg_a.out_dir.resolve()}")
-    if out_dir is not None and os.fspath(out_dir) == "":
-        raise ConfigError("out_dir: expected a non-empty path")
-    report_dir = Path(out_dir) if out_dir is not None else cfg_a.out_dir
-    for path in (report_dir, cfg_b.out_dir):  # run_experiment checks cfg_a.out_dir before it trains
+    report_dir = _built("", _out_path, out_dir, "out_dir") if out_dir is not None else cfg_a.out_dir
+    for path in (cfg_a.out_dir, cfg_b.out_dir, report_dir):
         _check_out_dir(path)
     results = []
     for cfg in (cfg_a, cfg_b):
@@ -518,11 +522,12 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
+def _apply_overrides(cfg: RunConfig, args, subdir: str = "") -> RunConfig:
+    """``cfg`` with ``--seeds`` and ``--out-dir`` applied; ``compare`` puts each config in ``--out-dir``/``subdir``."""
     if args.seeds is not None:
         cfg = _built("--seeds: ", replace, cfg, seeds=_parse_seeds(args.seeds))
-    if out_dir is not None:
-        cfg = _built("--out-dir: ", replace, cfg, out_dir=out_dir)
+    if args.out_dir is not None:
+        cfg = replace(cfg, out_dir=_built("", _out_path, args.out_dir, "--out-dir") / subdir)
     return cfg
 
 
@@ -558,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args, out_dir=args.out_dir)
+    cfg = _apply_overrides(load_config(args.config), args)
     result = run_experiment(cfg, quiet=args.quiet)
     for o in result.outcomes:
         if o.error is not None:
@@ -571,18 +576,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg_a = load_config(args.config_a)
-    cfg_b = load_config(args.config_b)
-    out_dir = None
-    if args.out_dir is not None:
-        if not args.out_dir:
-            raise ConfigError("--out-dir: expected a non-empty path")
-        out_dir = Path(args.out_dir)
-        cfg_a = replace(cfg_a, out_dir=out_dir / "a")
-        cfg_b = replace(cfg_b, out_dir=out_dir / "b")
-    cfg_a = _apply_overrides(cfg_a, args)
-    cfg_b = _apply_overrides(cfg_b, args)
-    result = compare(cfg_a, cfg_b, out_dir=out_dir, quiet=args.quiet)
+    cfg_a = _apply_overrides(load_config(args.config_a), args, "a")
+    cfg_b = _apply_overrides(load_config(args.config_b), args, "b")
+    result = compare(cfg_a, cfg_b, out_dir=args.out_dir, quiet=args.quiet)
     print(result.text, end="")
     print(f"report: {result.txt_path}")
     return EXIT_OK
@@ -594,6 +590,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    out_csv = _built("", _out_path, args.out_csv, "out_csv")
+    if not out_csv.name or os.path.isdir(out_csv):
+        raise ConfigError(f"out_csv: expected a path that names a file, got {args.out_csv!r}")
     cfg = load_config(args.config)
     ds = build_dataset(cfg.dataset, cfg.grid)
     try:

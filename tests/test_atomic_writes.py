@@ -1,9 +1,12 @@
-"""Crash-safe outputs: every file the package writes goes through ``data.atomic_write``.
+"""Crash-safe outputs: every file the package writes goes through ``data.atomic_write``,
+and every directory it makes through ``runner._make_out_dir``.
 
 An AST scan of src/fullkl: a builtin ``open`` whose mode writes (any of
 ``w``, ``a``, ``x`` or ``+``, or a mode that is not a string literal) may
-sit only inside ``atomic_write`` in ``data.py``, and nothing calls
-``write_text`` or ``write_bytes``.
+sit only inside ``atomic_write`` in ``data.py``, nothing calls
+``write_text`` or ``write_bytes``, and a ``mkdir`` or ``makedirs`` call
+(``Path.mkdir``, ``os.mkdir``, ``os.makedirs``) may sit only inside
+``_make_out_dir`` in ``runner.py``.
 """
 
 import ast
@@ -24,7 +27,8 @@ def _open_mode(call: ast.Call):
 
 
 def unsafe_writes(source: str, module: str) -> list[str]:
-    """``line N: what`` of each write in ``source`` (module ``module``) that bypasses ``data.atomic_write``."""
+    """``line N: what`` of each write in ``source`` (module ``module``) that bypasses ``data.atomic_write``
+    or, for a directory, ``runner._make_out_dir``."""
     out = []
 
     def visit(node, function):
@@ -41,6 +45,9 @@ def unsafe_writes(source: str, module: str) -> list[str]:
                         out.append(f"line {child.lineno}: open mode {mode!r}")
                 elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
                     out.append(f"line {child.lineno}: {func.attr}")
+                elif isinstance(func, ast.Attribute) and func.attr in ("mkdir", "makedirs"):
+                    if (module, function) != ("runner", "_make_out_dir"):
+                        out.append(f"line {child.lineno}: {func.attr}")
             visit(child, function)
 
     visit(ast.parse(source), None)
@@ -61,6 +68,16 @@ def test_scan_flags_writes_outside_atomic_write():
         "line 13: write_text", "line 14: write_bytes",
     ]
     assert unsafe_writes(source, "model")[0] == "line 2: open mode 'w'"
+
+
+def test_scan_flags_directories_made_outside_make_out_dir():
+    source = (
+        "import os\n"
+        "def _make_out_dir(p):\n    p.mkdir(parents=True, exist_ok=True)\n"
+        "def other(p):\n    p.mkdir()\n    os.mkdir(p)\n    os.makedirs(p, exist_ok=True)\n"
+    )
+    assert unsafe_writes(source, "runner") == ["line 5: mkdir", "line 6: mkdir", "line 7: makedirs"]
+    assert unsafe_writes(source, "data")[0] == "line 3: mkdir"
 
 
 def test_scan_covers_the_package():

@@ -729,17 +729,21 @@ class TestCompare:
             compare(cfg_a, config_from_dict(d), out_dir=tmp_path / "cmp", quiet=True)
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("b_dir, out_dir, error", [
-        ("b", "afile/cmp", "cannot create output dir afile/cmp: afile is not a directory"),
-        ("afile/b", None, "cannot create output dir afile/b: afile is not a directory"),
-        ("b", "", "out_dir: expected a non-empty path"),
-    ], ids=["report_under_a_file", "cfg_b_under_a_file", "empty_report_dir"])
-    def test_bad_directory_refused_before_training(self, tmp_path, monkeypatch, b_dir, out_dir, error):
+    @pytest.mark.parametrize("a_dir, b_dir, out_dir, error", [
+        ("a", "b", "afile/cmp", "cannot create output dir afile/cmp: afile is not a directory"),
+        ("a", "afile/b", None, "cannot create output dir afile/b: afile is not a directory"),
+        ("afile/a", "b", "cmp", "cannot create output dir afile/a: afile is not a directory"),
+        ("a", "b", "", "out_dir: expected a non-empty path"),
+        ("a", "b", "r\0x", "out_dir: expected a path without a NUL character, got 'r\\x00x'"),
+        ("a", "b", 5, "out_dir: expected a string or a path, got 5"),
+    ], ids=["report_under_a_file", "cfg_b_under_a_file", "cfg_a_under_a_file", "empty_report_dir",
+            "nul_in_report_dir", "report_dir_not_a_path"])
+    def test_bad_directory_refused_before_training(self, tmp_path, monkeypatch, a_dir, b_dir, out_dir, error):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("file, not a directory", encoding="utf-8")
         calls = []
         monkeypatch.setattr(fullkl.runner, "train_run", lambda *args, **kwargs: calls.append(args))
-        cfg_a = config_from_dict(tiny_dict("a"))
+        cfg_a = config_from_dict(tiny_dict(a_dir))
         cfg_b = config_from_dict(tiny_dict(b_dir, family="reference", lam=1.0))
         with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
             compare(cfg_a, cfg_b, out_dir=out_dir, quiet=True)
@@ -901,6 +905,23 @@ class TestCli:
         assert main(["gen-data", str(path), str(target)]) == EXIT_CONFIG_ERROR
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out_csv, error", [
+        ("", "out_csv: expected a non-empty path"),
+        (".", "out_csv: expected a path that names a file, got '.'"),
+        ("/", "out_csv: expected a path that names a file, got '/'"),
+        ("..", "out_csv: expected a path that names a file, got '..'"),
+        ("d\0.csv", "out_csv: expected a path without a NUL character, got 'd\\x00.csv'"),
+    ], ids=["empty", "dot", "root", "parent_dir", "nul"])
+    def test_gen_data_path_must_name_a_file(self, tmp_path, monkeypatch, capsys, out_csv, error):
+        path = write_config(tmp_path, tiny_dict("out"))
+        monkeypatch.chdir(tmp_path)
+        built = []
+        monkeypatch.setattr(fullkl.runner, "build_dataset", lambda *args: built.append(args))
+        assert main(["gen-data", str(path), out_csv]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert built == []
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_compare_cli_with_out_dir(self, tmp_path, capsys):
         pa = write_config(tmp_path, tiny_dict(tmp_path / "ignored_a"), name="a.json")
         pb = write_config(
@@ -968,15 +989,26 @@ class TestCli:
         assert "config error: cannot create output dir afile/b: afile is not a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "afile", "b.json"]
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    def test_nul_in_out_dir_is_a_config_error_before_any_write(self, tmp_path, monkeypatch, capsys, command):
-        # JSON can carry "\u0000"; the OS refuses it in a path. compare's is in config b.
+    @pytest.mark.parametrize("command, a_dir, flags, error", [
+        ("run", "runs/a\0x", [], "out_dir: expected a path without a NUL character, got 'runs/a\\x00x'"),
+        ("compare", "runs/a", [], "out_dir: expected a path without a NUL character, got 'runs/b\\x00x'"),
+        ("run", "runs/a", ["--out-dir", "r\0x"], "--out-dir: expected a path without a NUL character, got 'r\\x00x'"),
+        ("compare", "runs/a", ["--out-dir", "r\0x"],
+         "--out-dir: expected a path without a NUL character, got 'r\\x00x'"),
+    ], ids=["run", "compare", "run_out_dir_flag", "compare_out_dir_flag"])
+    def test_nul_in_out_dir_is_a_config_error_before_any_write(
+            self, tmp_path, monkeypatch, capsys, command, a_dir, flags, error):
+        # JSON can carry "\u0000"; the OS refuses it in a path. Without --out-dir, compare's is in config b.
         monkeypatch.chdir(tmp_path)
-        pa = write_config(tmp_path, tiny_dict("runs/a\0x" if command == "run" else "runs/a"), name="a.json")
-        pb = write_config(tmp_path, tiny_dict("runs/b\0x", family="reference", lam=1.0), name="b.json")
+        calls = []
+        monkeypatch.setattr(fullkl.runner, "train_run", lambda *args, **kwargs: calls.append(args))
+        pa = write_config(tmp_path, tiny_dict(a_dir), name="a.json")
+        pb = write_config(tmp_path, tiny_dict("runs/b" if flags else "runs/b\0x", family="reference", lam=1.0),
+                          name="b.json")
         configs = [str(pa)] if command == "run" else [str(pa), str(pb)]
-        assert main([command, *configs, "--quiet"]) == EXIT_CONFIG_ERROR
-        assert "config error: out_dir: expected a path without a NUL character, got 'runs/" in capsys.readouterr().err
+        assert main([command, *configs, *flags, "--quiet"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert calls == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
     def test_verify_cli(self, capsys):

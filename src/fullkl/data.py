@@ -245,11 +245,13 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path, grid: LabelGrid) -> Dataset:
     """Load an annotation CSV (header ``id,f0,...,f{d-1},mean,std``).
 
-    Every row must satisfy the sample invariants (std at or above half the
-    bin spacing, mean inside the grid span); offending rows fail the load
-    with their file line numbers.  Rows whose mean sits within
-    ``MEAN_EDGE_SIGMAS`` sigmas of a grid edge are accepted but counted in
-    a truncation warning, since their pmfs are visibly clipped.
+    Every row must hold an int64 id that no earlier row holds and satisfy
+    the sample invariants (std at or above half the bin spacing, mean inside
+    the grid span); offending rows fail the load with their file line
+    numbers, a repeated id with the line that first held it.  Rows whose
+    mean sits within ``MEAN_EDGE_SIGMAS`` sigmas of a grid edge are accepted
+    but counted in a truncation warning, since their pmfs are visibly
+    clipped.
     """
     path = Path(path)
     if not path.is_file():
@@ -264,6 +266,7 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
         if d_in < 1 or header != _csv_header(d_in):
             raise ValueError(f"{path}: header must be id,f0,...,f{{d-1}},mean,std")
         ids, feats, mus, sigmas = [], [], [], []
+        id_lines: dict[int, int] = {}  # id -> the line that first held it
         bad: list[str] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -278,7 +281,12 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
                 bad.append(f"line {line_no}: unparseable numeric field")
                 continue
             mean, std = vals[-2], vals[-1]
-            if not all(np.isfinite(v) for v in vals):
+            first = id_lines.setdefault(rid, line_no)
+            if not -2**63 <= rid < 2**63:
+                bad.append(f"line {line_no}: id outside the int64 range")
+            elif first != line_no:
+                bad.append(f"line {line_no}: id {rid} repeats line {first}")
+            elif not all(np.isfinite(v) for v in vals):
                 bad.append(f"line {line_no}: non-finite value")
             elif std < grid.sigma_floor:
                 bad.append(f"line {line_no}: std {std!r} below the sigma floor")

@@ -476,4 +476,7 @@ def load_checkpoint(path) -> MlpParams:
     expected = 8 * _param_count(_validated_dims(dims, f"{path}: dims"))
     if len(payload) != expected:
         raise ValueError(f"{path}: dims {dims} need a {expected}-byte payload, got {len(payload)} bytes")
-    return MlpParams(dims, np.frombuffer(payload, dtype="<f8"))
+    try:
+        return MlpParams(dims, np.frombuffer(payload, dtype="<f8"))
+    except ValueError as exc:  # a non-finite payload
+        raise ValueError(f"{path}: {exc}") from None

@@ -226,7 +226,7 @@ def load_config(path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the decoder's depth
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -258,21 +258,28 @@ class SeedOutcome:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """One config's seeded runs (outcomes in ``config.seeds`` order) and its summary file.
+    """One config's seeded runs (outcomes in ``config.seeds`` order), the dataset they split, and its summary file.
 
     Each ok seed ``s`` wrote ``metrics_seed{s}.csv`` and ``model_seed{s}.ckpt`` to ``config.out_dir``.
-    ``data_sha256`` is the SHA-256 of the built dataset's features shape, then of its ``ids``,
-    ``features``, ``target_mu`` and ``target_sigma`` bytes; :func:`compare` pairs equal ones only.
     """
 
     config: RunConfig
     outcomes: tuple[SeedOutcome, ...]
     summary_path: Path | None
-    data_sha256: str
+    dataset: data.Dataset
 
     @property
     def failed_seeds(self) -> tuple[int, ...]:
         return tuple(o.seed for o in self.outcomes if o.error is not None)
+
+    @property
+    def data_sha256(self) -> str:
+        """SHA-256 of the dataset's features shape, then of its ids, features, target_mu and target_sigma bytes."""
+        ds = self.dataset
+        digest = hashlib.sha256(str(ds.features.shape).encode())
+        for column in (ds.ids, ds.features, ds.target_mu, ds.target_sigma):
+            digest.update(column)
+        return digest.hexdigest()
 
 
 def _metric_value(m: Metrics, name: str):
@@ -334,18 +341,17 @@ def _run_seed(cfg: RunConfig, full: data.Dataset, seed: int, quiet: bool) -> See
         return SeedOutcome(seed, None, str(exc))
 
 
-def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
+def run_experiment(cfg: RunConfig, quiet: bool = False, *, dataset: data.Dataset | None = None) -> ExperimentResult:
     """Train one run per seed; write per-seed metrics CSVs, checkpoints, and a summary.
 
-    Each seed's files are written as soon as it finishes, before the next
-    seed trains.  A diverged seed is recorded (and reported) without
-    aborting the others; the summary then covers the surviving seeds.
+    ``dataset`` optionally supplies ``build_dataset(cfg.dataset, cfg.grid)``
+    already built; it must be exactly that, since it is not checked.  Each
+    seed's files are written as soon as it finishes, before the next seed
+    trains.  A diverged seed is recorded (and reported) without aborting
+    the others; the summary then covers the surviving seeds.
     """
-    full = build_dataset(cfg.dataset, cfg.grid)
+    full = build_dataset(cfg.dataset, cfg.grid) if dataset is None else dataset
     _built("train.", data.val_count, len(full), cfg.train.val_fraction)  # every seed's split, before out_dir exists
-    digest = hashlib.sha256(str(full.features.shape).encode())
-    for column in (full.ids, full.features, full.target_mu, full.target_sigma):
-        digest.update(column)
     out = cfg.out_dir
     _make_out_dir(out)
     header_json = json.dumps(config_to_dict(cfg), sort_keys=True)
@@ -364,7 +370,7 @@ def run_experiment(cfg: RunConfig, quiet: bool = False) -> ExperimentResult:
     if any(o.result is not None for o in outcomes):
         summary_path = out / "summary.csv"
         _write_summary_csv(summary_path, header_json, outcomes, cfg.train.epochs)
-    return ExperimentResult(cfg, tuple(outcomes), summary_path, digest.hexdigest())
+    return ExperimentResult(cfg, tuple(outcomes), summary_path, full)
 
 
 # ---------------------------------------------------------------------------
@@ -396,13 +402,13 @@ def compare(
     out_dir=None,
     quiet: bool = False,
 ) -> ComparisonResult:
-    """Run both configs and pair their final-epoch validation MAEs per seed.
+    """Run both configs on one dataset build and pair their final-epoch validation MAEs per seed.
 
     Both configs must share the dataset, grid, seed list and validation
     fraction, which together fix each seed's validation rows (the paired
-    protocol), and must not share an output directory; a dataset that
-    changed between the two builds (a rewritten CSV) is a ``ConfigError``
-    naming both ``data_sha256`` digests.  The relative difference is
+    protocol), and must not share an output directory.  The dataset is built
+    once, by config a's run, and config b trains on that same object, so the
+    two cannot see different data.  The relative difference is
     (mean_a - mean_b) / mean_b, i.e. the second config is the baseline.
     Writes ``comparison.csv`` and ``comparison.txt`` to ``out_dir``
     (default: cfg_a's output directory).  Before anything trains or is written,
@@ -423,14 +429,11 @@ def compare(
         _check_out_dir(path)
     results = []
     for cfg in (cfg_a, cfg_b):
-        res = run_experiment(cfg, quiet=quiet)
+        res = run_experiment(cfg, quiet=quiet, dataset=results[0].dataset if results else None)
         if res.failed_seeds:
             raise TrainingDivergedError(f"cannot compare: seed(s) {list(res.failed_seeds)} diverged")
         results.append(res)
     res_a, res_b = results
-    if res_a.data_sha256 != res_b.data_sha256:
-        raise ConfigError("compare requires one dataset, but it changed between the two builds: "
-                          f"data_sha256 {res_a.data_sha256} vs {res_b.data_sha256}")
     seeds = cfg_a.seeds
     mae_a, mae_b = (tuple(o.result.history[-1].mae for o in res.outcomes) for res in results)
     (mean_a, std_a), (mean_b, std_b) = ((float(np.mean(m)), float(np.std(m))) for m in (mae_a, mae_b))
@@ -610,12 +613,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(level=logging.INFO, format="%(message)s", force=True)
-    handlers = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "verify": _cmd_verify,
-        "gen-data": _cmd_gen_data,
-    }
+    handlers = {"run": _cmd_run, "compare": _cmd_compare, "verify": _cmd_verify, "gen-data": _cmd_gen_data}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

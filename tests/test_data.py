@@ -409,6 +409,22 @@ class TestLoadCsvErrors:
         with pytest.raises(ValueError, match="line 2: unparseable"):
             load_csv(write(tmp_path, text), G101)
 
+    def test_ids_at_the_int64_bounds_accepted(self, tmp_path):
+        text = HEADER + f"{-2**63},0.5,50.0,2.0\n{2**63 - 1},0.5,50.0,2.0\n"
+        assert load_csv(write(tmp_path, text), G101).ids.tolist() == [-2**63, 2**63 - 1]
+
+    @pytest.mark.parametrize("rid", [2**63, -2**63 - 1, 10**22])
+    def test_id_outside_int64_reports_line(self, tmp_path, rid):
+        text = HEADER + f"0,0.5,50.0,2.0\n{rid},0.5,50.0,2.0\n"
+        with pytest.raises(ValueError, match=r"1 invalid row\(s\): line 3: id outside the int64 range$"):
+            load_csv(write(tmp_path, text), G101)
+
+    def test_repeated_id_reports_both_lines(self, tmp_path):
+        text = HEADER + "7,0.5,50.0,2.0\n8,0.5,50.0,2.0\n7,0.5,50.0,2.0\n7,0.5,40.0,2.0\n"
+        with pytest.raises(ValueError, match=r"2 invalid row\(s\): line 4: id 7 repeats line 2; "
+                                             r"line 5: id 7 repeats line 2$"):
+            load_csv(write(tmp_path, text), G101)
+
     @pytest.mark.parametrize("column", [1, 2, 3], ids=["feature", "mean", "std"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, value, column):

@@ -911,6 +911,15 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=re.escape(f"{path}: dims must list at least 2 sizes")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payload_names_path(self, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_mlp((3, 4), 0), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + np.array([value], dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: parameters must be finite')}$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("cut, extra", [(3, b""), (8, b""), (0, b"\x00" * 8)],
                              ids=["cut-3-bytes", "cut-8-bytes", "append-8-bytes"])
     def test_wrong_payload_length_names_path_and_byte_counts(self, tmp_path, cut, extra):

@@ -680,33 +680,53 @@ class TestCompare:
                 assert float(last_val[-1]) == mae
         assert result.result_a.data_sha256 == result.result_b.data_sha256
 
-    def test_dataset_changed_between_builds_refused(self, tmp_path, monkeypatch, capsys):
+    def test_csv_loaded_once_for_both_configs(self, tmp_path, monkeypatch, capsys):
         grid = LabelGrid(0.0, 100.0, 1.0)
         save_csv(gen_synthetic(60, 3, grid, (2.0, 6.0), 1), tmp_path / "data.csv")
         load_csv, calls = fullkl.data.load_csv, []
 
         def load_then_shift(path, g):
+            # A second load would differ from the first, so it must never come.
             ds = load_csv(path, g)
-            calls.append(path)
+            calls.append(ds)
             if len(calls) == 1:
                 return ds
             mu = ds.target_mu.copy()
             mu[0] = np.nextafter(mu[0], math.inf)
             return Dataset(ds.grid, ds.ids, ds.features, mu, ds.target_sigma)
 
+        split, split_from = fullkl.data.split, []
+
+        def recording_split(ds, val_fraction, seed):
+            split_from.append(ds)
+            return split(ds, val_fraction, seed)
+
         monkeypatch.setattr(fullkl.data, "load_csv", load_then_shift)
+        monkeypatch.setattr(fullkl.data, "split", recording_split)
         configs = []
         for name, family, lam in (("a", "full_kl", None), ("b", "reference", 1.0)):
             d = tiny_dict(tmp_path / "ignored", family=family, lam=lam, seeds=(0,))
             d["dataset"] = {"type": "csv", "path": str(tmp_path / "data.csv")}
             configs.append(str(write_config(tmp_path, d, name=f"{name}.json")))
         code = main(["compare", *configs, "--out-dir", str(tmp_path / "cmp"), "--quiet"])
-        assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert "config error: compare requires one dataset, but it changed between the two builds" in err
-        assert len(re.findall(r"\b[0-9a-f]{64}\b", err)) == 2
-        assert len(calls) == 2
-        assert sorted(p.name for p in (tmp_path / "cmp").iterdir()) == ["a", "b"]
+        assert code == EXIT_OK, capsys.readouterr().err
+        assert len(calls) == 1
+        assert len(split_from) == 2 and all(ds is calls[0] for ds in split_from)
+        assert sorted(p.name for p in (tmp_path / "cmp").iterdir()) == ["a", "b", "comparison.csv", "comparison.txt"]
+
+    def test_synthetic_dataset_generated_once(self, tmp_path, monkeypatch):
+        gen, calls = fullkl.data.gen_synthetic, []
+
+        def counting_gen(*args):
+            calls.append(args)
+            return gen(*args)
+
+        monkeypatch.setattr(fullkl.data, "gen_synthetic", counting_gen)
+        cfg_a = config_from_dict(tiny_dict(tmp_path / "a"))
+        cfg_b = config_from_dict(tiny_dict(tmp_path / "b", family="reference", lam=1.0))
+        result = compare(cfg_a, cfg_b, quiet=True)
+        assert len(calls) == 1
+        assert result.result_a.dataset is result.result_b.dataset
 
     def test_mismatched_dataset_rejected(self, tmp_path):
         cfg_a = config_from_dict(tiny_dict(tmp_path / "a"))
@@ -876,6 +896,30 @@ class TestCli:
         path = write_config(tmp_path, raw)
         assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
         assert f"config error: {error}\n" == capsys.readouterr().err
+
+    def test_config_nested_past_the_decoder_depth_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: invalid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("row_ids, error", [
+        (["99999999999999999999999", "1"], "line 2: id outside the int64 range"),
+        (["0", "0"], "line 3: id 0 repeats line 2"),
+    ], ids=["id_beyond_int64", "repeated_id"])
+    def test_bad_csv_id_is_a_config_error_naming_its_line(self, tmp_path, capsys, row_ids, error):
+        path = tmp_path / "data.csv"
+        save_csv(gen_synthetic(60, 3, LabelGrid(0.0, 100.0, 1.0), (2.0, 6.0), 1), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        for i, new_id in enumerate(row_ids, start=1):
+            lines[i] = new_id + lines[i][lines[i].index(","):]
+        path.write_text("".join(lines), encoding="utf-8")
+        d = tiny_dict(tmp_path / "out")
+        d["dataset"] = {"type": "csv", "path": str(path)}
+        assert main(["run", str(write_config(tmp_path, d)), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: cannot build dataset: {path}: 1 invalid row(s): {error}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG_ERROR

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import EPS_VAR, PMF_SUM_TOL, LabelGrid, gaussian_probs, pmf_moments, row_blocks
+from .grid import EPS_VAR, PMF_SUM_TOL, LabelGrid, _whole_int, gaussian_probs, pmf_moments, row_blocks
 
 __all__ = [
     "Dataset",
@@ -52,15 +52,36 @@ SINE_FREQ = 2.0
 MEAN_EDGE_SIGMAS = 3.0
 
 
+def _sample_ids(values) -> np.ndarray:
+    """``values`` as a fresh 1-D int64 array: whole numbers within int64, none given twice."""
+    # Python objects, not a common dtype, for a list: [2**62 + 1, 3.0] as float64 would round the first.
+    raw = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if raw.ndim != 1:
+        raise ValueError(f"ids: expected a flat sequence of ids, got shape {raw.shape}")
+    if raw.dtype.kind != "i":  # only a signed integer dtype converts to int64 exactly
+        whole = [_whole_int(v, "ids") for v in raw.tolist()]
+        outside = [v for v in whole if not -2**63 <= v < 2**63]
+        if outside:
+            raise ValueError(f"ids: id {outside[0]} is outside the int64 range")
+        raw = np.array(whole, dtype=np.int64)
+    ids = raw.astype(np.int64)
+    unique, counts = np.unique(ids, return_counts=True)
+    if unique.size != ids.size:
+        raise ValueError(f"ids: id(s) {unique[counts > 1][:10].tolist()} given more than once")
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable column store of samples sharing one label grid.
 
     ``Dataset(grid, ids, features, target_mu, target_sigma)`` is the only way
     in: it copies, checks and freezes the caller's arrays, and pickling and
-    copying rebuild through it, without the cached tables.  ``target_pmfs``
-    is derived, not stored: it is built on first access.  Datasets compare
-    and hash by identity.
+    copying rebuild through it, without the cached tables.  ``ids`` must be
+    a flat sequence of whole numbers within int64, each given once (so
+    ``subset`` refuses a repeated index).  ``target_pmfs`` is derived, not
+    stored: it is built on first access.  Datasets compare and hash by
+    identity.
     """
 
     grid: LabelGrid
@@ -70,7 +91,7 @@ class Dataset:
     target_sigma: np.ndarray
 
     def __post_init__(self):
-        ids = np.array(self.ids, dtype=np.int64)
+        ids = _sample_ids(self.ids)
         feats, mu, sigma = (np.array(a, dtype=np.float64) for a in (self.features, self.target_mu, self.target_sigma))
         n = ids.size
         if n == 0:

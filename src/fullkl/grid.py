@@ -45,6 +45,11 @@ TRUNCATION_SIGMAS = 5.0   # beyond this the renormalized pmf stops resembling th
 EPS_LOG = 1e-12
 EPS_VAR = 1e-8
 
+# The most bins a LabelGrid may ask for: 2**47 bytes, the 128 TiB user address
+# space of 64-bit Linux, of float64 values.  A larger grid could never be
+# allocated, so it is refused before np.linspace tries.
+MAX_BINS = 2**44
+
 # Rows per block wherever a (rows, n_bins) array is built or reduced block by
 # block (target pmfs and moments in data, evaluate in model).  It keeps each
 # float64 temporary near 200 KiB at 101 bins, in cache, instead of the size of
@@ -112,6 +117,9 @@ class LabelGrid:
         if hi <= lo:
             raise ValueError(f"stop must exceed start, got [{lo!r}, {hi!r}]")
         n_steps = (hi - lo) / spacing
+        if not n_steps < MAX_BINS:  # also an infinite count, whose round() would raise OverflowError
+            raise ValueError(f"step: [{lo!r}, {hi!r}] is {n_steps:.3g} steps of {spacing!r}, more bins "
+                             f"than the {MAX_BINS} float64 values that fit a 128 TiB address space")
         n = round(n_steps)
         if n < 1 or abs(n_steps - n) > 1e-9 * max(1.0, n_steps):
             raise ValueError(f"step: [{lo!r}, {hi!r}] is not an integral number of {spacing!r} steps")

@@ -316,10 +316,11 @@ def full_kl_grad(
     return _sample_kernel(target, logits, g, _FULL_KL_SPEC, want_grad=True)[1]
 
 
-def _breakdown(family: str, comps: dict) -> LossBreakdown:
-    """The mean over rows of each kernel component (of one row: its value); ``l_smooth`` is None when absent."""
+def _breakdown(family: str, comps: dict, record=LossBreakdown, **labels):
+    """``record`` (``LossBreakdown`` or a subclass such as ``model.Metrics``, whose added fields are ``labels``)
+    of the mean over rows of each kernel component (of one row: its value); ``l_smooth`` is None when absent."""
     means = {k: float(np.mean(comps[k])) for k in ("l_ld", "l_exp", "l_smooth", "total") if k in comps}
-    return LossBreakdown(family, means["l_ld"], means["l_exp"], means.get("l_smooth"), means["total"])
+    return record(family, means["l_ld"], means["l_exp"], means.get("l_smooth"), means["total"], **labels)
 
 
 def _sample_kernel(target, logits, g: LabelGrid, spec: LossSpec, want_grad: bool):

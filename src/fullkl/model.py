@@ -351,16 +351,17 @@ def predict(params: MlpParams, features, g: LabelGrid):
 SPLIT_TAGS = ("train", "val")
 
 
-@dataclass(frozen=True)
-class Metrics:
-    """Per-split evaluation snapshot: mean loss components plus MAE."""
+@dataclass(frozen=True, kw_only=True)
+class Metrics(LossBreakdown):
+    """One split's evaluation at one epoch: its mean ``LossBreakdown`` plus ``epoch``, ``split`` and
+    ``mae``, keyword-only fields checked after ``LossBreakdown`` checks the loss terms."""
 
     epoch: int
     split: str
-    breakdown: LossBreakdown
     mae: float
 
     def __post_init__(self):
+        super().__post_init__()
         if self.epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {self.epoch!r}")
         if self.split not in SPLIT_TAGS:
@@ -370,13 +371,14 @@ class Metrics:
 
 
 def evaluate(params: MlpParams, dataset: Dataset, spec: LossSpec, epoch: int, split: str) -> Metrics:
-    """Mean loss components and MAE of ``params`` over ``dataset``, on its own grid.
+    """The ``Metrics`` of ``params`` over ``dataset``, on its own grid: mean loss components and MAE.
 
-    ``epoch`` and ``split`` (one of ``SPLIT_TAGS``) label the returned
-    ``Metrics``.  Runs one ``grid.row_blocks`` block of rows at a time; the
-    per-row values are joined before the means are taken, so the result has
-    the bits of one pass over the whole dataset.  A non-finite forward pass
-    raises with the epoch, the split, and its rows and ids in ``dataset``.
+    ``epoch`` and ``split`` (one of ``SPLIT_TAGS``) label the record, which
+    ``losses._breakdown`` builds.  Runs one ``grid.row_blocks`` block of rows
+    at a time; the per-row values are joined before the means are taken, so
+    the result has the bits of one pass over the whole dataset.  A non-finite
+    forward pass raises with the epoch, the split, and its rows and ids in
+    ``dataset``.
     """
     mu_t, var_t = dataset.target_moments
     chunks = []
@@ -390,7 +392,7 @@ def evaluate(params: MlpParams, dataset: Dataset, spec: LossSpec, epoch: int, sp
         chunks.append(batch_loss(dataset.target_pmfs[rows], logits, dataset.grid, spec, moments))
     comps = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
     mae = float(np.mean(np.abs(comps["pred_mu"] - dataset.target_mu)))
-    return Metrics(epoch, split, _breakdown(spec.family, comps), mae)
+    return _breakdown(spec.family, comps, Metrics, epoch=epoch, split=split, mae=mae)
 
 
 def derive_seeds(seed: int) -> tuple[int, int, int]:
@@ -441,7 +443,7 @@ def train_run(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig, quiet: bool 
         if not quiet:
             log.info(
                 "epoch %3d  lr %.1e  train total %.6f  val total %.6f  val mae %.4f",
-                epoch + 1, opt.lr, train_m.breakdown.total, val_m.breakdown.total, val_m.mae,
+                epoch + 1, opt.lr, train_m.total, val_m.total, val_m.mae,
             )
     return TrainResult(params, tuple(history))
 

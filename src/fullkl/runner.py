@@ -31,7 +31,7 @@ from .data import _fmt, _write_table
 from .grid import LabelGrid, _number, _whole_int
 from .losses import FAMILY_REFERENCE, LossSpec
 from .model import (
-    SPLIT_TAGS, Metrics, TrainConfig, TrainResult, TrainingDivergedError, derive_seeds, save_checkpoint, train_run)
+    SPLIT_TAGS, TrainConfig, TrainResult, TrainingDivergedError, derive_seeds, save_checkpoint, train_run)
 from .verify import CheckResult, run_all_checks
 
 __all__ = [
@@ -282,14 +282,8 @@ class ExperimentResult:
         return digest.hexdigest()
 
 
-def _metric_value(m: Metrics, name: str):
-    if name == "mae":
-        return m.mae
-    return getattr(m.breakdown, name)
-
-
 def _write_metrics_csv(path: Path, header_json: str, seed: int, history) -> None:
-    rows = ([str(seed), str(m.epoch), m.split, *(_fmt(_metric_value(m, n)) for n in SUMMARY_METRICS)]
+    rows = ([str(seed), str(m.epoch), m.split, *(_fmt(getattr(m, n)) for n in SUMMARY_METRICS)]
             for m in history)
     _write_table(path, [header_json], METRICS_COLUMNS, rows)
 
@@ -306,7 +300,7 @@ def _write_summary_csv(path: Path, header_json: str, outcomes, epochs: int) -> N
             metrics = [r.history[len(SPLIT_TAGS) * e + offset] for r in oks]
             assert all(m.epoch == e + 1 and m.split == split_tag for m in metrics)
             for name in SUMMARY_METRICS:
-                vals = [_metric_value(m, name) for m in metrics]
+                vals = [getattr(m, name) for m in metrics]
                 if any(v is None for v in vals):
                     row += ["", ""]
                 else:

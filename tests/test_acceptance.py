@@ -60,20 +60,13 @@ def default_comparison(tmp_path_factory):
     return result, elapsed
 
 
-def epoch_train_means(experiment, name):
-    """Across-seed mean of a train-split metric, one value per epoch."""
-    histories = [o.result.history for o in experiment.outcomes]
-    epochs = experiment.config.train.epochs
-    out = []
-    for e in range(epochs):
-        rows = [h[2 * e] for h in histories]
-        assert all(r.split == "train" and r.epoch == e + 1 for r in rows)
-        if name == "mae":
-            vals = [r.mae for r in rows]
-        else:
-            vals = [getattr(r.breakdown, name) for r in rows]
-        out.append(float(np.mean(vals)))
-    return np.array(out)
+def summary_train_means(experiment, name):
+    """Across-seed mean of a train-split metric, one value per epoch, read from the run's summary.csv."""
+    lines = experiment.summary_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# ")
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    assert [int(r["epoch"]) for r in rows] == list(range(1, experiment.config.train.epochs + 1))
+    return np.array([float(r[f"train_{name}_mean"]) for r in rows])
 
 
 def test_criterion_1_gaussian_kl_oracle(criterion_report):
@@ -173,16 +166,16 @@ def test_criterion_5_default_protocol_comparison(criterion_report, default_compa
 
     n_up = {}
     for name, exp in (("full_kl", full), ("reference", ref)):
-        totals = epoch_train_means(exp, "total")
+        totals = summary_train_means(exp, "total")
         smoothed = np.convolve(totals, np.ones(5) / 5.0, mode="valid")
         n_up[name] = int(np.sum(np.diff(smoothed) > 0.0))
     a_ok = all(v == 0 for v in n_up.values())
 
     b_ok = abs(result.rel_diff) <= 0.15
 
-    ld = epoch_train_means(full, "l_ld")
-    ex = epoch_train_means(full, "l_exp")
-    sm = epoch_train_means(full, "l_smooth")
+    ld = summary_train_means(full, "l_ld")
+    ex = summary_train_means(full, "l_exp")
+    sm = summary_train_means(full, "l_smooth")
     c_ok = sm[-1] <= 0.1 * ld[-1] and sm[-1] <= 0.1 * ex[-1]
 
     ratios = ld / ex

@@ -1,6 +1,7 @@
 """Synthetic data generation, CSV ingestion, and the train/val split."""
 
 import logging
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -197,6 +198,37 @@ class TestDataset:
             Dataset(G101, ds.ids, ds.features[:2], ds.target_mu, ds.target_sigma)
         with pytest.raises(ValueError):
             Dataset(G101, ds.ids, ds.features, ds.target_mu[:2], ds.target_sigma)
+
+    @pytest.mark.parametrize("ids, error", [
+        ([2**64], "id 18446744073709551616 is outside the int64 range"),
+        ([-2**63 - 1], "id -9223372036854775809 is outside the int64 range"),
+        (np.array([2**63], dtype=np.uint64), "id 9223372036854775808 is outside the int64 range"),
+        ([1.7], "expected an integer, got 1.7"),
+        (np.array([0.0, 1.7]), "expected an integer, got 1.7"),
+        ([float("nan")], "expected an integer, got nan"),
+        ([1, 1], "id(s) [1] given more than once"),
+        (np.array([3, 5, 3, 5, 6]), "id(s) [3, 5] given more than once"),
+        ([[7], [8]], "expected a flat sequence of ids, got shape (2, 1)"),
+        (7, "expected a flat sequence of ids, got shape ()"),
+    ], ids=["beyond_uint64", "below_int64", "uint64_above_int64", "fraction", "fraction_array", "nan",
+            "repeated", "repeated_array", "column", "scalar"])
+    def test_ids_must_be_distinct_whole_int64(self, ids, error):
+        n = np.size(ids)
+        with pytest.raises(ValueError, match=f"^{re.escape('ids: ' + error)}$"):
+            Dataset(G101, ids, np.zeros((n, 1)), np.full(n, 50.0), np.full(n, 2.0))
+
+    @pytest.mark.parametrize("ids", [
+        [-2**63, 2**63 - 1, 3.0], [2**62 + 1, 3.0], np.array([7, 2**63 - 1], dtype=np.uint64), np.array([4.0, -2.0]),
+    ], ids=["int64_bounds_and_whole_float", "large_int_beside_a_float", "uint64_in_range", "whole_float_array"])
+    def test_whole_ids_within_int64_stored_exactly(self, ids):
+        n = len(ids)
+        ds = Dataset(G101, ids, np.zeros((n, 1)), np.full(n, 50.0), np.full(n, 2.0))
+        assert ds.ids.dtype == np.int64 and ds.ids.tolist() == [int(i) for i in ids]
+
+    def test_subset_with_a_repeated_index_rejected(self):
+        ds = self.base(6)
+        with pytest.raises(ValueError, match=re.escape(f"ids: id(s) [{ds.ids[2]}] given more than once")):
+            ds.subset(np.array([2, 4, 2]))
 
     def test_non_finite_rejected(self):
         ds = self.base()

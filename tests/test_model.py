@@ -613,9 +613,9 @@ class TestEvaluate:
         p = bias_only(np.log(target))
         m = evaluate(p, ds, LossSpec(FAMILY_FULL_KL), 0, "val")
         assert m.mae == pytest.approx(0.0, abs=1e-9)
-        assert m.breakdown.l_ld == pytest.approx(0.0, abs=1e-10)
-        assert m.breakdown.l_exp == pytest.approx(0.0, abs=1e-10)
-        assert m.breakdown.total == pytest.approx(smoothness(target), rel=1e-9)
+        assert m.l_ld == pytest.approx(0.0, abs=1e-10)
+        assert m.l_exp == pytest.approx(0.0, abs=1e-10)
+        assert m.total == pytest.approx(smoothness(target), rel=1e-9)
 
     def test_constant_predictor_offset(self):
         n = 6
@@ -643,12 +643,11 @@ class TestEvaluate:
         """One forward and one loss pass over the whole split, as evaluate did unchunked."""
         comps = batch_loss(ds.target_pmfs, forward(params, ds.features), G101, spec)
         smooth = float(np.mean(comps["l_smooth"])) if spec.family == FAMILY_FULL_KL else None
-        breakdown = LossBreakdown(
-            spec.family, float(np.mean(comps["l_ld"])), float(np.mean(comps["l_exp"])),
-            smooth, float(np.mean(comps["total"])),
-        )
         mae = float(np.mean(np.abs(comps["pred_mu"] - ds.target_mu)))
-        return Metrics(4, "val", breakdown, mae)
+        return Metrics(
+            spec.family, float(np.mean(comps["l_ld"])), float(np.mean(comps["l_exp"])),
+            smooth, float(np.mean(comps["total"])), epoch=4, split="val", mae=mae,
+        )
 
     @pytest.mark.parametrize("n", [
         BLOCK_ROWS // 2,        # shorter than one block
@@ -702,12 +701,23 @@ class TestEvaluate:
         ds = gen_synthetic(10, 4, G101, (2.0, 6.0), seed=0)
         m = evaluate(init_mlp((4, 8, 101), 0), ds, b, 3, "val")
         assert m.epoch == 3 and m.split == "val"
-        with pytest.raises(ValueError):
-            Metrics(-1, "train", m.breakdown, 1.0)
-        with pytest.raises(ValueError):
-            Metrics(0, "test", m.breakdown, 1.0)
-        with pytest.raises(ValueError):
-            Metrics(0, "train", m.breakdown, -1.0)
+        assert isinstance(m, LossBreakdown) and m.family == FAMILY_FULL_KL
+        terms = (m.family, m.l_ld, m.l_exp, m.l_smooth, m.total)
+        with pytest.raises(ValueError, match="epoch"):
+            Metrics(*terms, epoch=-1, split="train", mae=1.0)
+        with pytest.raises(ValueError, match="split"):
+            Metrics(*terms, epoch=0, split="test", mae=1.0)
+        with pytest.raises(ValueError, match="mae"):
+            Metrics(*terms, epoch=0, split="train", mae=-1.0)
+        # the loss terms are checked by LossBreakdown, before the labels
+        with pytest.raises(ValueError, match="^loss components must be finite$"):
+            Metrics(m.family, m.l_ld, np.inf, m.l_smooth, m.total, epoch=-1, split="train", mae=1.0)
+        with pytest.raises(ValueError, match="^full-KL breakdown requires l_smooth$"):
+            Metrics(m.family, m.l_ld, m.l_exp, None, m.total, epoch=3, split="val", mae=1.0)
+        with pytest.raises(ValueError, match="^reference breakdown has no smoothness term$"):
+            Metrics(FAMILY_REFERENCE, m.l_ld, m.l_exp, m.l_smooth, m.total, epoch=3, split="val", mae=1.0)
+        with pytest.raises(TypeError):  # the added fields are keyword-only
+            Metrics(*terms, 3, "val", 1.0)
 
 
 # ---------------------------------------------------------------------------

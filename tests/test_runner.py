@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import math
+import pickle
 import re
 import shutil
 from pathlib import Path
@@ -14,8 +15,8 @@ import pytest
 import fullkl.data
 import fullkl.runner
 from fullkl.data import Dataset, atomic_write, gen_synthetic, save_csv
-from fullkl.grid import LabelGrid
-from fullkl.losses import LossBreakdown, LossSpec
+from fullkl.grid import MAX_BINS, LabelGrid
+from fullkl.losses import LossSpec
 from fullkl.model import (
     Metrics, TrainConfig, TrainingDivergedError, derive_seeds, init_mlp, load_checkpoint, save_checkpoint)
 from fullkl.runner import (
@@ -26,6 +27,7 @@ from fullkl.runner import (
     ConfigError,
     DatasetSpec,
     RunConfig,
+    SeedOutcome,
     compare,
     config_from_dict,
     config_to_dict,
@@ -472,6 +474,18 @@ class TestRunExperiment:
         assert outcome.result.history == ran.history
         assert outcome.result.params.vec.tobytes() == ran.params.vec.tobytes()
 
+    def test_seed_outcome_survives_pickle(self):
+        # What a seed worker in another process would send back: the outcome, its params and history.
+        cfg = config_from_dict(tiny_dict("runs/out"))
+        outcome = fullkl.runner._run_seed(cfg, build_dataset(cfg.dataset, cfg.grid), 1, quiet=True)
+        copy = pickle.loads(pickle.dumps(outcome))
+        assert type(copy) is SeedOutcome and (copy.seed, copy.error) == (1, None)
+        assert all(type(m) is Metrics for m in copy.result.history)
+        assert copy.result.history == outcome.result.history
+        assert copy.result.params.dims == outcome.result.params.dims
+        assert copy.result.params.vec.tobytes() == outcome.result.params.vec.tobytes()
+        assert not copy.result.params.vec.flags.writeable
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_in_evaluation_names_epoch_split_and_ids(self, tmp_path):
         # One step per epoch: the first non-finite forward pass is evaluate's.
@@ -582,7 +596,7 @@ class TestAtomicOutputs:
 
     def test_metrics_csv_interrupted_mid_history(self, tmp_path):
         path = tmp_path / "metrics_seed0.csv"
-        m = Metrics(1, "train", LossBreakdown("full_kl", 0.5, 0.25, 0.125, 0.875), 1.0)
+        m = Metrics("full_kl", 0.5, 0.25, 0.125, 0.875, epoch=1, split="train", mae=1.0)
         fullkl.runner._write_metrics_csv(path, "{}", 0, [m, m])
         before = path.read_bytes()
 
@@ -896,6 +910,19 @@ class TestCli:
         path = write_config(tmp_path, raw)
         assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
         assert f"config error: {error}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("stop, step, steps", [(1e300, 1e-300, "inf"), (1e15, 1.0, "1e+15")],
+                             ids=["infinite_count", "petabytes"])
+    def test_grid_too_big_to_allocate_is_a_config_error_before_any_write(
+            self, tmp_path, monkeypatch, capsys, stop, step, steps):
+        # An infinite bin count, whose round() overflows, and 7.11 PiB of grid values.
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, {**tiny_dict("out"), "grid": {"start": 0.0, "stop": stop, "step": step}})
+        assert main(["run", "cfg.json", "--quiet"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"config error: grid.step: [0.0, {stop!r}] is {steps} steps of {step!r}, more bins than the "
+            f"{MAX_BINS} float64 values that fit a 128 TiB address space\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_config_nested_past_the_decoder_depth_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

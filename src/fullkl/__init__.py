@@ -64,7 +64,6 @@ from .runner import (
     load_config,
     main,
     run_experiment,
-    verify_suite,
 )
 
 __version__ = "0.1.0"
@@ -89,5 +88,5 @@ __all__ = [
     "Dataset", "gen_synthetic", "load_csv", "save_csv", "split",
     # runner
     "ComparisonResult", "ConfigError", "ExperimentResult", "RunConfig",
-    "compare", "load_config", "main", "run_experiment", "verify_suite",
+    "compare", "load_config", "main", "run_experiment",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -222,11 +223,20 @@ def gen_synthetic(
 
 @contextmanager
 def atomic_write(path, binary: bool = False):
-    """Write ``path`` through a temp file beside it, moved over ``path`` by
-    ``os.replace`` on a clean exit.  If the body raises, the temp file is
-    removed and ``path`` keeps its previous content, so no reader ever sees
-    a half-written output.  Text mode is UTF-8 with no newline translation."""
+    """Write ``path`` through a temp file ``.<name>.<pid>.tmp`` beside it,
+    moved over ``path`` by ``os.replace`` on a clean exit.  If the body
+    raises, the temp file is removed and ``path`` keeps its previous
+    content, so no reader ever sees a half-written output.  A process
+    killed before its ``os.replace`` leaves its temp file behind, so each
+    write first removes every sibling named ``.<name>.<digits>.tmp``: a
+    rerun clears what a kill left.  That is also why two processes must not
+    write one output path at once.  Text mode is UTF-8 with no newline
+    translation."""
     path = Path(path)
+    stale = re.compile(re.escape(f".{path.name}.") + r"[0-9]+\.tmp")
+    for sibling in path.parent.iterdir():
+        if stale.fullmatch(sibling.name):
+            sibling.unlink(missing_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -263,33 +273,58 @@ def save_csv(ds: Dataset, path) -> None:
     _write_table(path, [], _csv_header(ds.d_in), rows)
 
 
+def _csv_records(path: Path, fh):
+    """(line where the record starts, fields) for each record of the open CSV ``fh``.
+
+    A record the csv module refuses (a field over its size limit) or one
+    holding bytes that are not UTF-8 (``fh`` decodes with
+    ``surrogateescape``, so they arrive as lone surrogates) is a ValueError
+    naming ``path`` and that line.
+    """
+    reader = csv.reader(fh)
+    while True:
+        line_no = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+        try:
+            "".join(row).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: line {line_no}: not UTF-8 text") from None
+        yield line_no, row
+
+
 def load_csv(path, grid: LabelGrid) -> Dataset:
-    """Load an annotation CSV (header ``id,f0,...,f{d-1},mean,std``).
+    """Load a UTF-8 annotation CSV (header ``id,f0,...,f{d-1},mean,std``; fields may be quoted).
 
     Every row must hold an int64 id that no earlier row holds and satisfy
     the sample invariants (std at or above half the bin spacing, mean inside
-    the grid span); offending rows fail the load with their file line
-    numbers, a repeated id with the line that first held it.  Rows whose
-    mean sits within ``MEAN_EDGE_SIGMAS`` sigmas of a grid edge are accepted
-    but counted in a truncation warning, since their pmfs are visibly
-    clipped.
+    the grid span); offending rows fail the load with the file line where
+    each starts (a quoted field may span lines), a repeated id with the line
+    that first held it.  Every refusal is a ValueError that names ``path``;
+    a record that is not UTF-8, or that the csv module cannot read, stops
+    the load at once.  Rows whose mean sits within ``MEAN_EDGE_SIGMAS``
+    sigmas of a grid edge are accepted but counted in a truncation warning,
+    since their pmfs are visibly clipped.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such annotation file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        records = _csv_records(path, fh)
+        _, header = next(records, (None, None))
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         d_in = len(header) - 3
         if d_in < 1 or header != _csv_header(d_in):
             raise ValueError(f"{path}: header must be id,f0,...,f{{d-1}},mean,std")
         ids, feats, mus, sigmas = [], [], [], []
         id_lines: dict[int, int] = {}  # id -> the line that first held it
         bad: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in records:
             if not row:
                 continue
             if len(row) != d_in + 3:
@@ -324,7 +359,10 @@ def load_csv(path, grid: LabelGrid) -> Dataset:
             raise ValueError(f"{path}: {len(bad)} invalid row(s): {shown}{more}")
         if not ids:
             raise ValueError(f"{path}: no data rows")
-    ds = Dataset(grid, ids, feats, mus, sigmas)
+    try:
+        ds = Dataset(grid, ids, feats, mus, sigmas)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     mu, sigma = ds.target_mu, ds.target_sigma
     truncated = int(np.sum((mu - grid.lo < MEAN_EDGE_SIGMAS * sigma) | (grid.hi - mu < MEAN_EDGE_SIGMAS * sigma)))
     if truncated:

@@ -28,11 +28,12 @@ import numpy as np
 
 from . import data
 from .data import _fmt, _write_table
-from .grid import LabelGrid, _number, _whole_int
+from .grid import MAX_BINS, LabelGrid, _number, _whole_int
 from .losses import FAMILY_REFERENCE, LossSpec
 from .model import (
-    SPLIT_TAGS, TrainConfig, TrainResult, TrainingDivergedError, derive_seeds, save_checkpoint, train_run)
-from .verify import CheckResult, run_all_checks
+    SPLIT_TAGS, TrainConfig, TrainResult, TrainingDivergedError, _param_count, derive_seeds, save_checkpoint,
+    train_run)
+from .verify import run_all_checks
 
 __all__ = [
     "EXIT_OK",
@@ -51,7 +52,6 @@ __all__ = [
     "build_dataset",
     "run_experiment",
     "compare",
-    "verify_suite",
     "main",
 ]
 
@@ -95,6 +95,9 @@ class DatasetSpec:
             for name, value in (("n", self.n), ("d_in", self.d_in)):
                 if value < 1:
                     raise ValueError(f"{name} must be >= 1 for a synthetic dataset, got {value!r}")
+            if self.n * self.d_in >= MAX_BINS:
+                raise ValueError(f"n: {self.n} samples of {self.d_in} features are {self.n * self.d_in} float64 "
+                                 f"values, not fewer than the {MAX_BINS} that fit a 128 TiB address space")
             sr = self.sigma_range
             if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
                 raise ValueError(f"sigma_range: expected [lo, hi], got {sr!r}")
@@ -346,6 +349,11 @@ def run_experiment(cfg: RunConfig, quiet: bool = False, *, dataset: data.Dataset
     """
     full = build_dataset(cfg.dataset, cfg.grid) if dataset is None else dataset
     _built("train.", data.val_count, len(full), cfg.train.val_fraction)  # every seed's split, before out_dir exists
+    dims = (full.d_in, *cfg.train.hidden, len(cfg.grid))
+    n_params = _param_count(dims)
+    if n_params >= MAX_BINS:  # what init_mlp would allocate, refused like an oversized grid
+        raise ConfigError(f"train.hidden: dims {dims} have {n_params} parameters, not fewer than "
+                          f"the {MAX_BINS} float64 values that fit a 128 TiB address space")
     out = cfg.out_dir
     _make_out_dir(out)
     header_json = json.dumps(config_to_dict(cfg), sort_keys=True)
@@ -471,35 +479,6 @@ def compare(
 
 
 # ---------------------------------------------------------------------------
-# Verification suite
-# ---------------------------------------------------------------------------
-
-def verify_suite(as_json: bool = False) -> tuple[CheckResult, ...]:
-    """Run all numeric checks, print one PASS/FAIL line each, return results.
-
-    With ``as_json`` each check is printed as one strict JSON object instead
-    (``name``, ``passed``, ``max_error``, ``max_error_hex`` = its
-    ``float.hex()``, ``detail``), and the tally line is left out.  A
-    non-finite ``max_error`` is written as null; its hex form still names it.
-    """
-    results = run_all_checks()
-    if as_json:
-        for r in results:
-            err = float(r.max_error)
-            print(json.dumps({
-                "name": r.name, "passed": bool(r.passed), "max_error": err if math.isfinite(err) else None,
-                "max_error_hex": err.hex(), "detail": r.detail,
-            }, allow_nan=False))
-        return tuple(results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<24}  max_error={r.max_error:.3e}  ({r.detail})")
-    n_ok = sum(r.passed for r in results)
-    print(f"verification: {n_ok}/{len(results)} checks passed")
-    return tuple(results)
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -582,7 +561,20 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_suite(as_json=args.json)
+    """One PASS/FAIL line per check of ``run_all_checks``, then the tally.  With ``--json`` one strict
+    JSON object per check (``name``, ``passed``, ``max_error``, ``max_error_hex`` = its ``float.hex()``,
+    ``detail``) and no tally; a non-finite ``max_error`` is null, and its hex form still names it."""
+    results = run_all_checks()
+    for r in results:
+        err = float(r.max_error)
+        if args.json:
+            finite = err if math.isfinite(err) else None
+            print(json.dumps({"name": r.name, "passed": bool(r.passed), "max_error": finite,
+                              "max_error_hex": err.hex(), "detail": r.detail}, allow_nan=False))
+        else:
+            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<24}  max_error={err:.3e}  ({r.detail})")
+    if not args.json:
+        print(f"verification: {sum(r.passed for r in results)}/{len(results)} checks passed")
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAILURE
 
 

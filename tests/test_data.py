@@ -491,6 +491,29 @@ class TestLoadCsvErrors:
         with pytest.raises(ValueError, match=r"2 invalid row\(s\).*line 2.*line 3"):
             load_csv(write(tmp_path, text), G101)
 
+    def test_field_over_the_csv_limit_names_path_and_line(self, tmp_path):
+        path = write(tmp_path, HEADER + "0,0.5,50.0,2.0\n1," + "1" * 200_000 + ",50.0,2.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: field larger than field limit"):
+            load_csv(path, G101)
+
+    def test_rows_name_the_line_where_they_start(self, tmp_path):
+        # Row 2's quoted feature spans lines 3 and 4, so row 3 starts on line 5.
+        text = 'id,f0,mean,std\n"1",1.0,5.0,1.0\n2,"1.0\n",5.0,1.0\n3,1.0,50.0,1.0\n'
+        with pytest.raises(ValueError, match=r"1 invalid row\(s\): line 5: mean 50.0 outside the grid span$"):
+            load_csv(write(tmp_path, text), LabelGrid(0.0, 10.0, 1.0))
+
+    def test_byte_that_is_not_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(HEADER.encode() + b"0,0.5,50.0,2.0\n1,0.5\xff,50.0,2.0\n2,0.5,50.0,2.0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: not UTF-8 text$"):
+            load_csv(path, G101)
+
+    def test_dataset_refusal_names_path(self, tmp_path):
+        # Each row passes the per-row checks, but std 0.5 on a 1e-5 step is too narrow for EPS_VAR.
+        path = write(tmp_path, HEADER + "0,0.5,0.5,0.000005\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: target sigma .* below the EPS_VAR floor"):
+            load_csv(path, LabelGrid(0.0, 1.0, 1e-5))
+
     def test_blank_lines_skipped(self, tmp_path):
         text = HEADER + "0,0.5,50.0,2.0\n\n1,-0.5,40.0,3.0\n\n"
         ds = load_csv(write(tmp_path, text), G101)

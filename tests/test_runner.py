@@ -4,14 +4,18 @@ import builtins
 import hashlib
 import json
 import math
+import os
 import pickle
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fullkl
 import fullkl.data
 import fullkl.runner
 from fullkl.data import Dataset, atomic_write, gen_synthetic, save_csv
@@ -35,7 +39,6 @@ from fullkl.runner import (
     main,
     build_dataset,
     run_experiment,
-    verify_suite,
 )
 from fullkl.verify import CheckResult, run_all_checks
 
@@ -236,6 +239,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=re.escape("out_dir: expected a non-empty path")):
             RunConfig(ds, grid, TrainConfig(), (0,), "")
         assert TrainConfig(seed=0).seed == 0 and RunConfig(ds, grid, TrainConfig(), (0,), ".").seeds == (0,)
+
+    def test_synthetic_size_is_bounded_by_max_bins(self):
+        # Only the spec is built: the bound is checked before anything is allocated.
+        assert DatasetSpec("synthetic", n=MAX_BINS // 4 - 1, d_in=4, sigma_range=(2.0, 6.0)).n == MAX_BINS // 4 - 1
+        with pytest.raises(ValueError, match=f"^n: {MAX_BINS // 4} samples of 4 features are {MAX_BINS} float64"):
+            DatasetSpec("synthetic", n=MAX_BINS // 4, d_in=4, sigma_range=(2.0, 6.0))
 
     def test_float_beyond_float_range_is_a_config_error(self, tmp_path, monkeypatch, capsys):
         d = tiny_dict(tmp_path / "out")
@@ -609,6 +618,17 @@ class TestAtomicOutputs:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_write_removes_temp_files_of_killed_writes_to_that_name_only(self, tmp_path):
+        path = tmp_path / "out.txt"
+        stale = [".out.txt.1.tmp", ".out.txt.40213.tmp"]
+        kept = [".out.txt.12a.tmp", ".out.txt..tmp", ".outatxt.1.tmp", ".out.txt.1.tmp.bak", ".out.txt.1.tmpx",
+                "..out.txt.1.tmp", ".out.txt.x.1.tmp", ".other.txt.1.tmp", "out.txt.1.tmp"]
+        for name in stale + kept:
+            (tmp_path / name).write_text("left by a kill", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(kept + ["out.txt"])
+
     def test_csv_interrupted_mid_write(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
         ds = gen_synthetic(50, 3, LabelGrid(0.0, 100.0, 1.0), (2.0, 6.0), 1)
@@ -645,6 +665,56 @@ class TestAtomicOutputs:
             save_checkpoint(Unreadable(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+KILL_AT_REPLACE = """
+import os, sys
+from fullkl.runner import main
+calls, real_replace = 0, os.replace
+
+def replace(src, dst):
+    global calls
+    calls += 1
+    if calls == int(sys.argv[1]):
+        os._exit(9)
+    real_replace(src, dst)
+
+os.replace = replace
+sys.exit(main(["run", "cfg.json", "--quiet"]))
+"""
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+class TestKilledRun:
+    def test_every_kill_leaves_whole_files_and_a_rerun_restores_the_clean_run(self, tmp_path, monkeypatch):
+        # out_dir is relative, so every run's config header, and so every file's bytes, is the same.
+        src = str(Path(fullkl.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cfg = tiny_dict("out", epochs=1)
+        clean_dir = tmp_path / "clean"
+        clean_dir.mkdir()
+        write_config(clean_dir, cfg)
+        monkeypatch.chdir(clean_dir)
+        assert main(["run", "cfg.json", "--quiet"]) == EXIT_OK
+        clean = tree_bytes(clean_dir / "out")
+        assert len(clean) == 5
+        for k in range(1, len(clean) + 1):
+            run_dir = tmp_path / f"kill{k}"
+            run_dir.mkdir()
+            write_config(run_dir, cfg)
+            proc = subprocess.run([sys.executable, "-c", KILL_AT_REPLACE, str(k)], cwd=run_dir, env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 9, proc.stderr.decode()[-2000:]
+            killed = tree_bytes(run_dir / "out")
+            visible = {name: b for name, b in killed.items() if not name.startswith(".")}
+            assert len(visible) == k - 1 and all(clean[name] == b for name, b in visible.items())
+            assert len(killed) == k  # the killed write's temp file
+            monkeypatch.chdir(run_dir)
+            assert main(["run", "cfg.json", "--quiet"]) == EXIT_OK
+            assert tree_bytes(run_dir / "out") == clean
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +865,14 @@ class TestCompare:
 
 
 # ---------------------------------------------------------------------------
-# verify_suite / CLI
+# fullkl verify / CLI
 # ---------------------------------------------------------------------------
 
 class TestVerifySuite:
     def test_prints_one_line_per_check_plus_tally(self, capsys):
-        results = verify_suite()
+        assert main(["verify"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
+        results = run_all_checks()
         assert len(lines) == len(results) + 1
         assert all(l.startswith(("PASS", "FAIL")) for l in lines[:-1])
         assert all("max_error=" in l for l in lines[:-1])
@@ -1024,6 +1095,15 @@ class TestCli:
         pytest.param({"dataset": {"type": "synthetic", "n": 3, "d_in": 3, "sigma_range": [2.0, 6.0], "seed": 1},
                       "train": {"val_fraction": 0.9}},
                      "train.val_fraction 0.9 yields an empty split for 3 samples", id="empty_train_split"),
+        # Sizes beyond the 128 TiB address space fail at once; sizes that fit it but not RAM are left untested.
+        pytest.param({"dataset": {"type": "synthetic", "n": 10**15, "d_in": 3, "sigma_range": [2.0, 6.0], "seed": 1}},
+                     "dataset.n: 1000000000000000 samples of 3 features are 3000000000000000 float64 values, "
+                     f"not fewer than the {MAX_BINS} ", id="n_beyond_address_space"),
+        pytest.param({"dataset": {"type": "synthetic", "n": 60, "d_in": 10**15, "sigma_range": [2.0, 6.0], "seed": 1}},
+                     "dataset.n: 60 samples of 1000000000000000 features ", id="d_in_beyond_address_space"),
+        pytest.param({"train": {"hidden": [10**15]}},
+                     "train.hidden: dims (3, 1000000000000000, 101) have 105000000000000101 parameters, "
+                     f"not fewer than the {MAX_BINS} ", id="hidden_beyond_address_space"),
     ])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_failed_dataset_build_creates_no_directory(self, tmp_path, monkeypatch, capsys, command, sections, error):
@@ -1038,6 +1118,21 @@ class TestCli:
         assert main([command, *args, "--quiet"]) == EXIT_CONFIG_ERROR
         assert f"config error: {error}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
+
+    @pytest.mark.parametrize("body, error", [
+        (b"0,0.5,50.0,2.0\n1," + b"1" * 200_000 + b",50.0,2.0\n", "line 3: field larger than field limit (131072)"),
+        (b'"0",0.5,50.0,2.0\n1,"0.5\n",50.0,2.0\n2,0.5,150.0,2.0\n',
+         "1 invalid row(s): line 5: mean 150.0 outside the grid span"),
+        (b"0,0.5,50.0,2.0\n1,0.5\xff,50.0,2.0\n", "line 3: not UTF-8 text"),
+    ], ids=["field_over_csv_limit", "row_after_multiline_field", "not_utf8"])
+    def test_csv_refusal_is_a_config_error_naming_file_and_line(self, tmp_path, monkeypatch, capsys, body, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_bytes(b"id,f0,mean,std\n" + body)
+        d = tiny_dict("runs/a")
+        d["dataset"] = {"type": "csv", "path": "in.csv"}
+        assert main(["run", str(write_config(tmp_path, d)), "--quiet"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == f"config error: cannot build dataset: in.csv: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.csv"]
 
     def test_compare_refuses_a_shared_out_dir_before_any_write(self, tmp_path, monkeypatch, capsys):
         # a relative path and an absolute one with ".." that resolve to the same directory

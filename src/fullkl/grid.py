@@ -10,8 +10,8 @@ pickling and copying rebuild through it, so a copy is checked again and its
 arrays stay read-only.
 
 As the lowest layer that holds a config value, it also has the rules every
-config type applies to its own integer and float fields, ``_whole_int`` and
-``_number``, whose errors start with the field's config key.
+config type applies to its own fields, ``_whole_int``, ``_number`` and the
+size rule ``_allocatable``, whose errors start with the field's config key.
 """
 
 from __future__ import annotations
@@ -45,9 +45,7 @@ TRUNCATION_SIGMAS = 5.0   # beyond this the renormalized pmf stops resembling th
 EPS_LOG = 1e-12
 EPS_VAR = 1e-8
 
-# The most bins a LabelGrid may ask for: 2**47 bytes, the 128 TiB user address
-# space of 64-bit Linux, of float64 values.  A larger grid could never be
-# allocated, so it is refused before np.linspace tries.
+# 2**44 float64 values are 2**47 bytes, the whole 128 TiB user address space of 64-bit Linux.
 MAX_BINS = 2**44
 
 # Rows per block wherever a (rows, n_bins) array is built or reduced block by
@@ -75,6 +73,12 @@ def _number(value, key: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{key}: expected a number within float range") from None
+
+
+def _allocatable(count, key: str, what: str) -> None:
+    """The one size rule for grid bins, synthetic features and network parameters, before numpy tries."""
+    if not count < MAX_BINS:  # also an infinite count
+        raise ValueError(f"{key}: {what} need at least {MAX_BINS} float64 values: a whole 128 TiB address space")
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -117,10 +121,8 @@ class LabelGrid:
         if hi <= lo:
             raise ValueError(f"stop must exceed start, got [{lo!r}, {hi!r}]")
         n_steps = (hi - lo) / spacing
-        if not n_steps < MAX_BINS:  # also an infinite count, whose round() would raise OverflowError
-            raise ValueError(f"step: [{lo!r}, {hi!r}] is {n_steps:.3g} steps of {spacing!r}, more bins "
-                             f"than the {MAX_BINS} float64 values that fit a 128 TiB address space")
-        n = round(n_steps)
+        _allocatable(n_steps + 1, "step", f"the bins of [{lo!r}, {hi!r}] at step {spacing!r}")
+        n = round(n_steps)  # finite: an infinite count was refused
         if n < 1 or abs(n_steps - n) > 1e-9 * max(1.0, n_steps):
             raise ValueError(f"step: [{lo!r}, {hi!r}] is not an integral number of {spacing!r} steps")
         values = np.linspace(lo, hi, n + 1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, atomic_write
-from .grid import LabelGrid, _number, _rectify, _whole_int, pmf_moments, row_blocks, softmax_probs
+from .grid import LabelGrid, _allocatable, _number, _rectify, _whole_int, pmf_moments, row_blocks, softmax_probs
 from .losses import FAMILY_FULL_KL, LossBreakdown, LossSpec, _breakdown, batch_loss, batch_loss_and_grad
 
 __all__ = [
@@ -468,16 +468,17 @@ def load_checkpoint(path) -> MlpParams:
         payload = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except (ValueError, RecursionError):  # not UTF-8 JSON, an int past the digit limit, or nested too deep
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     dims = header.get("dims")
     if not isinstance(dims, list):
         raise ValueError(f"{path}: checkpoint header lacks a dims list")
-    expected = 8 * _param_count(_validated_dims(dims, f"{path}: dims"))
-    if len(payload) != expected:
-        raise ValueError(f"{path}: dims {dims} need a {expected}-byte payload, got {len(payload)} bytes")
+    count = _param_count(_validated_dims(dims, f"{path}: dims"))
+    _allocatable(count, str(path), f"dims {dims}")  # so 8 * count stays in str()'s digit limit
+    if len(payload) != 8 * count:
+        raise ValueError(f"{path}: dims {dims} need a {8 * count}-byte payload, got {len(payload)} bytes")
     try:
         return MlpParams(dims, np.frombuffer(payload, dtype="<f8"))
     except ValueError as exc:  # a non-finite payload

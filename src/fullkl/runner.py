@@ -28,7 +28,7 @@ import numpy as np
 
 from . import data
 from .data import _fmt, _write_table
-from .grid import MAX_BINS, LabelGrid, _number, _whole_int
+from .grid import LabelGrid, _allocatable, _number, _whole_int
 from .losses import FAMILY_REFERENCE, LossSpec
 from .model import (
     SPLIT_TAGS, TrainConfig, TrainResult, TrainingDivergedError, _param_count, derive_seeds, save_checkpoint,
@@ -95,9 +95,7 @@ class DatasetSpec:
             for name, value in (("n", self.n), ("d_in", self.d_in)):
                 if value < 1:
                     raise ValueError(f"{name} must be >= 1 for a synthetic dataset, got {value!r}")
-            if self.n * self.d_in >= MAX_BINS:
-                raise ValueError(f"n: {self.n} samples of {self.d_in} features are {self.n * self.d_in} float64 "
-                                 f"values, not fewer than the {MAX_BINS} that fit a 128 TiB address space")
+            _allocatable(self.n * self.d_in, "n", f"{self.n} samples of {self.d_in} features")
             sr = self.sigma_range
             if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
                 raise ValueError(f"sigma_range: expected [lo, hi], got {sr!r}")
@@ -144,6 +142,8 @@ class RunConfig:
             raise ValueError(f"seeds must be >= 0, got {seeds}")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "out_dir", _out_path(self.out_dir, "out_dir"))
+        dims = (self.dataset.d_in if self.dataset.kind == "synthetic" else 1, *self.train.hidden, len(self.grid))
+        _allocatable(_param_count(dims), "train.hidden", f"dims {dims}")  # a CSV is 1 wide until it loads
 
 
 def _check_keys(section, where: str, required: set, optional: set = frozenset()):
@@ -349,11 +349,8 @@ def run_experiment(cfg: RunConfig, quiet: bool = False, *, dataset: data.Dataset
     """
     full = build_dataset(cfg.dataset, cfg.grid) if dataset is None else dataset
     _built("train.", data.val_count, len(full), cfg.train.val_fraction)  # every seed's split, before out_dir exists
-    dims = (full.d_in, *cfg.train.hidden, len(cfg.grid))
-    n_params = _param_count(dims)
-    if n_params >= MAX_BINS:  # what init_mlp would allocate, refused like an oversized grid
-        raise ConfigError(f"train.hidden: dims {dims} have {n_params} parameters, not fewer than "
-                          f"the {MAX_BINS} float64 values that fit a 128 TiB address space")
+    dims = (full.d_in, *cfg.train.hidden, len(cfg.grid))  # exact now that a CSV source has loaded
+    _built("", _allocatable, _param_count(dims), "train.hidden", f"dims {dims}")
     out = cfg.out_dir
     _make_out_dir(out)
     header_json = json.dumps(config_to_dict(cfg), sort_keys=True)

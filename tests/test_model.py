@@ -13,7 +13,7 @@ import pytest
 
 from fullkl import runner
 from fullkl.data import Dataset, gen_synthetic, split
-from fullkl.grid import BLOCK_ROWS, LabelGrid, Pmf, discretize_gaussian, row_blocks
+from fullkl.grid import BLOCK_ROWS, MAX_BINS, LabelGrid, Pmf, discretize_gaussian, row_blocks
 from fullkl.losses import (
     FAMILY_FULL_KL, FAMILY_REFERENCE, LossBreakdown, LossSpec, batch_loss, batch_loss_and_grad, smoothness,
 )
@@ -905,6 +905,22 @@ class TestCheckpoints:
         (tmp_path / "cut.ckpt").write_bytes(blob[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "cut.ckpt")
+
+    def test_header_nested_past_the_decoder_depth_names_path(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(b"[" * 100_000 + b"\n" + bytes(8))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: not a {CHECKPOINT_FORMAT} checkpoint')}$"):
+            load_checkpoint(path)
+
+    def test_dims_beyond_the_address_space_name_path(self, tmp_path):
+        # 8 * the parameter count of these dims has more digits than str() of an int may print.
+        path = tmp_path / "huge.ckpt"
+        dims = [10**4000, 10**4000]
+        path.write_bytes(json.dumps({"dims": dims, "format": CHECKPOINT_FORMAT}).encode() + b"\n" + bytes(8))
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"{path}: dims {dims} need at least {MAX_BINS} float64 values: "
+                                   "a whole 128 TiB address space")
 
     @pytest.mark.parametrize("bad", [4.5, True, "4"])
     def test_dims_must_be_whole_numbers(self, tmp_path, bad):

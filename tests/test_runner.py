@@ -243,7 +243,8 @@ class TestConfigParsing:
     def test_synthetic_size_is_bounded_by_max_bins(self):
         # Only the spec is built: the bound is checked before anything is allocated.
         assert DatasetSpec("synthetic", n=MAX_BINS // 4 - 1, d_in=4, sigma_range=(2.0, 6.0)).n == MAX_BINS // 4 - 1
-        with pytest.raises(ValueError, match=f"^n: {MAX_BINS // 4} samples of 4 features are {MAX_BINS} float64"):
+        error = f"n: {MAX_BINS // 4} samples of 4 features need at least {MAX_BINS} float64 values"
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}: a whole 128 TiB address space$"):
             DatasetSpec("synthetic", n=MAX_BINS // 4, d_in=4, sigma_range=(2.0, 6.0))
 
     def test_float_beyond_float_range_is_a_config_error(self, tmp_path, monkeypatch, capsys):
@@ -982,17 +983,16 @@ class TestCli:
         assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG_ERROR
         assert f"config error: {error}\n" == capsys.readouterr().err
 
-    @pytest.mark.parametrize("stop, step, steps", [(1e300, 1e-300, "inf"), (1e15, 1.0, "1e+15")],
-                             ids=["infinite_count", "petabytes"])
+    @pytest.mark.parametrize("stop, step", [(1e300, 1e-300), (1e15, 1.0)], ids=["infinite_count", "petabytes"])
     def test_grid_too_big_to_allocate_is_a_config_error_before_any_write(
-            self, tmp_path, monkeypatch, capsys, stop, step, steps):
+            self, tmp_path, monkeypatch, capsys, stop, step):
         # An infinite bin count, whose round() overflows, and 7.11 PiB of grid values.
         monkeypatch.chdir(tmp_path)
         write_config(tmp_path, {**tiny_dict("out"), "grid": {"start": 0.0, "stop": stop, "step": step}})
         assert main(["run", "cfg.json", "--quiet"]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            f"config error: grid.step: [0.0, {stop!r}] is {steps} steps of {step!r}, more bins than the "
-            f"{MAX_BINS} float64 values that fit a 128 TiB address space\n")
+            f"config error: grid.step: the bins of [0.0, {stop!r}] at step {step!r} need at least "
+            f"{MAX_BINS} float64 values: a whole 128 TiB address space\n")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_config_nested_past_the_decoder_depth_is_a_config_error(self, tmp_path, capsys):
@@ -1097,13 +1097,14 @@ class TestCli:
                      "train.val_fraction 0.9 yields an empty split for 3 samples", id="empty_train_split"),
         # Sizes beyond the 128 TiB address space fail at once; sizes that fit it but not RAM are left untested.
         pytest.param({"dataset": {"type": "synthetic", "n": 10**15, "d_in": 3, "sigma_range": [2.0, 6.0], "seed": 1}},
-                     "dataset.n: 1000000000000000 samples of 3 features are 3000000000000000 float64 values, "
-                     f"not fewer than the {MAX_BINS} ", id="n_beyond_address_space"),
+                     "dataset.n: 1000000000000000 samples of 3 features need at least "
+                     f"{MAX_BINS} float64 values: a whole 128 TiB address space\n", id="n_beyond_address_space"),
         pytest.param({"dataset": {"type": "synthetic", "n": 60, "d_in": 10**15, "sigma_range": [2.0, 6.0], "seed": 1}},
-                     "dataset.n: 60 samples of 1000000000000000 features ", id="d_in_beyond_address_space"),
+                     "dataset.n: 60 samples of 1000000000000000 features need at least ",
+                     id="d_in_beyond_address_space"),
         pytest.param({"train": {"hidden": [10**15]}},
-                     "train.hidden: dims (3, 1000000000000000, 101) have 105000000000000101 parameters, "
-                     f"not fewer than the {MAX_BINS} ", id="hidden_beyond_address_space"),
+                     "train.hidden: dims (3, 1000000000000000, 101) need at least "
+                     f"{MAX_BINS} float64 values: a whole 128 TiB address space\n", id="hidden_beyond_address_space"),
     ])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_failed_dataset_build_creates_no_directory(self, tmp_path, monkeypatch, capsys, command, sections, error):
@@ -1154,6 +1155,34 @@ class TestCli:
         assert main(["compare", str(pa), str(pb), "--quiet"]) == EXIT_CONFIG_ERROR
         assert "config error: cannot create output dir afile/b: afile is not a directory" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "afile", "b.json"]
+
+    @pytest.mark.parametrize("source", ["synthetic", "csv"])
+    @pytest.mark.parametrize("entry", ["compare", "main"])
+    def test_compare_refuses_config_b_network_before_config_a_trains(
+            self, tmp_path, monkeypatch, capsys, entry, source):
+        # Config b's network is refused when its config is built; a CSV source is taken as 1 feature wide.
+        monkeypatch.chdir(tmp_path)
+        calls, train = [], fullkl.runner.train_run
+        monkeypatch.setattr(fullkl.runner, "train_run", lambda *args, **kw: calls.append(args) or train(*args, **kw))
+        da, db = tiny_dict("runs/a"), tiny_dict("runs/b", family="reference", lam=1.0)
+        db["train"]["hidden"] = [10**15]
+        inputs, d_in, bins = ["a.json", "b.json"], 3, 101
+        if source == "csv":
+            two_bin_csv(tmp_path / "in.csv")
+            inputs, d_in, bins = [*inputs, "in.csv"], 1, 2
+            for d in (da, db):
+                d.update(dataset={"type": "csv", "path": "in.csv"}, grid={"start": 0.0, "stop": 1.0, "step": 1.0})
+        error = (f"train.hidden: dims ({d_in}, 1000000000000000, {bins}) need at least {MAX_BINS} float64 values: "
+                 "a whole 128 TiB address space")
+        pa, pb = (write_config(tmp_path, d, name=name) for d, name in ((da, "a.json"), (db, "b.json")))
+        if entry == "main":
+            assert main(["compare", str(pa), str(pb), "--quiet"]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == f"config error: {error}\n"
+        else:
+            with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+                compare(config_from_dict(da), config_from_dict(db), quiet=True)
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("command, a_dir, flags, error", [
         ("run", "runs/a\0x", [], "out_dir: expected a path without a NUL character, got 'runs/a\\x00x'"),

@@ -25,10 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import EPS_VAR, PMF_SUM_TOL, LabelGrid, _whole_int, gaussian_probs, pmf_moments, row_blocks
+from .grid import (
+    EPS_VAR, PMF_SUM_TOL, LabelGrid, _allocatable, _number, _whole_int, gaussian_probs, pmf_moments, row_blocks)
 
 __all__ = [
     "Dataset",
+    "DatasetSpec",
     "atomic_write",
     "gen_synthetic",
     "load_csv",
@@ -173,6 +175,38 @@ class Dataset:
         return Dataset(self.grid, *(col[idx] for col in columns))
 
 
+@dataclass(frozen=True)
+class DatasetSpec:
+    """Dataset source: synthetic generator parameters or a CSV path; ``kind`` is the config's ``type``."""
+
+    kind: str
+    n: int = 0
+    d_in: int = 0
+    sigma_range: tuple[float, float] = (0.0, 0.0)
+    seed: int = 0
+    path: str = ""
+
+    def __post_init__(self):
+        for name in ("n", "d_in", "seed"):
+            object.__setattr__(self, name, _whole_int(getattr(self, name), name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if self.kind == "synthetic":
+            for name, value in (("n", self.n), ("d_in", self.d_in)):
+                if value < 1:
+                    raise ValueError(f"{name} must be >= 1 for a synthetic dataset, got {value!r}")
+            _allocatable(self.n * self.d_in, f"n: {self.n} samples of {self.d_in} features")
+            sr = self.sigma_range
+            if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
+                raise ValueError(f"sigma_range: expected [lo, hi], got {sr!r}")
+            object.__setattr__(self, "sigma_range", tuple(_number(v, "sigma_range") for v in sr))
+        elif self.kind == "csv":
+            if not (isinstance(self.path, str) and self.path):
+                raise ValueError(f"path: expected a non-empty string, got {self.path!r}")
+        else:
+            raise ValueError(f"type: expected 'synthetic' or 'csv', got {self.kind!r}")
+
+
 def gen_synthetic(
     n: int,
     d_in: int,
@@ -188,13 +222,10 @@ def gen_synthetic(
     [grid.lo + 3*sigma_max, grid.hi - 3*sigma_max] so no target is visibly
     truncated.  The target std is uniform in ``sigma_range``.  The draw
     order (features, affine direction, sinusoid direction, sigmas) is part
-    of the format: a given seed always produces the identical dataset.
+    of the format: a given seed always produces the identical dataset.  ``DatasetSpec`` checks the arguments.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if d_in < 1:
-        raise ValueError(f"d_in must be >= 1, got {d_in}")
-    sigma_lo, sigma_hi = float(sigma_range[0]), float(sigma_range[1])
+    spec = DatasetSpec("synthetic", n, d_in, sigma_range, seed)
+    n, d_in, seed, (sigma_lo, sigma_hi) = spec.n, spec.d_in, spec.seed, spec.sigma_range
     floor = grid.sigma_floor
     if not (floor <= sigma_lo <= sigma_hi <= grid.span / 4.0):
         raise ValueError(

@@ -75,10 +75,11 @@ def _number(value, key: str) -> float:
         raise ValueError(f"{key}: expected a number within float range") from None
 
 
-def _allocatable(count, key: str, what: str) -> None:
-    """The one size rule for grid bins, synthetic features and network parameters, before numpy tries."""
+def _allocatable(count, what: str) -> None:
+    """The one size rule, before numpy tries; ``what`` starts with the config key.  Only the builder
+    of each allocating value applies it: ``LabelGrid``, ``data.DatasetSpec``, ``model._validated_dims``."""
     if not count < MAX_BINS:  # also an infinite count
-        raise ValueError(f"{key}: {what} need at least {MAX_BINS} float64 values: a whole 128 TiB address space")
+        raise ValueError(f"{what} need at least {MAX_BINS} float64 values: a whole 128 TiB address space")
 
 
 def row_blocks(n: int) -> list[slice]:
@@ -121,7 +122,7 @@ class LabelGrid:
         if hi <= lo:
             raise ValueError(f"stop must exceed start, got [{lo!r}, {hi!r}]")
         n_steps = (hi - lo) / spacing
-        _allocatable(n_steps + 1, "step", f"the bins of [{lo!r}, {hi!r}] at step {spacing!r}")
+        _allocatable(n_steps + 1, f"step: the bins of [{lo!r}, {hi!r}] at step {spacing!r}")
         n = round(n_steps)  # finite: an infinite count was refused
         if n < 1 or abs(n_steps - n) > 1e-9 * max(1.0, n_steps):
             raise ValueError(f"step: [{lo!r}, {hi!r}] is not an integral number of {spacing!r} steps")

@@ -75,6 +75,7 @@ def _validated_dims(dims, where: str = "dims") -> tuple[int, ...]:
     out = tuple(_whole_int(d, where) for d in dims)
     if len(out) < 2 or any(d < 1 for d in out):
         raise ValueError(f"{where} must list at least 2 sizes, all >= 1, got {out}")
+    _allocatable(_param_count(out), f"{where} {out}")
     return out
 
 
@@ -475,8 +476,7 @@ def load_checkpoint(path) -> MlpParams:
     dims = header.get("dims")
     if not isinstance(dims, list):
         raise ValueError(f"{path}: checkpoint header lacks a dims list")
-    count = _param_count(_validated_dims(dims, f"{path}: dims"))
-    _allocatable(count, str(path), f"dims {dims}")  # so 8 * count stays in str()'s digit limit
+    count = _param_count(_validated_dims(dims, f"{path}: dims"))  # sized, so 8 * count stays in str()'s digit limit
     if len(payload) != 8 * count:
         raise ValueError(f"{path}: dims {dims} need a {8 * count}-byte payload, got {len(payload)} bytes")
     try:

@@ -27,11 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .data import _fmt, _write_table
-from .grid import LabelGrid, _allocatable, _number, _whole_int
+from .data import DatasetSpec, _fmt, _write_table
+from .grid import LabelGrid, _whole_int
 from .losses import FAMILY_REFERENCE, LossSpec
 from .model import (
-    SPLIT_TAGS, TrainConfig, TrainResult, TrainingDivergedError, _param_count, derive_seeds, save_checkpoint,
+    SPLIT_TAGS, TrainConfig, TrainResult, TrainingDivergedError, _validated_dims, derive_seeds, save_checkpoint,
     train_run)
 from .verify import run_all_checks
 
@@ -75,38 +75,6 @@ class ConfigError(Exception):
 # Config model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Dataset source: synthetic generator parameters or a CSV path; ``kind`` is the config's ``type``."""
-
-    kind: str
-    n: int = 0
-    d_in: int = 0
-    sigma_range: tuple[float, float] = (0.0, 0.0)
-    seed: int = 0
-    path: str = ""
-
-    def __post_init__(self):
-        for name in ("n", "d_in", "seed"):
-            object.__setattr__(self, name, _whole_int(getattr(self, name), name))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
-        if self.kind == "synthetic":
-            for name, value in (("n", self.n), ("d_in", self.d_in)):
-                if value < 1:
-                    raise ValueError(f"{name} must be >= 1 for a synthetic dataset, got {value!r}")
-            _allocatable(self.n * self.d_in, "n", f"{self.n} samples of {self.d_in} features")
-            sr = self.sigma_range
-            if not (isinstance(sr, (list, tuple)) and len(sr) == 2):
-                raise ValueError(f"sigma_range: expected [lo, hi], got {sr!r}")
-            object.__setattr__(self, "sigma_range", tuple(_number(v, "sigma_range") for v in sr))
-        elif self.kind == "csv":
-            if not (isinstance(self.path, str) and self.path):
-                raise ValueError(f"path: expected a non-empty string, got {self.path!r}")
-        else:
-            raise ValueError(f"type: expected 'synthetic' or 'csv', got {self.kind!r}")
-
-
 def _out_path(value, name: str) -> Path:
     """The one output-path check: a non-empty ``str`` or ``os.PathLike`` without NUL; errors start with ``name``."""
     if not isinstance(value, (str, os.PathLike)):
@@ -122,7 +90,7 @@ def _out_path(value, name: str) -> Path:
 class RunConfig:
     """Full experimental protocol: data source, grid, training, seeds, outputs; each error names its
     field.  An ``out_dir`` that is empty or holds a NUL character is a ValueError, and one under a
-    file a ``ConfigError`` from :func:`run_experiment` before it writes anything."""
+    file a ``ConfigError`` from :func:`run_experiment` before it builds the dataset."""
 
     dataset: DatasetSpec
     grid: LabelGrid
@@ -142,8 +110,8 @@ class RunConfig:
             raise ValueError(f"seeds must be >= 0, got {seeds}")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "out_dir", _out_path(self.out_dir, "out_dir"))
-        dims = (self.dataset.d_in if self.dataset.kind == "synthetic" else 1, *self.train.hidden, len(self.grid))
-        _allocatable(_param_count(dims), "train.hidden", f"dims {dims}")  # a CSV is 1 wide until it loads
+        d_in = self.dataset.d_in if self.dataset.kind == "synthetic" else 1  # a CSV is 1 wide until it loads
+        _validated_dims((d_in, *self.train.hidden, len(self.grid)), "train.hidden: dims")
 
 
 def _check_keys(section, where: str, required: set, optional: set = frozenset()):
@@ -347,10 +315,11 @@ def run_experiment(cfg: RunConfig, quiet: bool = False, *, dataset: data.Dataset
     trains.  A diverged seed is recorded (and reported) without aborting
     the others; the summary then covers the surviving seeds.
     """
+    _check_out_dir(cfg.out_dir)
     full = build_dataset(cfg.dataset, cfg.grid) if dataset is None else dataset
-    _built("train.", data.val_count, len(full), cfg.train.val_fraction)  # every seed's split, before out_dir exists
-    dims = (full.d_in, *cfg.train.hidden, len(cfg.grid))  # exact now that a CSV source has loaded
-    _built("", _allocatable, _param_count(dims), "train.hidden", f"dims {dims}")
+    # Every seed's split and network (exact now that a CSV source has loaded), before out_dir exists.
+    _built("train.", data.val_count, len(full), cfg.train.val_fraction)
+    _built("", _validated_dims, (full.d_in, *cfg.train.hidden, len(cfg.grid)), "train.hidden: dims")
     out = cfg.out_dir
     _make_out_dir(out)
     header_json = json.dumps(config_to_dict(cfg), sort_keys=True)
@@ -581,10 +550,7 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError(f"out_csv: expected a path that names a file, got {args.out_csv!r}")
     cfg = load_config(args.config)
     ds = build_dataset(cfg.dataset, cfg.grid)
-    try:
-        data.save_csv(ds, args.out_csv)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {args.out_csv}: {exc}") from exc
+    data.save_csv(ds, args.out_csv)
     print(f"wrote {len(ds)} samples to {args.out_csv}")
     return EXIT_OK
 
@@ -601,6 +567,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as exc:  # an output write that failed past the path checks, as into a directory in its way
+        print(f"config error: cannot write: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except TrainingDivergedError as exc:
         print(f"training failure: {exc}", file=sys.stderr)

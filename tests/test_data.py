@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 import fullkl.data
 from fullkl import runner
 from fullkl.data import Dataset, gen_synthetic, load_csv, save_csv, split, val_count
-from fullkl.grid import BLOCK_ROWS, EPS_VAR, LabelGrid, discretize_gaussian, gaussian_probs, pmf_moments
+from fullkl.grid import BLOCK_ROWS, EPS_VAR, MAX_BINS, LabelGrid, discretize_gaussian, gaussian_probs, pmf_moments
 from fullkl.model import derive_seeds
 
 G101 = LabelGrid(0.0, 100.0, 1.0)
@@ -105,6 +105,16 @@ class TestGenSynthetic:
     def test_invalid_arguments_rejected(self, n, d, sigma_range):
         with pytest.raises(ValueError):
             gen_synthetic(n, d, G101, sigma_range, seed=0)
+
+    @pytest.mark.parametrize("n, d_in, seed, error", [
+        (10**8, 10**8, 0, f"n: 100000000 samples of 100000000 features need at least {MAX_BINS} float64 values: "
+                          "a whole 128 TiB address space"),
+        (2.5, 3, 0, "n: expected an integer, got 2.5"),
+        (10, 3, -1, "seed must be >= 0, got -1"),
+    ], ids=["beyond_address_space", "fractional_n", "negative_seed"])
+    def test_arguments_checked_as_a_dataset_spec(self, n, d_in, seed, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            gen_synthetic(n, d_in, G101, (2.0, 6.0), seed=seed)
 
     def test_sigma_range_leaving_no_mean_room_rejected(self):
         # hi = 20 passes the span/4 cap but 3 sigma margins overlap

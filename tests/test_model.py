@@ -103,6 +103,20 @@ class TestInitMlp:
         with pytest.raises(ValueError):
             init_mlp(dims, 0)
 
+    @pytest.mark.parametrize("door", ["init_mlp", "MlpParams", "train_run"])
+    def test_dims_beyond_the_address_space_refused_at_every_door(self, door):
+        # The size rule refuses them before numpy tries, so no door ends in numpy's MemoryError.
+        dims = (4, 10**15, 101)
+        error = f"dims {dims} need at least {MAX_BINS} float64 values: a whole 128 TiB address space"
+        ds = gen_synthetic(10, 4, G101, (2.0, 6.0), seed=0)
+        build = {
+            "init_mlp": lambda: init_mlp(dims, 0),
+            "MlpParams": lambda: MlpParams(dims, np.zeros(3)),
+            "train_run": lambda: train_run(ds, ds, TrainConfig(hidden=(10**15,)), quiet=True),
+        }[door]
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            build()
+
     def test_params_read_only(self):
         p = init_mlp((3, 4), 0)
         with pytest.raises(ValueError):
@@ -919,7 +933,7 @@ class TestCheckpoints:
         path.write_bytes(json.dumps({"dims": dims, "format": CHECKPOINT_FORMAT}).encode() + b"\n" + bytes(8))
         with pytest.raises(ValueError) as info:
             load_checkpoint(path)
-        assert str(info.value) == (f"{path}: dims {dims} need at least {MAX_BINS} float64 values: "
+        assert str(info.value) == (f"{path}: dims {tuple(dims)} need at least {MAX_BINS} float64 values: "
                                    "a whole 128 TiB address space")
 
     @pytest.mark.parametrize("bad", [4.5, True, "4"])

@@ -514,12 +514,17 @@ class TestRunExperiment:
             train_ds, _ = fullkl.data.split(full, cfg.train.val_fraction, derive_seeds(o.seed)[0])
             assert 1 <= len(ids) <= 10 and ids == train_ds.ids[rows].tolist()
 
-    def test_unwritable_out_dir_is_config_error(self, tmp_path):
+    def test_unwritable_out_dir_is_config_error(self, tmp_path, monkeypatch):
+        # Refused before the dataset is built.
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory", encoding="utf-8")
+        built = []
+        monkeypatch.setattr(fullkl.data, "gen_synthetic", lambda *args: built.append(args))
         cfg = config_from_dict(tiny_dict(blocker / "out"))
-        with pytest.raises(ConfigError, match="cannot create"):
+        error = f"cannot create output dir {blocker / 'out'}: {blocker} is not a directory"
+        with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
             run_experiment(cfg, quiet=True)
+        assert built == []
 
     def test_csv_dataset_source(self, tmp_path):
         gen_cfg = config_from_dict(tiny_dict(tmp_path / "gen"))
@@ -1041,11 +1046,26 @@ class TestCli:
         first = out_csv.read_text(encoding="utf-8").splitlines()[0]
         assert first == "id,f0,f1,f2,mean,std"
 
-    def test_gen_data_unwritable_path(self, tmp_path, capsys):
-        path = write_config(tmp_path, tiny_dict(tmp_path / "out"))
-        target = tmp_path / "no_such_dir" / "data.csv"
-        assert main(["gen-data", str(path), str(target)]) == EXIT_CONFIG_ERROR
-        assert "config error" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, blocked", [
+        ("run", "runs/a/summary.csv"),
+        ("compare", "rep/comparison.txt"),
+        ("gen-data", "no_such_dir"),
+    ])
+    def test_failed_output_write_is_one_config_error_line(self, tmp_path, monkeypatch, capsys, command, blocked):
+        # A directory stands where run's or compare's last file goes, so it fails only after training;
+        # gen-data's CSV lies in a directory that does not exist.
+        monkeypatch.chdir(tmp_path)
+        pa = write_config(tmp_path, tiny_dict("runs/a", seeds=(0,), epochs=1), name="a.json")
+        pb = write_config(tmp_path, tiny_dict("runs/b", "reference", 1.0, seeds=(0,), epochs=1), name="b.json")
+        if command != "gen-data":
+            (tmp_path / blocked).mkdir(parents=True)
+        args = {"run": ["run", str(pa), "--quiet"], "gen-data": ["gen-data", str(pa), "no_such_dir/data.csv"],
+                "compare": ["compare", str(pa), str(pb), "--out-dir", "rep", "--quiet"]}[command]
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write: ") and err.count("\n") == 1
+        assert f"'{blocked}'" in err
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize("out_csv, error", [
         ("", "out_csv: expected a non-empty path"),

@@ -4,7 +4,9 @@ Runs the small reproducibility setup of acceptance criterion 6 (both loss
 families, 300 samples, 2 seeds, 3 epochs) and compares the sha256 of every
 output file with ``golden_digests.json``.  It also compares the sha256 of
 the oracle suite's results (``run_all_checks()``, one
-``name passed max_error.hex() detail`` line per check).  Floating-point
+``name passed max_error.hex() detail`` line per check), and the sha256 of
+each metrics file's val rows, which hold their bits through a declared
+change to the train rows.  Floating-point
 results depend on the numpy and BLAS build, so the fixture records the build
 it was made on: on that build a mismatch fails, on any other build the tests
 skip and name the difference.
@@ -90,6 +92,17 @@ def output_digests(work: Path) -> dict[str, str]:
     }
 
 
+def val_row_digests(work: Path) -> dict[str, str]:
+    """sha256 of the val rows (text lines, in file order) of every metrics file under ``work``."""
+    digests = {}
+    for path in sorted(work.rglob("metrics_seed*.csv")):
+        lines = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+        split_col = lines[0].split(",").index("split")
+        val_rows = "".join(f"{line}\n" for line in lines[1:] if line.split(",")[split_col] == "val")
+        digests[path.relative_to(work).as_posix()] = hashlib.sha256(val_rows.encode()).hexdigest()
+    return digests
+
+
 def verify_digest() -> str:
     """sha256 of every oracle check's result, in the benchmark's text form."""
     text = "".join(f"{r.name} {r.passed} {float(r.max_error).hex()} {r.detail}\n" for r in run_all_checks())
@@ -107,12 +120,25 @@ def _recorded_fixture() -> dict:
     return fixture
 
 
-def test_outputs_match_golden_digests(tmp_path):
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """The criterion-6 output directory and the sha256 of every file in it."""
+    work = tmp_path_factory.mktemp("golden")
+    return work, output_digests(work)
+
+
+def test_outputs_match_golden_digests(outputs):
     fixture = _recorded_fixture()
-    digests = output_digests(tmp_path)
+    _, digests = outputs
     assert sorted(digests) == sorted(fixture["files"])
     changed = sorted(name for name, d in digests.items() if fixture["files"][name] != d)
     assert not changed, f"output bits changed in {changed}"
+
+
+def test_val_rows_match_golden_digests(outputs):
+    fixture = _recorded_fixture()
+    work, _ = outputs
+    assert val_row_digests(work) == fixture["val_rows"], "val metrics rows changed"
 
 
 def test_oracle_suite_matches_golden_digest():
@@ -124,6 +150,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         files = output_digests(Path(tmp))
-    fixture = {"build": build_info(), "files": files, "verify_suite": verify_digest()}
+        val_rows = val_row_digests(Path(tmp))
+    fixture = {"build": build_info(), "files": files, "val_rows": val_rows, "verify_suite": verify_digest()}
     FIXTURE.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(files)} output digests and the oracle suite digest to {FIXTURE}", file=sys.stderr)
+    print(f"wrote {len(files)} output digests, {len(val_rows)} val-row digests and the oracle suite digest to {FIXTURE}", file=sys.stderr)

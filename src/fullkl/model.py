@@ -266,12 +266,16 @@ def train_step(
     spec: LossSpec,
     target_moments: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """One optimizer step on a (features, target_pmfs) batch; returns (params', opt_state').
+    """One optimizer step on a (features, target_pmfs) batch; returns (params', opt_state', comps).
 
     The batch gradient is the arithmetic mean of per-sample loss gradients in
     the given order.  ``target_moments`` optionally passes the batch's cached
-    target (mu, var) through to the loss.  The step's loss values are only
-    checked for finiteness; ``evaluate`` reports losses.
+    target (mu, var) through to the loss.  ``comps`` is the per-row component
+    dict of ``batch_loss_and_grad`` at the params before the step, checked to
+    be finite; ``train_run`` builds its train ``Metrics`` from it.  Numpy's
+    floating-point warnings are off inside the step: every non-finite value
+    raises ``TrainingDivergedError`` from the forward pass, the loss rows or
+    ``adam_update``.
     """
     feats, targets = batch
     feats = np.asarray(feats, dtype=np.float64)
@@ -282,15 +286,16 @@ def train_step(
         raise ValueError(
             f"batch targets must have shape ({feats.shape[0]}, {params.n_bins}), got {targets.shape}"
         )
-    logits, caches = _forward_cached(params, feats)
-    comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, target_moments)
-    bad = np.flatnonzero(~(np.isfinite(comps["total"]) & np.isfinite(dlogits).all(axis=-1)))
-    if bad.size:
-        raise TrainingDivergedError(
-            f"non-finite {_non_finite_terms(comps, dlogits)} at batch row(s) {bad[:10].tolist()}", bad
-        )
-    grad = _backward(params, caches, dlogits / feats.shape[0])
-    return adam_update(params, opt_state, grad)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, caches = _forward_cached(params, feats)
+        comps, dlogits = batch_loss_and_grad(targets, logits, g, spec, target_moments)
+        bad = np.flatnonzero(~(np.isfinite(comps["total"]) & np.isfinite(dlogits).all(axis=-1)))
+        if bad.size:
+            raise TrainingDivergedError(
+                f"non-finite {_non_finite_terms(comps, dlogits)} at batch row(s) {bad[:10].tolist()}", bad
+            )
+        grad = _backward(params, caches, dlogits / feats.shape[0])
+        return (*adam_update(params, opt_state, grad), comps)
 
 
 @dataclass(frozen=True)
@@ -348,14 +353,16 @@ def predict(params: MlpParams, features, g: LabelGrid):
     return float(mu) if np.ndim(mu) == 0 else mu
 
 
-# The partitions ``train_run`` evaluates each epoch, in the order it records them.
+# The split of each epoch's two ``train_run`` records, in history order: the steps' running loss, then
+# ``evaluate`` on val.
 SPLIT_TAGS = ("train", "val")
 
 
 @dataclass(frozen=True, kw_only=True)
 class Metrics(LossBreakdown):
-    """One split's evaluation at one epoch: its mean ``LossBreakdown`` plus ``epoch``, ``split`` and
-    ``mae``, keyword-only fields checked after ``LossBreakdown`` checks the loss terms."""
+    """One split's numbers at one epoch: its mean ``LossBreakdown`` plus ``epoch``, ``split`` and
+    ``mae``, keyword-only fields checked after ``LossBreakdown`` checks the loss terms.  A val record
+    is ``evaluate``'s; a train record is the running mean over the epoch's steps (see ``train_run``)."""
 
     epoch: int
     split: str
@@ -379,21 +386,28 @@ def evaluate(params: MlpParams, dataset: Dataset, spec: LossSpec, epoch: int, sp
     at a time; the per-row values are joined before the means are taken, so
     the result has the bits of one pass over the whole dataset.  A non-finite
     forward pass raises with the epoch, the split, and its rows and ids in
-    ``dataset``.
+    ``dataset``; numpy's floating-point warnings are off for the pass.
     """
     mu_t, var_t = dataset.target_moments
     chunks = []
-    for rows in row_blocks(len(dataset)):
-        try:
-            logits = forward(params, dataset.features[rows])
-        except TrainingDivergedError as exc:
-            bad = _forward_diverged(exc.rows + rows.start)
-            raise _in_context(f"epoch {epoch}, {split} evaluation", bad, dataset.ids) from exc
-        moments = (mu_t[rows], var_t[rows])
-        chunks.append(batch_loss(dataset.target_pmfs[rows], logits, dataset.grid, spec, moments))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(len(dataset)):
+            try:
+                logits = forward(params, dataset.features[rows])
+            except TrainingDivergedError as exc:
+                bad = _forward_diverged(exc.rows + rows.start)
+                raise _in_context(f"epoch {epoch}, {split} evaluation", bad, dataset.ids) from exc
+            moments = (mu_t[rows], var_t[rows])
+            chunks.append(batch_loss(dataset.target_pmfs[rows], logits, dataset.grid, spec, moments))
+    return _metrics(spec.family, chunks, dataset.target_mu, epoch, split)
+
+
+def _metrics(family: str, chunks, target_mu: np.ndarray, epoch: int, split: str) -> Metrics:
+    """The ``Metrics`` of per-row component dicts ``chunks``, joined in order, whose rows have labels
+    ``target_mu``: the mean of each component, and the MAE of ``pred_mu``."""
     comps = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
-    mae = float(np.mean(np.abs(comps["pred_mu"] - dataset.target_mu)))
-    return _breakdown(spec.family, comps, Metrics, epoch=epoch, split=split, mae=mae)
+    mae = float(np.mean(np.abs(comps["pred_mu"] - target_mu)))
+    return _breakdown(family, comps, Metrics, epoch=epoch, split=split, mae=mae)
 
 
 def derive_seeds(seed: int) -> tuple[int, int, int]:
@@ -416,7 +430,10 @@ def train_run(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig, quiet: bool 
     The network's output bins are ``train_ds.grid``, which ``val_ds`` must
     share.  Initialization and shuffling use sub-seeds derived from
     ``cfg.seed``, so the run is a deterministic function of (seed, config,
-    datasets).
+    datasets).  Each epoch records a train ``Metrics``, the running training
+    loss: the per-row components every step returned (each at the params
+    before its step), over the epoch's rows in step order.  Then it records
+    ``evaluate`` on ``val_ds`` at the epoch's final params.
     """
     g = train_ds.grid
     if val_ds.grid != g:
@@ -431,15 +448,17 @@ def train_run(train_ds: Dataset, val_ds: Dataset, cfg: TrainConfig, quiet: bool 
     for epoch in range(cfg.epochs):
         opt = replace(opt, lr=lr_at(epoch, cfg))
         perm = shuffle_rng.permutation(n)
+        steps = []
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
             batch = (train_ds.features[idx], train_ds.target_pmfs[idx])
             try:
-                params, opt = train_step(params, opt, batch, g, cfg.loss, (mu_t[idx], var_t[idx]))
+                params, opt, comps = train_step(params, opt, batch, g, cfg.loss, (mu_t[idx], var_t[idx]))
             except TrainingDivergedError as exc:
                 raise _in_context(f"epoch {epoch + 1}, step {step + 1}", exc, train_ds.ids[idx]) from exc
-        train_m, val_m = (evaluate(params, ds, cfg.loss, epoch + 1, tag)
-                          for tag, ds in zip(SPLIT_TAGS, (train_ds, val_ds)))
+            steps.append(comps)
+        train_m = _metrics(cfg.loss.family, steps, train_ds.target_mu[perm], epoch + 1, "train")
+        val_m = evaluate(params, val_ds, cfg.loss, epoch + 1, "val")
         history += [train_m, val_m]
         if not quiet:
             log.info(

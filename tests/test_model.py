@@ -428,14 +428,14 @@ class TestTrainStep:
 
     @staticmethod
     def mean_total(params, batch, g, spec):
-        """Mean total loss of ``params`` on ``batch``; a step returns no loss values."""
+        """Mean total loss of ``params`` on ``batch``, from a forward and loss pass of its own."""
         feats, targets = batch
         return float(np.mean(batch_loss(targets, forward(params, feats), g, spec)["total"]))
 
     def test_zero_lr_reports_loss_without_update(self):
         p = init_mlp((4, 16, 101), 42)
         s = init_adam(p, lr=0.0)
-        p2, s2 = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+        p2, s2, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
         assert params_equal(p, p2)
         assert self.mean_total(p2, self.batch(), G101, LossSpec(FAMILY_FULL_KL)) > 0.0
         assert s2.step == 1
@@ -446,7 +446,7 @@ class TestTrainStep:
         s = init_adam(p)
         X = np.array([[0.3, -0.2, 0.9]])
         T = np.full((1, 5), 0.2)
-        p2, _ = train_step(p, s, (X, T), G5, LossSpec(FAMILY_FULL_KL))
+        p2, _, _ = train_step(p, s, (X, T), G5, LossSpec(FAMILY_FULL_KL))
         assert params_equal(p, p2)
         assert self.mean_total(p, (X, T), G5, LossSpec(FAMILY_FULL_KL)) == 0.0
 
@@ -456,13 +456,13 @@ class TestTrainStep:
         batch = self.batch()
         first = self.mean_total(p, batch, G101, LossSpec(FAMILY_FULL_KL))
         for _ in range(200):
-            p, s = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
+            p, s, _ = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
         assert self.mean_total(p, batch, G101, LossSpec(FAMILY_FULL_KL)) <= 0.5 * first
 
     def test_reference_family(self):
         p = init_mlp((4, 16, 101), 1)
         s = init_adam(p)
-        p2, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_REFERENCE, 1.0))
+        p2, _, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_REFERENCE, 1.0))
         assert not params_equal(p, p2)
 
     def test_empty_batch_rejected(self):
@@ -483,7 +483,7 @@ class TestTrainStep:
         batch = self.batch()
         with pytest.raises(TrainingDivergedError):
             for _ in range(3):
-                p, s = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
+                p, s, _ = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
 
     @pytest.mark.parametrize("term", ["l_ld", "l_exp", "l_smooth", "gradient"])
     def test_divergence_names_the_loss_term(self, monkeypatch, term):
@@ -508,9 +508,9 @@ class TestTrainStep:
         p = init_mlp((4, 16, 101), 9)
         s = init_adam(p)
         for _ in range(2):
-            p, s = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+            p, s, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
         before = [a.tobytes() for a in (p.vec, *p.weights, *p.biases, s.m, s.v)]
-        p2, s2 = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+        p2, s2, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
         assert [a.tobytes() for a in (p.vec, *p.weights, *p.biases, s.m, s.v)] == before
         assert s.step == 2 and s2.step == 3
         returned = (p2.vec, *p2.weights, *p2.biases, s2.m, s2.v)
@@ -526,8 +526,20 @@ class TestTrainStep:
         s = init_adam(p)
         assert calls == ["init"]
         for _ in range(3):
-            p, s = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
+            p, s, _ = train_step(p, s, self.batch(), G101, LossSpec(FAMILY_FULL_KL))
         assert calls == ["init"] + ["adam"] * 3
+
+    @pytest.mark.parametrize("spec", [LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, 1.0)],
+                             ids=["full_kl", "reference"])
+    def test_comps_are_the_batch_loss_at_the_pre_step_params(self, spec):
+        p = init_mlp((4, 16, 101), 3)
+        s = init_adam(p)
+        feats, targets = self.batch()
+        for _ in range(3):
+            expected = batch_loss(targets, forward(p, feats), G101, spec)
+            p, s, comps = train_step(p, s, (feats, targets), G101, spec)
+            assert sorted(comps) == sorted(expected)
+            assert all(comps[k].tobytes() == expected[k].tobytes() for k in expected)
 
     def test_deterministic(self):
         batch = self.batch()
@@ -535,7 +547,7 @@ class TestTrainStep:
         for _ in range(2):
             p = init_mlp((4, 16, 101), 9)
             s = init_adam(p)
-            p2, s2 = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
+            p2, s2, _ = train_step(p, s, batch, G101, LossSpec(FAMILY_FULL_KL))
             outs.append([a.tobytes() for a in (p2.vec, s2.m, s2.v)])
         assert outs[0] == outs[1]
 
@@ -818,6 +830,44 @@ class TestTrainRun:
 
     def test_seed_changes_run(self):
         assert not params_equal(self.small_run(seed=0).params, self.small_run(seed=1).params)
+
+    @pytest.mark.parametrize("family, lam", [(FAMILY_FULL_KL, None), (FAMILY_REFERENCE, 1.0)],
+                             ids=["full_kl", "reference"])
+    def test_train_row_is_the_loss_at_the_params_before_the_epoch(self, family, lam):
+        # batch_size >= n_train: each epoch is one step, so its train row is evaluate's at the epoch's start.
+        ds = gen_synthetic(60, 4, G101, (2.0, 6.0), seed=11)
+        train_ds, val_ds = split(ds, 0.2, derive_seeds(0)[0])
+        cfg = TrainConfig(epochs=2, batch_size=64, hidden=(8, 8), loss=LossSpec(family, lam), seed=0)
+        assert len(train_ds) <= cfg.batch_size
+        history = train_run(train_ds, val_ds, cfg, quiet=True).history
+        start = init_mlp((train_ds.d_in, *cfg.hidden, len(G101)), derive_seeds(cfg.seed)[1])
+        after_one = train_run(train_ds, val_ds, replace(cfg, epochs=1), quiet=True).params
+        for epoch, params in ((1, start), (2, after_one)):
+            row, oracle = history[2 * (epoch - 1)], evaluate(params, train_ds, cfg.loss, epoch, "train")
+            assert (row.family, row.epoch, row.split) == (oracle.family, oracle.epoch, oracle.split)
+            assert (row.l_smooth is None) == (oracle.l_smooth is None) == (family == FAMILY_REFERENCE)
+            for name in ("l_ld", "l_exp", "l_smooth", "total", "mae"):
+                if getattr(oracle, name) is not None:
+                    assert getattr(row, name) == pytest.approx(getattr(oracle, name), rel=1e-12, abs=0.0), name
+
+    def test_one_val_evaluation_per_epoch_and_one_loss_pass_per_step(self, monkeypatch):
+        # No second pass over the train split: its metrics come from the steps' own loss values.
+        splits, batches = [], []
+        evaluate_, loss_and_grad = fullkl.model.evaluate, fullkl.model.batch_loss_and_grad
+
+        def counted_evaluate(params, dataset, spec, epoch, split):
+            splits.append(split)
+            return evaluate_(params, dataset, spec, epoch, split)
+
+        monkeypatch.setattr(fullkl.model, "evaluate", counted_evaluate)
+        monkeypatch.setattr(fullkl.model, "batch_loss_and_grad", lambda *a: batches.append(1) or loss_and_grad(*a))
+        ds = gen_synthetic(60, 4, G101, (2.0, 6.0), seed=11)
+        train_ds, val_ds = split(ds, 0.2, 0)
+        cfg = TrainConfig(epochs=3, batch_size=20, hidden=(8,))
+        assert len(train_ds) % cfg.batch_size != 0
+        train_run(train_ds, val_ds, cfg, quiet=True)
+        assert splits == ["val"] * cfg.epochs
+        assert len(batches) == math.ceil(len(train_ds) / cfg.batch_size) * cfg.epochs
 
     def test_val_grid_must_match_train_grid(self):
         # same bin count, other bin values: the network's bins are train_ds.grid's

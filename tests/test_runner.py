@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,21 +499,21 @@ class TestRunExperiment:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_in_evaluation_names_epoch_split_and_ids(self, tmp_path):
-        # One step per epoch: the first non-finite forward pass is evaluate's.
+        # One step per epoch: the first non-finite forward pass is the val evaluation's.
         d = tiny_dict(tmp_path / "out", epochs=2, lr=1e200)
         d["train"].update(batch_size=128, hidden=[4])
         cfg = config_from_dict(d)
         result = run_experiment(cfg, quiet=True)
         assert result.failed_seeds == (0, 1)
         full = build_dataset(cfg.dataset, cfg.grid)
-        pattern = (r"^epoch 1, train evaluation: non-finite activations in forward pass "
+        pattern = (r"^epoch 1, val evaluation: non-finite activations in forward pass "
                    r"at batch row\(s\) \[([\d, ]+)\]; sample id\(s\) \[([\d, ]+)\]$")
         for o in result.outcomes:
             match = re.match(pattern, o.error)
             assert match is not None, o.error
             rows, ids = ([int(v) for v in group.split(",")] for group in match.groups())
-            train_ds, _ = fullkl.data.split(full, cfg.train.val_fraction, derive_seeds(o.seed)[0])
-            assert 1 <= len(ids) <= 10 and ids == train_ds.ids[rows].tolist()
+            _, val_ds = fullkl.data.split(full, cfg.train.val_fraction, derive_seeds(o.seed)[0])
+            assert 1 <= len(ids) <= 10 and ids == val_ds.ids[rows].tolist()
 
     def test_unwritable_out_dir_is_config_error(self, tmp_path, monkeypatch):
         # Refused before the dataset is built.
@@ -971,6 +972,22 @@ class TestCli:
         path = write_config(tmp_path, tiny_dict(tmp_path / "out", lr=1e200, seeds=(0,)))
         assert main(["run", str(path), "--quiet"]) == EXIT_FAILURE
         assert "seed 0: FAILED" in capsys.readouterr().out
+
+    def test_run_divergence_leaks_no_numpy_warning(self, tmp_path, capsys):
+        # The smoke config with a step so large that the first val evaluation overflows.
+        d = json.loads((REPO_CONFIGS / "smoke.json").read_text(encoding="utf-8"))
+        d["dataset"]["n"], d["train"]["epochs"], d["train"]["lr"] = 60, 2, 1e308
+        d["out_dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--quiet"]) == EXIT_FAILURE
+        out, err = capsys.readouterr()
+        error = (r"epoch 1, val evaluation: non-finite activations in forward pass "
+                 r"at batch row\(s\) \[[\d, ]+\]; sample id\(s\) \[[\d, ]+\]")
+        assert re.fullmatch(rf"seed 0: FAILED \({error}\)\n", out), out
+        assert re.fullmatch(rf"seed 0 diverged: {error}\n", err), err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_compare_divergence_exit_code(self, tmp_path, capsys):

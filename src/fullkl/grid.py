@@ -83,7 +83,7 @@ def _allocatable(count, what: str) -> None:
 
 
 def row_blocks(n: int) -> list[slice]:
-    """Slices of at most BLOCK_ROWS rows covering range(n), none of one row unless n == 1."""
+    """Slices of up to BLOCK_ROWS rows covering range(n), but a one-row tail joins the slice before: 257 -> [0:257]."""
     starts = list(range(0, max(n - 1, 1), BLOCK_ROWS))
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 

@@ -106,8 +106,8 @@ class RunConfig:
             raise ValueError("seeds: expected at least one seed")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be unique, got {seeds}")
-        if min(seeds) < 0:
-            raise ValueError(f"seeds must be >= 0, got {seeds}")
+        if min(seeds) < 0 or max(seeds) >= 2**63:  # each names files, and 19 digits fit any file system
+            raise ValueError(f"seeds must be >= 0 and < 2**63, got {seeds}")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "out_dir", _out_path(self.out_dir, "out_dir"))
         d_in = self.dataset.d_in if self.dataset.kind == "synthetic" else 1  # a CSV is 1 wide until it loads

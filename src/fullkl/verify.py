@@ -310,7 +310,7 @@ def _near_l1_kink(target: Pmf, logits: np.ndarray, values: np.ndarray, h: np.nda
     return abs(mu_hat - mu) <= KINK_REACH_MARGIN * reach
 
 
-def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 20240) -> FidelityResult:
+def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 100) -> FidelityResult:
     """Analytic vs central-finite-difference gradients on random instances.
 
     On grids of FIDELITY_SIZES bins, per instance the step is h_i =
@@ -352,7 +352,7 @@ def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 20240)
 # ---------------------------------------------------------------------------
 
 
-def affine_invariance_errors(n_instances: int = 100, seed: int = 20241) -> dict[str, float]:
+def affine_invariance_errors(n_instances: int = 100) -> dict[str, float]:
     """Deviations under the grid transform y -> a*y + b (AFFINE_SCALE, AFFINE_SHIFT), pmfs fixed.
 
     Returns the worst relative deviation of the full-KL total (expected 0
@@ -362,7 +362,7 @@ def affine_invariance_errors(n_instances: int = 100, seed: int = 20241) -> dict[
     touches the grid values).
     """
     a, b = AFFINE_SCALE, AFFINE_SHIFT
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(200)
     out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
     for _ in range(n_instances):
         n = int(rng.integers(2, 40))
@@ -416,7 +416,7 @@ def exact_zero_violations() -> dict[str, float]:
     return out
 
 
-def component_minima(n_instances: int = MINIMA_INSTANCES, seed: int = 20242) -> dict[str, float]:
+def component_minima(n_instances: int = MINIMA_INSTANCES, seed: int = 300) -> dict[str, float]:
     """Minimum observed value of every loss component on random instances.
 
     All minima must be >= 0: l_ld, l_exp and l_smooth are KL divergences
@@ -461,8 +461,8 @@ class CheckResult:
     detail: str = ""
 
 
-def run_all_checks(seed: int = 0) -> tuple[CheckResult, ...]:
-    """Every oracle check at the suites' default instance counts, as a pass/fail list with max errors."""
+def run_all_checks() -> tuple[CheckResult, ...]:
+    """Every oracle check at the suites' default counts and seeds, as a pass/fail list with max errors."""
     checks: list[CheckResult] = []
 
     sweep = gaussian_kl_sweep()
@@ -490,7 +490,7 @@ def run_all_checks(seed: int = 0) -> tuple[CheckResult, ...]:
     )
 
     for spec in (LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)):
-        fid = gradient_fidelity(spec, seed=seed + 100)
+        fid = gradient_fidelity(spec)
         redrawn = f", {fid.redraws} redrawn next to the L1 kink" if fid.redraws else ""
         checks.append(
             CheckResult(
@@ -501,7 +501,7 @@ def run_all_checks(seed: int = 0) -> tuple[CheckResult, ...]:
             )
         )
 
-    aff = affine_invariance_errors(seed=seed + 200)
+    aff = affine_invariance_errors()
     checks.append(
         CheckResult(
             "affine_invariance",
@@ -521,7 +521,7 @@ def run_all_checks(seed: int = 0) -> tuple[CheckResult, ...]:
         )
     )
 
-    minima = component_minima(seed=seed + 300)
+    minima = component_minima()
     checks.append(
         CheckResult(
             "nonnegativity",

@@ -235,8 +235,10 @@ class TestConfigParsing:
             TrainConfig(seed=-1)
         with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
             DatasetSpec("csv", path="x.csv", seed=-1)
-        with pytest.raises(ValueError, match=re.escape("seeds must be >= 0, got (3, -1)")):
+        with pytest.raises(ValueError, match=re.escape("seeds must be >= 0 and < 2**63, got (3, -1)")):
             RunConfig(ds, grid, TrainConfig(), (3, -1), "out")
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be >= 0 and < 2**63, got (0, {2**63})")):
+            RunConfig(ds, grid, TrainConfig(), (0, 2**63), "out")  # metrics_seed<seed>.csv must fit a file name
         with pytest.raises(ValueError, match=re.escape("out_dir: expected a non-empty path")):
             RunConfig(ds, grid, TrainConfig(), (0,), "")
         assert TrainConfig(seed=0).seed == 0 and RunConfig(ds, grid, TrainConfig(), (0,), ".").seeds == (0,)

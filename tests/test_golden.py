@@ -6,7 +6,10 @@ output file with ``golden_digests.json``.  It also compares the sha256 of
 the oracle suite's results (``run_all_checks()``, one
 ``name passed max_error.hex() detail`` line per check), and the sha256 of
 each metrics file's val rows, which hold their bits through a declared
-change to the train rows.  Floating-point
+change to the train rows.  Its kernel tier hashes the loss kernel's own
+outputs on one seeded batch, at logit spreads and lambdas the training
+setup never reaches: full_kl where the ``EPS_LOG`` floor is active, and the
+reference family away from lambda = 1.  Floating-point
 results depend on the numpy and BLAS build, so the fixture records the build
 it was made on: on that build a mismatch fails, on any other build the tests
 skip and name the difference.
@@ -29,11 +32,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fullkl.grid import LabelGrid, gaussian_probs
+from fullkl.losses import LossSpec, batch_loss, batch_loss_and_grad
 from fullkl.runner import config_from_dict, run_experiment
 from fullkl.verify import run_all_checks
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 FAMILIES = (("full_kl", None), ("reference", 1.0))
+# (family, lambda, logit sd) of each kernel-tier run.  At sd 10 and 30 the
+# softmax pmfs reach the EPS_LOG floor, so the floored logs and _rectify act.
+KERNEL_RUNS = (
+    ("full_kl", None, 2.0), ("full_kl", None, 10.0), ("full_kl", None, 30.0),
+    ("reference", 0.3, 2.0), ("reference", 1.0, 2.0), ("reference", 7.5, 2.0),
+)
 
 
 def _openblas_config() -> str | None:
@@ -109,6 +120,27 @@ def verify_digest() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def kernel_digests() -> dict[str, str]:
+    """sha256 of the component and gradient bytes of ``batch_loss_and_grad`` and the component
+    bytes of ``batch_loss`` on one seeded 64x101 batch, keyed by run."""
+    g = LabelGrid(0.0, 100.0, 1.0)
+    rng = np.random.default_rng(20240)
+    mu = rng.uniform(0.0, 100.0, size=(64, 1))
+    sigma = rng.uniform(g.sigma_floor, 10.0, size=(64, 1))
+    targets = gaussian_probs(mu, sigma, g.values)
+    z = rng.standard_normal((64, len(g)))
+    digests = {}
+    for family, lam, sd in KERNEL_RUNS:
+        spec = LossSpec(family, lam)
+        comps, grad = batch_loss_and_grad(targets, sd * z, g, spec)
+        h = hashlib.sha256()
+        for d in (comps, batch_loss(targets, sd * z, g, spec)):
+            h.update(b"".join(key.encode() + d[key].tobytes() for key in sorted(d)))
+        h.update(grad.tobytes())
+        digests[f"{family} lambda={lam} sd={sd}"] = h.hexdigest()
+    return digests
+
+
 def _recorded_fixture() -> dict:
     """The fixture, or a skip when it was recorded on another build."""
     fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
@@ -145,12 +177,22 @@ def test_oracle_suite_matches_golden_digest():
     assert verify_digest() == _recorded_fixture()["verify_suite"], "oracle check results changed"
 
 
+def test_kernel_matches_golden_digests():
+    fixture = _recorded_fixture()
+    digests = kernel_digests()
+    assert sorted(digests) == sorted(fixture["kernel"])
+    changed = sorted(run for run, d in digests.items() if fixture["kernel"][run] != d)
+    assert not changed, f"loss kernel bits changed in {changed}"
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         files = output_digests(Path(tmp))
         val_rows = val_row_digests(Path(tmp))
-    fixture = {"build": build_info(), "files": files, "val_rows": val_rows, "verify_suite": verify_digest()}
+    fixture = {"build": build_info(), "files": files, "val_rows": val_rows, "verify_suite": verify_digest(),
+               "kernel": kernel_digests()}
     FIXTURE.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(files)} output digests, {len(val_rows)} val-row digests and the oracle suite digest to {FIXTURE}", file=sys.stderr)
+    print(f"wrote {len(files)} output digests, {len(val_rows)} val-row digests, the oracle suite digest"
+          f" and {len(fixture['kernel'])} kernel digests to {FIXTURE}", file=sys.stderr)

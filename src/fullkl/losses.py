@@ -155,47 +155,42 @@ def _kl_div_vals(targets: np.ndarray, qf: np.ndarray) -> np.ndarray:
     return np.sum(targets * np.log(np.maximum(targets / qf, _TINY)), axis=-1)
 
 
-def _gaussian_kl_terms(mu_t, var_t, mu_p, var_p):
-    """(l_exp, vf, dmu, ratio): the Gaussian-moment KL and the intermediates its gradient reuses,
-    where ``vf`` is the predicted variance floored at EPS_VAR."""
+def _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad):
+    """(l_exp, d l_exp / d pred or None): the Gaussian-moment KL of each row, from the target and
+    predicted moments over the bin ``values``, with the predicted variance floored at EPS_VAR."""
     if np.any(var_t < EPS_VAR):
         raise ValueError(f"target variance below the {EPS_VAR!r} floor")
     vf = np.maximum(var_p, EPS_VAR)
     dmu = mu_p - mu_t
     ratio = (var_t + dmu * dmu) / (2.0 * vf)
-    return 0.5 * np.log(vf / var_t) + ratio - 0.5, vf, dmu, ratio
-
-
-def _gaussian_kl_dldp(mu_p, var_p, vf, dmu, ratio, values) -> np.ndarray:
-    # d l_exp / d pred_i with the mu-dependence of the predicted variance
-    # included; the variance is treated as constant at the EPS_VAR floor
-    # (subgradient choice).
+    value = 0.5 * np.log(vf / var_t) + ratio - 0.5
+    if not want_grad:
+        return value, None
+    # dmu/dp_i = y_i and dvar/dp_i = (y_i - mu_hat)^2, the mu-dependence of the
+    # predicted variance included; the variance is treated as constant at the
+    # EPS_VAR floor (subgradient choice).
     a = dmu / vf
     b = np.where(var_p > EPS_VAR, (0.5 - ratio) / vf, 0.0)
     dev = values - np.asarray(mu_p)[..., np.newaxis]
-    return np.asarray(a)[..., np.newaxis] * values + np.asarray(b)[..., np.newaxis] * dev * dev
+    return value, np.asarray(a)[..., np.newaxis] * values + np.asarray(b)[..., np.newaxis] * dev * dev
 
 
-def _log_diffs(preds: np.ndarray, pf: np.ndarray):
-    """(adjacent differences of ``preds``, adjacent differences of log ``pf``), where
-    ``pf`` is ``preds`` floored at EPS_LOG."""
+def _smooth_term(preds: np.ndarray, pf: np.ndarray, want_grad):
+    """(l_smooth, d l_smooth / d pred or None): the shift-KL smoothness of each row of ``preds``,
+    where ``pf`` is ``preds`` floored at EPS_LOG."""
     lp = np.log(pf)
-    return preds[..., :-1] - preds[..., 1:], lp[..., :-1] - lp[..., 1:]
-
-
-def _smoothness_vals(parts) -> np.ndarray:
-    d, big_l = parts
-    return 0.5 * np.sum(d * big_l, axis=-1)
-
-
-def _smoothness_dldp(preds: np.ndarray, pf: np.ndarray, parts) -> np.ndarray:
-    d, big_l = parts
+    d = preds[..., :-1] - preds[..., 1:]
+    big_l = lp[..., :-1] - lp[..., 1:]
+    del lp  # one (rows, n) buffer fewer while the gradient is built
+    value = 0.5 * np.sum(d * big_l, axis=-1)
+    if not want_grad:
+        return value, None
     # d log(max(p, eps)) / dp is 1/p above the floor and 0 below it.
     inv = _rectify(1.0 / pf, np.negative(preds > EPS_LOG, dtype=np.int64))
     out = np.zeros_like(preds)
     out[..., :-1] += 0.5 * (big_l + d * inv[..., :-1])
     out[..., 1:] -= 0.5 * (big_l + d * inv[..., 1:])
-    return out
+    return value, out
 
 
 def _softmax_chain(preds: np.ndarray, dldp: np.ndarray) -> np.ndarray:
@@ -235,9 +230,9 @@ def gaussian_kl(target_m: Moments, pred_m: Moments) -> float:
     coincide.
     """
     return float(
-        _gaussian_kl_terms(
+        _gaussian_term(
             np.float64(target_m.mu), np.float64(target_m.var),
-            np.float64(pred_m.mu), np.float64(pred_m.var),
+            np.float64(pred_m.mu), np.float64(pred_m.var), None, want_grad=False,
         )[0]
     )
 
@@ -253,7 +248,7 @@ def smoothness(pred) -> float:
     p = _as_probs(pred)
     if p.size < 2:
         raise ValueError("smoothness needs a pmf of length >= 2")
-    return float(_smoothness_vals(_log_diffs(p, np.maximum(p, EPS_LOG))))
+    return float(_smooth_term(p, np.maximum(p, EPS_LOG), want_grad=False)[0])
 
 
 def reference_loss(
@@ -357,14 +352,11 @@ def _batch_kernel(targets, logits, g, spec, target_moments, want_grad):
     mu_t, var_t = target_moments
     mu_p, var_p = pmf_moments(preds, values)
     if spec.family == FAMILY_FULL_KL:
-        l_exp, vf, dmu, ratio = _gaussian_kl_terms(mu_t, var_t, mu_p, var_p)
-        parts = _log_diffs(preds, pf)
-        l_smooth = _smoothness_vals(parts)
+        l_exp, d_exp = _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad)
+        l_smooth, d_smooth = _smooth_term(preds, pf, want_grad)
         comps = {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
         if want_grad:
-            dldp = _gaussian_kl_dldp(mu_p, var_p, vf, dmu, ratio, values)
-            dldp = dldp + _smoothness_dldp(preds, pf, parts)
-            head = _softmax_chain(preds, dldp)
+            head = _softmax_chain(preds, d_exp + d_smooth)
     else:
         l_exp = np.abs(mu_p - mu_t)
         comps = {"l_ld": l_ld, "l_exp": l_exp, "total": l_ld + spec.lam * l_exp}

@@ -1,7 +1,8 @@
-"""Independent oracles for the closed forms and analytic gradients.
+"""Independent oracles for the loss values, closed forms and analytic gradients.
 
 Nothing here shares code with the losses it checks: the Gaussian-moment KL
-is re-derived by brute-force quadrature, and every analytic gradient is
+is re-derived by brute-force quadrature, every loss component is re-derived
+in long double from its definition, and every analytic gradient is
 compared against central finite differences.  The trainer is only trusted
 after this module's suite passes.
 """
@@ -53,6 +54,8 @@ __all__ = [
     "affine_invariance_errors",
     "exact_zero_violations",
     "component_minima",
+    "exact_components",
+    "kernel_value_errors",
     "run_all_checks",
 ]
 
@@ -79,6 +82,13 @@ SWEEP_SIGMAS, SWEEP_DMUS = (0.5, 1.0, 2.0, 5.0, 10.0), (0.0, 1.0, 10.0)
 FIDELITY_SIZES, FD_REL_STEP = (2, 5, 101), 1e-5
 AFFINE_SCALE, AFFINE_SHIFT = 3.0, 7.0
 ORACLE_LAMBDA = 1.0
+
+# kernel_value_errors' logit standard deviations, grid sizes, rows per (spread, size) and
+# relative bound: batch_loss against the long-double re-derivation on Gaussian targets.
+KERNEL_VALUE_SPREADS = (2.0,)
+KERNEL_VALUE_SIZES = (2, 5, 101, 300)
+KERNEL_VALUE_ROWS = 16
+KERNEL_VALUE_TOL = 1e-12
 
 
 def _fd_steps(x, h) -> tuple[np.ndarray, np.ndarray]:
@@ -449,6 +459,69 @@ def component_minima(n_instances: int = MINIMA_INSTANCES, seed: int = 300) -> di
 
 
 # ---------------------------------------------------------------------------
+# Value oracle
+# ---------------------------------------------------------------------------
+
+
+def exact_components(targets, logits, values) -> dict[str, np.ndarray]:
+    """The full-KL components of each row, re-derived in ``np.longdouble`` from the definitions.
+
+    ln p is the log-softmax of the logits, so no pmf entry is floored or
+    underflows on the way: l_ld = sum_{t>0} t (ln t - ln p), l_exp is the
+    Gaussian-moment KL of the two pmfs' two-pass moments with the predicted
+    variance floored at EPS_VAR, l_smooth = 1/2 sum (p_i - p_{i+1}) ln(p_i /
+    p_{i+1}), and total is their sum.  Returns long-double arrays.
+    """
+    t = np.asarray(targets, dtype=np.longdouble)
+    z = np.asarray(logits, dtype=np.longdouble)
+    y = np.asarray(values, dtype=np.longdouble)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
+    log_p = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    p = np.exp(log_p)
+    log_t = np.log(np.where(t > 0, t, 1))  # t = 0 terms are 0 * finite = 0
+    l_ld = np.sum(t * (log_t - log_p), axis=-1)
+
+    def two_pass(q):
+        mu = np.sum(q * y, axis=-1)
+        return mu, np.sum(q * (y - mu[..., np.newaxis]) ** 2, axis=-1)
+
+    (mu_t, var_t), (mu_p, var_p) = two_pass(t), two_pass(p)
+    vf = np.maximum(var_p, np.longdouble(EPS_VAR))
+    l_exp = 0.5 * np.log(vf / var_t) + (var_t + (mu_p - mu_t) ** 2) / (2 * vf) - 0.5
+    l_smooth = 0.5 * np.sum((p[..., :-1] - p[..., 1:]) * (log_p[..., :-1] - log_p[..., 1:]), axis=-1)
+    return {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
+
+
+def kernel_value_errors(n_rows: int = KERNEL_VALUE_ROWS, seed: int = 400) -> dict[float, dict[str, float]]:
+    """Worst relative error of each full-KL ``batch_loss`` component against :func:`exact_components`.
+
+    Per logit spread s in KERNEL_VALUE_SPREADS and grid size in
+    KERNEL_VALUE_SIZES, ``n_rows`` rows pair a Gaussian target (mean uniform
+    on the grid, std uniform from the grid's sigma floor to a quarter of its
+    span) with N(0, s^2) logits.  The error is |kernel - oracle| /
+    max(|oracle|, REL_ERROR_FLOOR); the result maps s to the worst error of
+    each component over the sizes.
+    """
+    rng = np.random.default_rng(seed)
+    spec = LossSpec(FAMILY_FULL_KL)
+    out = {}
+    for s in KERNEL_VALUE_SPREADS:
+        worst = dict.fromkeys(("l_ld", "l_exp", "l_smooth", "total"), 0.0)
+        for n in KERNEL_VALUE_SIZES:
+            g = LabelGrid(0.0, float(n - 1), 1.0)
+            mu = rng.uniform(g.lo, g.hi, (n_rows, 1))
+            sigma = rng.uniform(g.sigma_floor, max(g.sigma_floor, g.span / 4.0), (n_rows, 1))
+            targets = gaussian_probs(mu, sigma, g.values)
+            logits = rng.normal(0.0, s, (n_rows, n))
+            got = batch_loss(targets, logits, g, spec)
+            for key, exact in exact_components(targets, logits, g.values).items():
+                err = np.abs(got[key] - exact) / np.maximum(np.abs(exact), REL_ERROR_FLOOR)
+                worst[key] = max(worst[key], float(np.max(err)))
+        out[s] = worst
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Composed verification suite
 # ---------------------------------------------------------------------------
 
@@ -528,6 +601,19 @@ def run_all_checks() -> tuple[CheckResult, ...]:
             min(minima.values()) >= 0.0,
             max(0.0, -min(minima.values())),
             f"{MINIMA_INSTANCES} random instances, every component",
+        )
+    )
+
+    values = kernel_value_errors()
+    worst_s, worst = max(values.items(), key=lambda kv: max(kv[1].values()))
+    worst_key = max(worst, key=worst.get)
+    checks.append(
+        CheckResult(
+            "kernel_values",
+            worst[worst_key] <= KERNEL_VALUE_TOL,
+            worst[worst_key],
+            f"full_kl batch_loss vs long double, {KERNEL_VALUE_ROWS} rows x n in {KERNEL_VALUE_SIZES}"
+            f" x logit sd in {KERNEL_VALUE_SPREADS}, worst {worst_key} at sd={worst_s}",
         )
     )
 

@@ -33,4 +33,4 @@ def test_verify_suite_workload_runs_every_check(tmp_path, monkeypatch):
     spec.loader.exec_module(workloads)
     prep = workloads.prepare("verify_suite", 0, 2, tmp_path)
     rep = workloads.run_rep(prep, tmp_path)
-    assert (rep.attempted, rep.failed, rep.problems) == (7, 0, ())
+    assert (rep.attempted, rep.failed, rep.problems) == (8, 0, ())

@@ -25,12 +25,14 @@ from fullkl.verify import (
     CheckResult,
     FidelityResult,
     component_minima,
+    exact_components,
     exact_zero_violations,
     affine_invariance_errors,
     fd_grad,
     fd_grad_rows,
     gaussian_kl_sweep,
     gradient_fidelity,
+    kernel_value_errors,
     numeric_gaussian_kl,
     random_instance,
     rel_norm_error,
@@ -470,6 +472,47 @@ class TestInvarianceSuites:
             component_minima(n_instances=10)
 
 
+class TestValueOracle:
+    def test_worked_example(self):
+        # [0.5, 0.5] against softmax([0, ln 3]) = [0.25, 0.75] on the {0, 1} grid;
+        # the constants are the frozen 30-digit values of tests/test_losses.py.
+        exact = exact_components([[0.5, 0.5]], [[0.0, math.log(3.0)]], [0.0, 1.0])
+        assert all(v.dtype == np.longdouble and v.shape == (1,) for v in exact.values())
+        expected = {"l_ld": 0.14384103622589045, "l_exp": 0.18949229710744286,
+                    "l_smooth": 0.27465307216702745, "total": 0.6079864055003608}
+        for key, value in expected.items():
+            assert float(exact[key][0]) == pytest.approx(value, rel=1e-15, abs=0.0), key
+
+    def test_no_pmf_floor_at_wide_spreads(self):
+        # p_1 = e^-1000 is far below float64's range and the EPS_LOG floor; the
+        # long-double log-softmax keeps l_ld = 0.5 ln(0.5 / p_0) + 0.5 ln(0.5 / p_1),
+        # which is ln 0.5 + 500 to within e^-1000.
+        exact = exact_components([[0.5, 0.5]], [[0.0, -1000.0]], [0.0, 1.0])
+        assert float(exact["l_ld"][0]) == pytest.approx(math.log(0.5) + 500.0, rel=1e-15)
+        assert float(exact["l_smooth"][0]) == pytest.approx(500.0, rel=1e-15)
+
+    def test_kernel_passes_at_the_default_spreads(self):
+        for s, errors in kernel_value_errors().items():
+            for key, err in errors.items():
+                assert err <= verify.KERNEL_VALUE_TOL, (s, key, err)
+
+    @pytest.mark.parametrize("key, factor", [(k, c) for k in ("l_ld", "l_exp", "l_smooth") for c in (0.0, 2.0)])
+    def test_a_weighted_term_fails(self, monkeypatch, key, factor):
+        # The loss with one term dropped or doubled passes the gradient, invariance
+        # and exact-zero oracles; the value oracle sees it.
+        real = verify.batch_loss
+
+        def weighted(*args):
+            comps = dict(real(*args))
+            comps["total"] = comps["total"] + (factor - 1.0) * comps[key]
+            comps[key] = factor * comps[key]
+            return comps
+
+        monkeypatch.setattr(verify, "batch_loss", weighted)
+        worst = max(max(errors.values()) for errors in kernel_value_errors().values())
+        assert worst > verify.KERNEL_VALUE_TOL
+
+
 # ---------------------------------------------------------------------------
 # composed suite
 # ---------------------------------------------------------------------------
@@ -501,6 +544,8 @@ class TestRunAllChecks:
         assert errors["nonnegativity"] == max(0.0, -min(component_minima().values())).hex()
         assert inspect.signature(component_minima).parameters["n_instances"].default == verify.MINIMA_INSTANCES
         assert details["nonnegativity"] == f"{verify.MINIMA_INSTANCES} random instances, every component"
+        worst = max(max(errors.values()) for errors in kernel_value_errors().values())
+        assert errors["kernel_values"] == worst.hex()
 
     def test_check_names_are_stable(self, suite_results):
         names = {r.name for r in suite_results}
@@ -512,4 +557,5 @@ class TestRunAllChecks:
             "affine_invariance",
             "exact_zeros",
             "nonnegativity",
+            "kernel_values",
         }

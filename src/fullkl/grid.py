@@ -39,9 +39,11 @@ MIN_SIGMA_FACTOR = 0.5    # narrower targets degenerate to a near-one-hot pmf
 TRUNCATION_SIGMAS = 5.0   # beyond this the renormalized pmf stops resembling the Gaussian
 
 # Floors for the numerically delicate spots the math leaves open.  EPS_LOG
-# floors probabilities inside logarithms, so pmf entries at or below it behave
-# like zero mass there.  EPS_VAR floors predicted variances in denominators and
-# logs, in label units squared.  All logarithms are natural: losses are in nats.
+# floors the pmf entries inside the logarithms of the pmf-input functions
+# losses.kl_div and losses.smoothness, so entries at or below it behave like
+# zero mass there; the loss kernel takes logits and floors no pmf.  EPS_VAR
+# floors predicted variances in denominators and logs, in label units squared.
+# All logarithms are natural: losses are in nats.
 EPS_LOG = 1e-12
 EPS_VAR = 1e-8
 
@@ -86,14 +88,6 @@ def row_blocks(n: int) -> list[slice]:
     """Slices of up to BLOCK_ROWS rows covering range(n), but a one-row tail joins the slice before: 257 -> [0:257]."""
     starts = list(range(0, max(n - 1, 1), BLOCK_ROWS))
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def _rectify(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``np.where(keep != 0, x, 0.0)`` bit for bit, where ``keep`` is int64 -1 (all
-    bits set) or 0: a bitwise AND, because ``np.where``'s per-element branch
-    mispredicts on a data-dependent mask and costs several times more.  The
-    rectifier in model and the log-floor derivative in losses share it."""
-    return np.bitwise_and(x.view(np.int64), keep).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -198,8 +192,10 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     exactly representable.
     """
     z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.asarray(np.einsum("...j->...", e))[..., np.newaxis]  # a row sum without BLAS, as in pmf_moments
+    return e
 
 
 def softmax(logits) -> Pmf:
@@ -213,12 +209,18 @@ def softmax(logits) -> Pmf:
 
 
 def pmf_moments(probs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance along the last axis: mu = sum(y p), var = sum((y-mu)^2 p)."""
+    """Mean and variance along the last axis: mu = sum(y p), var = sum((y-mu)^2 p), in two passes.
+
+    The row sums are ``np.einsum`` loops, never BLAS, so a row's bits do not
+    depend on the rows around it, and target and predicted moments come from
+    the same arithmetic.
+    """
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
-    mu = np.sum(p * y, axis=-1)
-    dev = y - np.asarray(mu)[..., np.newaxis]
-    var = np.sum(p * dev * dev, axis=-1)
+    mu = np.einsum("...j,j->...", p, y)
+    sq = y - np.asarray(mu)[..., np.newaxis]
+    np.square(sq, out=sq)
+    var = np.einsum("...j,...j->...", p, sq)
     return mu, var
 
 

@@ -6,10 +6,14 @@ term with a Gaussian-moment KL and adds a shift-KL smoothness penalty, so
 all three components are KL divergences in nats and combine by a plain
 unweighted sum — no weighting hyperparameter to tune.
 
-Predictions enter every loss as raw logits and are converted internally via
-softmax, which guarantees strictly positive pmfs.  Gradients are with
-respect to the logits and are composed analytically with the softmax
-Jacobian; no autodiff framework is involved.
+Predictions enter every loss as raw logits, and the kernel works in logit
+space: no pmf is floored.  l_ld takes the ratio form sum t ln(t/p) of the
+softmax p, and the log-softmax form only in rows where p underflowed under
+target mass; l_smooth uses ln(p_i/p_{i+1}) = z_i - z_{i+1}.  Gradients are
+with respect to the logits and are composed analytically with the softmax
+Jacobian; no autodiff framework is involved.  Only the pmf-input functions
+``kl_div`` and ``smoothness`` floor their pmf at ``grid.EPS_LOG``, since a
+pmf they are given may hold zeros.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .grid import (
     Moments,
     Pmf,
     _number,
-    _rectify,
     pmf_moments,
     softmax_probs,
 )
@@ -146,13 +149,70 @@ def _as_logits(logits, n: int) -> np.ndarray:
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def _kl_div_vals(targets: np.ndarray, qf: np.ndarray) -> np.ndarray:
-    # ``qf`` is the prediction floored at EPS_LOG; only the prediction is
-    # floored inside the log.  For t > 0 the clamp never acts: qf is at most
-    # about 1, so t / qf does not round below t.  For t = 0 it keeps the log
-    # finite, so the term is 0 * log(_TINY) = 0 (0 ln 0 := 0), and no
-    # per-element branch is needed.
-    return np.sum(targets * np.log(np.maximum(targets / qf, _TINY)), axis=-1)
+def _row_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) along the last axis, as an ``np.einsum`` loop: no BLAS, whose row bits depend on batch height."""
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _kl_div_vals(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    # Only the prediction is floored inside the log, and only by the caller
+    # (kl_div floors at EPS_LOG; the kernel passes the softmax unfloored).  For
+    # t > 0 the clamp never acts: the prediction is at most about 1, so t / p
+    # does not round below t.  For t = 0 it keeps the log finite, so the term
+    # is 0 * log(_TINY) = 0 (0 ln 0 := 0), and no per-element branch is
+    # needed.  A prediction that underflowed to 0, or so far that t / p
+    # overflows, makes its row inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = targets / preds
+    np.fmax(ratio, _TINY, out=ratio)
+    return _row_sum(targets, np.log(ratio, out=ratio))
+
+
+def _log_softmax_kl(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """sum_{t>0} t (ln t - ln p) of each row with ln p = z - logsumexp(z), no pmf formed: the
+    distribution KL of rows whose softmax underflowed under target mass."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.einsum("...j->...", np.exp(shifted)))[..., np.newaxis]
+    log_t = np.log(np.where(targets > 0.0, targets, 1.0))  # t = 0 terms are 0 * finite = 0
+    return _row_sum(targets, log_t - shifted)
+
+
+def _distribution_kl(targets: np.ndarray, preds: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """l_ld of each row from the unfloored softmax ``preds`` of ``logits``: the ratio form, and the
+    log-softmax form in the rows where that is not finite.  (The literal sum t ln t - sum t z +
+    logsumexp z everywhere would leave 8.9e-16 at the full-KL global minimum.)"""
+    l_ld = np.asarray(_kl_div_vals(targets, preds))
+    bad = ~np.isfinite(l_ld)
+    if np.any(bad):
+        l_ld = l_ld.copy()
+        l_ld[bad] = _log_softmax_kl(targets[bad], logits[bad])
+    return l_ld
+
+
+def _adjacent_diff(x: np.ndarray) -> np.ndarray:
+    """D x of each row, x_i - x_{i+1}, with each row's last slot set to 0.
+
+    One contiguous subtraction over the flattened array: each row's last
+    slot, the only one that mixes two rows, is then overwritten.
+    """
+    out = np.empty(x.shape)
+    flat, x_flat = out.reshape(-1), x.reshape(-1)
+    np.subtract(x_flat[:-1], x_flat[1:], out=flat[:-1])
+    out[..., -1] = 0.0
+    return out
+
+
+def _adjacent_diff_t(v: np.ndarray) -> np.ndarray:
+    """D^T v of each row, v_j - v_{j-1} with v_{-1} = 0, for ``v`` from :func:`_adjacent_diff`.
+
+    Over the flattened array a row's first slot subtracts the previous row's
+    last slot, which is 0, so one contiguous subtraction serves every row.
+    """
+    out = np.empty(v.shape)
+    flat, v_flat = out.reshape(-1), v.reshape(-1)
+    flat[:1] = v_flat[:1]
+    np.subtract(v_flat[1:], v_flat[:-1], out=flat[1:])
+    return out
 
 
 def _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad):
@@ -169,34 +229,44 @@ def _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad):
     # dmu/dp_i = y_i and dvar/dp_i = (y_i - mu_hat)^2, the mu-dependence of the
     # predicted variance included; the variance is treated as constant at the
     # EPS_VAR floor (subgradient choice).
-    a = dmu / vf
-    b = np.where(var_p > EPS_VAR, (0.5 - ratio) / vf, 0.0)
-    dev = values - np.asarray(mu_p)[..., np.newaxis]
-    return value, np.asarray(a)[..., np.newaxis] * values + np.asarray(b)[..., np.newaxis] * dev * dev
-
-
-def _smooth_term(preds: np.ndarray, pf: np.ndarray, want_grad):
-    """(l_smooth, d l_smooth / d pred or None): the shift-KL smoothness of each row of ``preds``,
-    where ``pf`` is ``preds`` floored at EPS_LOG."""
-    lp = np.log(pf)
-    d = preds[..., :-1] - preds[..., 1:]
-    big_l = lp[..., :-1] - lp[..., 1:]
-    del lp  # one (rows, n) buffer fewer while the gradient is built
-    value = 0.5 * np.sum(d * big_l, axis=-1)
-    if not want_grad:
-        return value, None
-    # d log(max(p, eps)) / dp is 1/p above the floor and 0 below it.
-    inv = _rectify(1.0 / pf, np.negative(preds > EPS_LOG, dtype=np.int64))
-    out = np.zeros_like(preds)
-    out[..., :-1] += 0.5 * (big_l + d * inv[..., :-1])
-    out[..., 1:] -= 0.5 * (big_l + d * inv[..., 1:])
+    a = np.asarray(dmu / vf)[..., np.newaxis]
+    b = np.asarray(np.where(var_p > EPS_VAR, (0.5 - ratio) / vf, 0.0))[..., np.newaxis]
+    out = values - np.asarray(mu_p)[..., np.newaxis]
+    np.square(out, out=out)
+    out *= b
+    out += a * values
     return value, out
 
 
+def _smooth_term(preds: np.ndarray, logs: np.ndarray, want_grad):
+    """(l_smooth, (d/d pred, d/d logs) or None): the shift-KL smoothness of each row of ``preds``.
+
+    ``logs`` is ln ``preds`` up to a per-row shift, which every difference
+    cancels: the logits of a softmax ``preds`` (ln(p_i/p_{i+1}) = z_i -
+    z_{i+1} exactly), or ``smoothness``'s pmf floored at EPS_LOG, then
+    logged.  The value is 1/2 sum_i (p_i - p_{i+1})(z_i - z_{i+1}), every
+    summand non-negative.  With D the adjacent-difference operator it is
+    1/2 <Dp, Dz>, whose partial derivatives are 1/2 D^T D z in the pmf and
+    1/2 D^T D p in the logs; both arrays are C-contiguous.
+    """
+    dp = _adjacent_diff(preds)
+    dz = _adjacent_diff(logs)
+    value = 0.5 * _row_sum(dp, dz)
+    if not want_grad:
+        return value, None
+    d_pred = _adjacent_diff_t(dz)
+    del dz
+    d_pred *= 0.5
+    d_logs = _adjacent_diff_t(dp)
+    d_logs *= 0.5
+    return value, (d_pred, d_logs)
+
+
 def _softmax_chain(preds: np.ndarray, dldp: np.ndarray) -> np.ndarray:
-    # Compose d loss / d pred with the softmax Jacobian diag(p) - p p^T.
-    inner = np.sum(dldp * preds, axis=-1, keepdims=True)
-    return preds * (dldp - inner)
+    # Compose d loss / d pred with the softmax Jacobian diag(p) - p p^T, in place over ``dldp``.
+    dldp -= np.asarray(_row_sum(dldp, preds))[..., np.newaxis]
+    dldp *= preds
+    return dldp
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +318,7 @@ def smoothness(pred) -> float:
     p = _as_probs(pred)
     if p.size < 2:
         raise ValueError("smoothness needs a pmf of length >= 2")
-    return float(_smooth_term(p, np.maximum(p, EPS_LOG), want_grad=False)[0])
+    return float(_smooth_term(p, np.log(np.maximum(p, EPS_LOG)), want_grad=False)[0])
 
 
 def reference_loss(
@@ -301,12 +371,17 @@ def full_kl_grad(
 ) -> np.ndarray:
     """Analytic gradient of the full-KL total with respect to the logits.
 
-    The l_ld part contributes ``pred - target``; the l_exp part flows
-    through both predicted moments (``dmu/dp_i = y_i`` and
-    ``dvar/dp_i = (y_i - mu_hat)^2``, mu-dependence included); the
-    smoothness part flows through adjacent prediction pairs; everything is
-    composed with the softmax Jacobian.  At the EPS_VAR floor the predicted
-    variance is treated as constant (subgradient choice).
+    It is ``p - t + p * (h - <h, p>) + (1/2) D^T D p`` with D the
+    adjacent-difference operator and ``h = a y + b (y - mu_hat)^2 + (1/2)
+    D^T D z``.  The l_ld part contributes ``p - t``.  The l_exp part flows
+    through both predicted moments (``dmu/dp_i = y_i`` and ``dvar/dp_i =
+    (y_i - mu_hat)^2``, mu-dependence included), so ``a = (mu_hat - mu) /
+    var_hat`` and ``b = (1/2 - ratio) / var_hat``.  The smoothness part,
+    ``(1/2) <Dp, Dz>``, flows through the pmf (``(1/2) D^T D z``) and
+    directly through the logits (``(1/2) D^T D p``).  The pmf parts are
+    composed with the softmax Jacobian once; no ``1/p`` term is left.  At
+    the EPS_VAR floor the predicted variance is treated as constant
+    (subgradient choice).
     """
     return _sample_kernel(target, logits, g, _FULL_KL_SPEC, want_grad=True)[1]
 
@@ -335,39 +410,50 @@ def _sample_kernel(target, logits, g: LabelGrid, spec: LossSpec, want_grad: bool
 def _batch_kernel(targets, logits, g, spec, target_moments, want_grad):
     """Shared body of :func:`batch_loss`, :func:`batch_loss_and_grad` and the per-sample API.
 
+    Both families share one head: ``softmax_probs``, then l_ld, then
+    ``pmf_moments``; after it the kernel splits by family.  Every row sum
+    is an ``np.einsum`` loop, so a row's bits do not depend on the batch.
     Returns (components, gradient); the gradient is None unless ``want_grad``.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
     if targets.shape != logits.shape or targets.shape[-1] != len(g):
         raise ValueError(
             f"targets {targets.shape} and logits {logits.shape} must share shape (..., {len(g)})"
         )
     values = g.values
     preds = softmax_probs(logits)
-    pf = np.maximum(preds, EPS_LOG)
-    l_ld = _kl_div_vals(targets, pf)
+    l_ld = _distribution_kl(targets, preds, logits)
     if target_moments is None:
         target_moments = pmf_moments(targets, values)
     mu_t, var_t = target_moments
     mu_p, var_p = pmf_moments(preds, values)
     if spec.family == FAMILY_FULL_KL:
-        l_exp, d_exp = _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad)
-        l_smooth, d_smooth = _smooth_term(preds, pf, want_grad)
+        l_exp, head = _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad)
+        l_smooth, d_smooth = _smooth_term(preds, logits, want_grad)
         comps = {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
         if want_grad:
-            head = _softmax_chain(preds, d_exp + d_smooth)
+            d_pred, d_logits = d_smooth
+            head += d_pred
+            del d_pred, d_smooth
+            _softmax_chain(preds, head)
+            head += d_logits
+            del d_logits
     else:
         l_exp = np.abs(mu_p - mu_t)
         comps = {"l_ld": l_ld, "l_exp": l_exp, "total": l_ld + spec.lam * l_exp}
         if want_grad:
-            sign = np.sign(mu_p - mu_t)
-            dmu_dz = preds * (values - np.asarray(mu_p)[..., np.newaxis])
-            head = (spec.lam * np.asarray(sign))[..., np.newaxis] * dmu_dz
+            head = values - np.asarray(mu_p)[..., np.newaxis]
+            head *= preds  # dmu_hat / dz
+            head *= (spec.lam * np.sign(mu_p - mu_t))[..., np.newaxis]
     comps["pred_mu"] = mu_p
-    # preds - targets is the standard softmax-KL identity; exact wherever the
-    # EPS_LOG floor is inactive, and the conventional subgradient elsewhere.
-    return comps, (preds - targets + head if want_grad else None)
+    if not want_grad:
+        return comps, None
+    # preds - targets is the distribution KL's logit gradient, exact for every
+    # softmax (its zeros included).
+    head += preds
+    head -= targets
+    return comps, head
 
 
 def batch_loss(

@@ -85,9 +85,9 @@ ORACLE_LAMBDA = 1.0
 
 # kernel_value_errors' logit standard deviations, grid sizes, rows per (spread, size) and
 # relative bound: batch_loss against the long-double re-derivation on Gaussian targets.
-KERNEL_VALUE_SPREADS = (2.0,)
+KERNEL_VALUE_SPREADS = (2.0, 10.0, 30.0, 200.0)
 KERNEL_VALUE_SIZES = (2, 5, 101, 300)
-KERNEL_VALUE_ROWS = 16
+KERNEL_VALUE_ROWS = 8
 KERNEL_VALUE_TOL = 1e-12
 
 

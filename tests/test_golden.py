@@ -8,8 +8,8 @@ the oracle suite's results (``run_all_checks()``, one
 each metrics file's val rows, which hold their bits through a declared
 change to the train rows.  Its kernel tier hashes the loss kernel's own
 outputs on one seeded batch, at logit spreads and lambdas the training
-setup never reaches: full_kl where the ``EPS_LOG`` floor is active, and the
-reference family away from lambda = 1.  Floating-point
+setup never reaches: full_kl where softmax entries fall below 1e-12 or
+underflow, and the reference family away from lambda = 1.  Floating-point
 results depend on the numpy and BLAS build, so the fixture records the build
 it was made on: on that build a mismatch fails, on any other build the tests
 skip and name the difference.
@@ -39,10 +39,11 @@ from fullkl.verify import run_all_checks
 
 FIXTURE = Path(__file__).with_name("golden_digests.json")
 FAMILIES = (("full_kl", None), ("reference", 1.0))
-# (family, lambda, logit sd) of each kernel-tier run.  At sd 10 and 30 the
-# softmax pmfs reach the EPS_LOG floor, so the floored logs and _rectify act.
+# (family, lambda, logit sd) of each kernel-tier run.  At sd 10 and 30 softmax
+# entries fall far below 1e-12; at sd 200 some underflow under target mass, so
+# the log-softmax path of l_ld acts.
 KERNEL_RUNS = (
-    ("full_kl", None, 2.0), ("full_kl", None, 10.0), ("full_kl", None, 30.0),
+    ("full_kl", None, 2.0), ("full_kl", None, 10.0), ("full_kl", None, 30.0), ("full_kl", None, 200.0),
     ("reference", 0.3, 2.0), ("reference", 1.0, 2.0), ("reference", 7.5, 2.0),
 )
 

@@ -6,13 +6,14 @@ frozen; agreement is asserted at 1e-13 relative (double rounding budget).
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.data import gen_synthetic
-from fullkl.grid import EPS_LOG, LabelGrid, Moments, Pmf, gaussian_probs, moments, pmf_moments, softmax_probs
+from fullkl.grid import LabelGrid, Moments, Pmf, gaussian_probs, moments, pmf_moments, softmax_probs
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -20,6 +21,7 @@ from fullkl.losses import (
     LossSpec,
     _gaussian_term,
     _smooth_term,
+    _softmax_chain,
     batch_loss,
     batch_loss_and_grad,
     full_kl_grad,
@@ -30,7 +32,7 @@ from fullkl.losses import (
     reference_loss,
     smoothness,
 )
-from fullkl.verify import fd_grad, rel_norm_error
+from fullkl.verify import exact_components, fd_grad, rel_norm_error
 
 APPROX = dict(rel=1e-13, abs=0.0)
 
@@ -319,17 +321,26 @@ class TestGradients:
         assert rel_norm_error(full_a, full_n) <= 1e-6
 
 
-class TestTermGradients:
-    """Each full-KL term's own pmf gradient against central differences of that term's value.
+def smooth_logit_grad(logits):
+    """The smoothness term's own logit gradient: its pmf part through the softmax Jacobian plus its logit part."""
+    p = softmax_probs(logits)
+    d_pred, d_logits = _smooth_term(p, logits, want_grad=True)[1]
+    return _softmax_chain(p, d_pred) + d_logits
 
-    The value is taken as a function of the free pmf entries; at a pmf that
-    sums to 1 its partial derivatives are exactly the returned gradient.  The
-    pmfs are softmax of N(0, 2) logits, so every entry sits far above EPS_LOG
-    and no floor acts.  The step h_i = 1e-4 * p_i keeps p - h positive.  Over
-    2 to 300 bins and 10 seeds the relative norm error read at most 4.3e-7
-    (Gaussian) and 5.7e-9 (smoothness), hence the tolerance of 1e-5; dropping
-    the (y - mu_hat)^2 part of the Gaussian gradient reads at least 2.8e-3,
-    and dropping the d * (1/p) part of the smoothness gradient at least 0.35.
+
+class TestTermGradients:
+    """Each full-KL term's own gradient against central differences of that term's value.
+
+    The Gaussian term's value is taken as a function of the free pmf entries;
+    at a pmf that sums to 1 its partial derivatives are exactly the returned
+    gradient.  The pmfs are softmax of N(0, 2) logits, and the step h_i =
+    1e-4 * p_i keeps p - h positive.  The smoothness term is a function of
+    the logits, 1/2 sum (p_i - p_{i+1})(z_i - z_{i+1}) with p = softmax(z),
+    differenced at h_i = 1e-5 * max(1, |z_i|).  Over 2 to 300 bins and 10
+    seeds the relative norm error read at most 4.3e-7 (Gaussian) and 1.1e-9
+    (smoothness), hence the tolerance of 1e-5; dropping the (y - mu_hat)^2
+    part of the Gaussian gradient reads at least 2.8e-3, and dropping the
+    1/2 D^T D p logit part of the smoothness gradient at least 0.12.
     """
 
     TOL = 1e-5
@@ -339,12 +350,13 @@ class TestTermGradients:
         rng = np.random.default_rng(seed)
         g = LabelGrid(0.0, float(n - 1), 1.0)
         target_moments = pmf_moments(rng.dirichlet(np.ones(n)), g.values)
-        return g, target_moments, softmax_probs(rng.normal(0.0, 2.0, n))
+        return g, target_moments, rng.normal(0.0, 2.0, n)
 
     @pytest.mark.parametrize("n", [2, 5, 101, 300])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gaussian_term_grad_matches_fd(self, n, seed):
-        g, target_moments, p = self.instance(n, seed)
+        g, target_moments, logits = self.instance(n, seed)
+        p = softmax_probs(logits)
 
         def value(q):
             return _gaussian_term(*target_moments, *pmf_moments(q, g.values), g.values, want_grad=False)[0]
@@ -355,13 +367,33 @@ class TestTermGradients:
     @pytest.mark.parametrize("n", [2, 5, 101, 300])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_smooth_term_grad_matches_fd(self, n, seed):
-        _, _, p = self.instance(n, seed)
+        _, _, logits = self.instance(n, seed)
 
-        def value(q):
-            return _smooth_term(q, np.maximum(q, EPS_LOG), want_grad=False)[0]
+        def value(z):
+            return _smooth_term(softmax_probs(z), z, want_grad=False)[0]
 
-        analytic = _smooth_term(p, np.maximum(p, EPS_LOG), want_grad=True)[1]
-        assert rel_norm_error(analytic, fd_grad(value, p, 1e-4 * p)) <= self.TOL
+        numeric = fd_grad(value, logits, 1e-5 * np.maximum(1.0, np.abs(logits)))
+        assert rel_norm_error(smooth_logit_grad(logits), numeric) <= self.TOL
+
+    @pytest.mark.parametrize("n", [2, 5, 101, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_term_logit_gradients_sum_to_the_kernel_gradient(self, n, seed):
+        # Per-term values equal the kernel's components bit for bit; per-term logit
+        # gradients, each chained on its own, add up to the kernel's gradient to
+        # rounding (the kernel chains the summed pmf gradient once).
+        rng = np.random.default_rng(seed)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
+        targets = gaussian_probs(rng.uniform(g.lo, g.hi, (8, 1)), rng.uniform(g.sigma_floor, n, (8, 1)), g.values)
+        logits = rng.normal(0.0, 2.0, (8, n))
+        comps, grad = batch_loss_and_grad(targets, logits, g, LossSpec(FAMILY_FULL_KL))
+        p = softmax_probs(logits)
+        l_exp, d_exp = _gaussian_term(*pmf_moments(targets, g.values), *pmf_moments(p, g.values), g.values, True)
+        l_smooth = _smooth_term(p, logits, want_grad=False)[0]
+        assert l_exp.tobytes() == comps["l_exp"].tobytes()
+        assert l_smooth.tobytes() == comps["l_smooth"].tobytes()
+        summed = (p - targets) + _softmax_chain(p, d_exp) + smooth_logit_grad(logits)
+        for got, want in zip(summed, grad):
+            assert rel_norm_error(got, want) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +600,68 @@ class TestSoftmaxUnderflow:
             assert grads[i].tobytes() == grad.tobytes()
 
 
+def kernel_instance(n, height, s, seed):
+    """(grid, Gaussian targets, logits, shifted logits) of one kernel-property draw.
+
+    Logits sit on a 2**-32 lattice and the per-row shifts are whole numbers,
+    so z + c is exact and the shift changes no input bit; a rounded z + c is
+    itself a perturbation, which moves a total near its minimum by more than
+    1e-12 relative (seen at n = 2).
+    """
+    g = LabelGrid(0.0, float(n - 1), 1.0)
+    rng = np.random.default_rng(seed)
+    mu = rng.uniform(g.lo, g.hi, (height, 1))
+    sigma = g.sigma_floor * np.exp(rng.uniform(0.0, math.log(n), (height, 1)))
+    targets = gaussian_probs(mu, sigma, g.values)
+    logits = np.ldexp(np.round(np.ldexp(s * rng.standard_normal((height, n)), 32)), -32)
+    return g, targets, logits, logits + rng.integers(-50, 51, (height, 1))
+
+
+def check_kernel_rows(spec, g, targets, logits, shifted, rows, zero_sum):
+    """Properties (a), (c), (d), (e) of :class:`TestKernelInvariants`, and (b) when ``zero_sum``."""
+    comps, grads = batch_loss_and_grad(targets, logits, g, spec)
+    keys = [k for k in ("l_ld", "l_exp", "l_smooth", "total") if k in comps]
+    # (e) finite, and not below -1e-9
+    for key in keys:
+        assert np.all(np.isfinite(comps[key])) and np.all(comps[key] >= -1e-9), key
+    assert np.all(np.isfinite(grads))
+    # (a) shift invariance of the total
+    total = comps["total"]
+    assert np.all(np.abs(batch_loss(targets, shifted, g, spec)["total"] - total) <= 1e-12 * np.abs(total))
+    # (b) zero-sum gradient rows
+    if zero_sum:
+        assert np.all(np.abs(grads.sum(axis=-1)) <= 1e-12 * np.abs(grads).sum(axis=-1))
+    # (c) a row's bits do not depend on the rows around it
+    sub_comps, sub_grads = batch_loss_and_grad(targets[rows], logits[rows], g, spec)
+    for key in comps:
+        assert sub_comps[key].tobytes() == comps[key][rows].tobytes(), key
+    assert sub_grads.tobytes() == grads[rows].tobytes()
+    # (d) the per-sample API equals its batch row
+    for i in range(rows.start, rows.stop):
+        if spec.family == FAMILY_FULL_KL:
+            b = full_kl_loss(targets[i], logits[i], g)
+            grad = full_kl_grad(targets[i], logits[i], g)
+        else:
+            b = reference_loss(targets[i], logits[i], g, spec.lam)
+            grad = reference_grad(targets[i], logits[i], g, spec.lam)
+        assert [getattr(b, k) for k in keys] == [comps[k][i] for k in keys]
+        assert grad.tobytes() == grads[i].tobytes()
+
+
+def draw_rows(data, height):
+    start = data.draw(st.integers(0, height - 1), label="start")
+    return slice(start, data.draw(st.integers(start + 1, height), label="stop"))
+
+
 class TestKernelInvariants:
-    """Properties of every kernel row at the numerical edges, for both families.
+    """Properties of every kernel row at the numerical edges.
 
     Every loss is a function of the softmax pmf, so a per-row logit shift
-    moves no value and every gradient row sums to 0.  Logit spreads stay at
-    s <= 3: at s >= 10 the full_kl gradient rows sum to up to 5.7e-5 of
-    their size, through the 1/p of the smoothness gradient at the EPS_LOG
-    floor.
+    moves no value and every gradient row sums to 0.  Both families are
+    drawn at logit spreads s <= 3 with all five properties.  full_kl is also
+    drawn at 3 <= s <= 200 without (b): there its gradient rows sum to up to
+    1.6e-5 of their size, from the Gaussian term's b = (1/2 - ratio) / vf
+    near the EPS_VAR floor, where ratio reaches 1e10 and more.
     """
 
     @given(
@@ -587,44 +673,47 @@ class TestKernelInvariants:
         data=st.data(),
     )
     def test_kernel_rows(self, n, height, s, lam, seed, data):
-        start = data.draw(st.integers(0, height - 1), label="start")
-        stop = data.draw(st.integers(start + 1, height), label="stop")
-        g = LabelGrid(0.0, float(n - 1), 1.0)
-        rng = np.random.default_rng(seed)
-        mu = rng.uniform(g.lo, g.hi, (height, 1))
-        sigma = g.sigma_floor * np.exp(rng.uniform(0.0, math.log(n), (height, 1)))
-        targets = gaussian_probs(mu, sigma, g.values)
-        # Logits on a 2**-32 lattice and whole-number shifts make z + c exact, so the
-        # shift changes no input bit; a rounded z + c is itself a perturbation, which
-        # moves a total near its minimum by more than 1e-12 relative (seen at n = 2).
-        logits = np.ldexp(np.round(np.ldexp(s * rng.standard_normal((height, n)), 32)), -32)
-        shifted = logits + rng.integers(-50, 51, (height, 1))
+        rows = draw_rows(data, height)
+        g, targets, logits, shifted = kernel_instance(n, height, s, seed)
         for spec in (LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, lam)):
+            check_kernel_rows(spec, g, targets, logits, shifted, rows, zero_sum=True)
+
+    @given(
+        n=st.integers(2, 300),
+        height=st.integers(1, 48),
+        s=st.floats(3.0, 200.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_full_kl_rows_at_wide_spreads(self, n, height, s, seed, data):
+        rows = draw_rows(data, height)
+        g, targets, logits, shifted = kernel_instance(n, height, s, seed)
+        check_kernel_rows(LossSpec(FAMILY_FULL_KL), g, targets, logits, shifted, rows, zero_sum=False)
+
+
+class TestNoWarnings:
+    """At logit spread 200 softmax entries underflow to 0 or to subnormals under target mass,
+    and t / p overflows: the kernel takes its log-softmax path there without a warning."""
+
+    @pytest.mark.parametrize("n", [2, 5, 101, 300])
+    def test_wide_spread_is_silent_and_matches_the_oracle(self, n):
+        rng = np.random.default_rng(n)
+        g = LabelGrid(0.0, float(n - 1), 1.0)
+        targets = gaussian_probs(rng.uniform(g.lo, g.hi, (16, 1)), rng.uniform(g.sigma_floor, n, (16, 1)), g.values)
+        logits = rng.normal(0.0, 200.0, (16, n))
+        spec = LossSpec(FAMILY_FULL_KL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = batch_loss(targets, logits, g, spec)
             comps, grads = batch_loss_and_grad(targets, logits, g, spec)
-            keys = [k for k in ("l_ld", "l_exp", "l_smooth", "total") if k in comps]
-            # (e) finite, and not below the EPS_LOG-induced error of kl_div
-            for key in keys:
-                assert np.all(np.isfinite(comps[key])) and np.all(comps[key] >= -1e-9), key
-            # (a) shift invariance of the total
-            total = comps["total"]
-            assert np.all(np.abs(batch_loss(targets, shifted, g, spec)["total"] - total) <= 1e-12 * np.abs(total))
-            # (b) zero-sum gradient rows
-            assert np.all(np.abs(grads.sum(axis=-1)) <= 1e-12 * np.abs(grads).sum(axis=-1))
-            # (c) a row's bits do not depend on the rows around it
-            sub_comps, sub_grads = batch_loss_and_grad(targets[start:stop], logits[start:stop], g, spec)
-            for key in comps:
-                assert sub_comps[key].tobytes() == comps[key][start:stop].tobytes(), key
-            assert sub_grads.tobytes() == grads[start:stop].tobytes()
-            # (d) the per-sample API equals its batch row
-            for i in range(start, stop):
-                if spec.family == FAMILY_FULL_KL:
-                    b = full_kl_loss(targets[i], logits[i], g)
-                    grad = full_kl_grad(targets[i], logits[i], g)
-                else:
-                    b = reference_loss(targets[i], logits[i], g, lam)
-                    grad = reference_grad(targets[i], logits[i], g, lam)
-                assert [getattr(b, k) for k in keys] == [comps[k][i] for k in keys]
-                assert grad.tobytes() == grads[i].tobytes()
+            per_sample = [(full_kl_loss(t, z, g), full_kl_grad(t, z, g)) for t, z in zip(targets, logits)]
+        assert np.all(np.isfinite(grads))
+        exact = exact_components(targets, logits, g.values)
+        for key, want in exact.items():
+            assert np.all(np.abs(comps[key] - want) <= 1e-12 * np.abs(want)), key
+            assert vals[key].tobytes() == comps[key].tobytes(), key
+        for i, (b, grad) in enumerate(per_sample):
+            assert b.total == comps["total"][i] and grad.tobytes() == grads[i].tobytes()
 
 
 # ---------------------------------------------------------------------------

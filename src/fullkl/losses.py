@@ -216,8 +216,12 @@ def _adjacent_diff_t(v: np.ndarray) -> np.ndarray:
 
 
 def _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad):
-    """(l_exp, d l_exp / d pred or None): the Gaussian-moment KL of each row, from the target and
-    predicted moments over the bin ``values``, with the predicted variance floored at EPS_VAR."""
+    """(l_exp, d l_exp / d pred up to a per-row constant, or None): the Gaussian-moment KL of each
+    row, from the target and predicted moments over the bin ``values``, with the predicted variance
+    floored at EPS_VAR.  The softmax Jacobian maps a per-row constant to 0, so the gradient is
+    a (y - mu_hat) + b (y - mu_hat)^2 rather than a y + b (y - mu_hat)^2: near the EPS_VAR floor
+    a = (mu_hat - mu) / var_hat reaches 1e10, and a y would cancel in the chain, leaving gradient
+    rows that sum to 1e-4 of their size instead of 0."""
     if np.any(var_t < EPS_VAR):
         raise ValueError(f"target variance below the {EPS_VAR!r} floor")
     vf = np.maximum(var_p, EPS_VAR)
@@ -231,10 +235,10 @@ def _gaussian_term(mu_t, var_t, mu_p, var_p, values, want_grad):
     # EPS_VAR floor (subgradient choice).
     a = np.asarray(dmu / vf)[..., np.newaxis]
     b = np.asarray(np.where(var_p > EPS_VAR, (0.5 - ratio) / vf, 0.0))[..., np.newaxis]
-    out = values - np.asarray(mu_p)[..., np.newaxis]
-    np.square(out, out=out)
-    out *= b
-    out += a * values
+    dev = values - np.asarray(mu_p)[..., np.newaxis]
+    out = b * dev
+    out += a
+    out *= dev
     return value, out
 
 
@@ -372,11 +376,12 @@ def full_kl_grad(
     """Analytic gradient of the full-KL total with respect to the logits.
 
     It is ``p - t + p * (h - <h, p>) + (1/2) D^T D p`` with D the
-    adjacent-difference operator and ``h = a y + b (y - mu_hat)^2 + (1/2)
-    D^T D z``.  The l_ld part contributes ``p - t``.  The l_exp part flows
-    through both predicted moments (``dmu/dp_i = y_i`` and ``dvar/dp_i =
-    (y_i - mu_hat)^2``, mu-dependence included), so ``a = (mu_hat - mu) /
-    var_hat`` and ``b = (1/2 - ratio) / var_hat``.  The smoothness part,
+    adjacent-difference operator and ``h = a (y - mu_hat) + b (y -
+    mu_hat)^2 + (1/2) D^T D z``.  The l_ld part contributes ``p - t``.  The
+    l_exp part flows through both predicted moments (``dmu/dp_i = y_i`` and
+    ``dvar/dp_i = (y_i - mu_hat)^2``, mu-dependence included), so ``a =
+    (mu_hat - mu) / var_hat`` and ``b = (1/2 - ratio) / var_hat``; its
+    ``a mu_hat`` is a per-row constant, which the softmax Jacobian removes.  The smoothness part,
     ``(1/2) <Dp, Dz>``, flows through the pmf (``(1/2) D^T D z``) and
     directly through the logits (``(1/2) D^T D p``).  The pmf parts are
     composed with the softmax Jacobian once; no ``1/p`` term is left.  At

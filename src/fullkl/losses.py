@@ -168,24 +168,23 @@ def _kl_div_vals(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
     return _row_sum(targets, np.log(ratio, out=ratio))
 
 
-def _log_softmax_kl(targets: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """sum_{t>0} t (ln t - ln p) of each row with ln p = z - logsumexp(z), no pmf formed: the
-    distribution KL of rows whose softmax underflowed under target mass."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.einsum("...j->...", np.exp(shifted)))[..., np.newaxis]
-    log_t = np.log(np.where(targets > 0.0, targets, 1.0))  # t = 0 terms are 0 * finite = 0
-    return _row_sum(targets, log_t - shifted)
-
-
 def _distribution_kl(targets: np.ndarray, preds: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """l_ld of each row from the unfloored softmax ``preds`` of ``logits``: the ratio form, and the
-    log-softmax form in the rows where that is not finite.  (The literal sum t ln t - sum t z +
-    logsumexp z everywhere would leave 8.9e-16 at the full-KL global minimum.)"""
+    """l_ld of each row from the unfloored softmax ``preds`` of ``logits``.
+
+    The ratio form, and only in the rows where that is not finite (p
+    underflowed under target mass) sum_{t>0} t (ln t - ln p) with ln p = z -
+    logsumexp(z).  That form everywhere would leave 8.9e-16 at the full-KL
+    global minimum.
+    """
     l_ld = np.asarray(_kl_div_vals(targets, preds))
     bad = ~np.isfinite(l_ld)
     if np.any(bad):
+        t, log_p = targets[bad], logits[bad]  # copies
+        log_p -= log_p.max(axis=-1, keepdims=True)
+        log_p -= np.log(np.einsum("...j->...", np.exp(log_p)))[..., np.newaxis]
+        log_t = np.log(np.where(t > 0.0, t, 1.0))  # t = 0 terms are 0 * finite = 0
         l_ld = l_ld.copy()
-        l_ld[bad] = _log_softmax_kl(targets[bad], logits[bad])
+        l_ld[bad] = _row_sum(t, log_t - log_p)
     return l_ld
 
 

@@ -492,27 +492,27 @@ def exact_components(targets, logits, values) -> dict[str, np.ndarray]:
     return {"l_ld": l_ld, "l_exp": l_exp, "l_smooth": l_smooth, "total": l_ld + l_exp + l_smooth}
 
 
-def kernel_value_errors(n_rows: int = KERNEL_VALUE_ROWS, seed: int = 400) -> dict[float, dict[str, float]]:
+def kernel_value_errors() -> dict[float, dict[str, float]]:
     """Worst relative error of each full-KL ``batch_loss`` component against :func:`exact_components`.
 
     Per logit spread s in KERNEL_VALUE_SPREADS and grid size in
-    KERNEL_VALUE_SIZES, ``n_rows`` rows pair a Gaussian target (mean uniform
+    KERNEL_VALUE_SIZES, KERNEL_VALUE_ROWS rows pair a Gaussian target (mean uniform
     on the grid, std uniform from the grid's sigma floor to a quarter of its
     span) with N(0, s^2) logits.  The error is |kernel - oracle| /
     max(|oracle|, REL_ERROR_FLOOR); the result maps s to the worst error of
     each component over the sizes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(400)
     spec = LossSpec(FAMILY_FULL_KL)
     out = {}
     for s in KERNEL_VALUE_SPREADS:
         worst = dict.fromkeys(("l_ld", "l_exp", "l_smooth", "total"), 0.0)
         for n in KERNEL_VALUE_SIZES:
             g = LabelGrid(0.0, float(n - 1), 1.0)
-            mu = rng.uniform(g.lo, g.hi, (n_rows, 1))
-            sigma = rng.uniform(g.sigma_floor, max(g.sigma_floor, g.span / 4.0), (n_rows, 1))
+            mu = rng.uniform(g.lo, g.hi, (KERNEL_VALUE_ROWS, 1))
+            sigma = rng.uniform(g.sigma_floor, max(g.sigma_floor, g.span / 4.0), (KERNEL_VALUE_ROWS, 1))
             targets = gaussian_probs(mu, sigma, g.values)
-            logits = rng.normal(0.0, s, (n_rows, n))
+            logits = rng.normal(0.0, s, (KERNEL_VALUE_ROWS, n))
             got = batch_loss(targets, logits, g, spec)
             for key, exact in exact_components(targets, logits, g.values).items():
                 err = np.abs(got[key] - exact) / np.maximum(np.abs(exact), REL_ERROR_FLOOR)

@@ -85,8 +85,31 @@ class TestFdGrad:
 
 
 # ---------------------------------------------------------------------------
-# fd_grad_rows: fd_grad's arithmetic with one call over a row stack
+# fd_grad_rows: the one engine, against the per-point loop it replaced
 # ---------------------------------------------------------------------------
+
+def fd_grad_reference(loss_fn, logits, h):
+    """fd_grad as it was written before it became one fd_grad_rows call, kept as its reference."""
+    x = np.array(logits, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("fd_grad expects a non-empty vector")
+    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
+    if not np.all(steps > 0):
+        raise ValueError("finite-difference step must be positive")
+    fp = np.empty_like(x)
+    fm = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += steps[i]
+        xm[i] -= steps[i]
+        fp[i] = float(loss_fn(xp))
+        fm[i] = float(loss_fn(xm))
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if np.any(bad):
+        raise ValueError(f"loss_fn non-finite near coordinate {int(np.argmax(bad))}")
+    return (fp - fm) / (2.0 * steps)
+
 
 def per_sample_total(spec, target, g):
     """The loss at one logit vector, through the per-sample API."""
@@ -113,14 +136,15 @@ class TestFdGradRows:
             target, logits = random_instance(rng, g)
             h = 1e-5 * np.maximum(1.0, np.abs(logits))
             rows = fd_grad_rows(batched_total(spec, target, g), logits, h)
-            loop = fd_grad(per_sample_total(spec, target, g), logits, h)
+            loop = fd_grad_reference(per_sample_total(spec, target, g), logits, h)
             assert rows.tobytes() == loop.tobytes()
+            assert fd_grad(per_sample_total(spec, target, g), logits, h).tobytes() == loop.tobytes()
 
     def test_scalar_step_and_quadratic(self):
         a = np.array([1.5, -2.0, 0.5])
         x0 = np.array([0.3, -1.2, 2.0])
         rows = fd_grad_rows(lambda r: np.sum(a * r * r, axis=1), x0, 1e-4)
-        assert rows.tobytes() == fd_grad(lambda x: float(np.sum(a * x * x)), x0, 1e-4).tobytes()
+        assert rows.tobytes() == fd_grad_reference(lambda x: float(np.sum(a * x * x)), x0, 1e-4).tobytes()
 
     def test_non_finite_row_names_the_same_coordinate(self):
         x0 = np.zeros(6)
@@ -129,20 +153,44 @@ class TestFdGradRows:
             return math.inf if x[3] > 0.0 or x[5] > 0.0 else float(np.sum(x))
 
         with pytest.raises(ValueError, match="non-finite near coordinate 3") as loop:
-            fd_grad(f, x0, 1e-5)
-        with pytest.raises(ValueError, match="non-finite near coordinate 3") as rows:
+            fd_grad_reference(f, x0, 1e-5)
+        with pytest.raises(ValueError) as rows:
             fd_grad_rows(lambda r: np.array([f(x) for x in r]), x0, 1e-5)
-        assert str(rows.value) == str(loop.value)
+        with pytest.raises(ValueError) as engine:
+            fd_grad(f, x0, 1e-5)
+        assert str(rows.value) == str(engine.value) == str(loop.value)
 
     def test_validation_matches_fd_grad(self):
-        with pytest.raises(ValueError, match="positive"):
-            fd_grad_rows(lambda r: np.zeros(len(r)), np.array([1.0, 1.0]), np.array([1e-5, -1e-5]))
-        with pytest.raises(ValueError, match="non-empty"):
-            fd_grad_rows(lambda r: np.zeros(len(r)), np.array([]), 1e-5)
+        # The texts of the loop fd_grad was before it became one fd_grad_rows call.
+        bad = [(np.array([1.0, 1.0]), np.array([1e-5, -1e-5])), (np.array([1.0]), 0.0), (np.array([]), 1e-5),
+               (np.zeros((2, 2)), 1e-5)]
+        for x, h in bad:
+            with pytest.raises(ValueError) as loop:
+                fd_grad_reference(lambda z: 0.0, x, h)
+            with pytest.raises(ValueError) as rows:
+                fd_grad_rows(lambda r: np.zeros(len(r)), x, h)
+            assert str(rows.value) == str(loop.value)
 
     def test_one_loss_per_row_required(self):
         with pytest.raises(ValueError, match="one loss per row"):
             fd_grad_rows(lambda r: np.zeros(3), np.zeros(2), 1e-5)
+
+    def test_loss_fn_gets_a_fresh_copy_it_may_write_into(self):
+        # Like fd_grad_reference, fd_grad hands every call its own copy, so a loss_fn
+        # that scales its argument in place neither sees nor leaves a changed point.
+        a = np.array([1.5, -2.0, 0.5])
+        x0 = np.array([0.3, -1.2, 2.0])
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            x *= 2.0
+            return float(np.sum(a * x * x)) / 4.0
+
+        got = fd_grad(f, x0, 1e-4)
+        assert got.tobytes() == fd_grad_reference(f, x0, 1e-4).tobytes()
+        assert x0.tolist() == [0.3, -1.2, 2.0]
+        assert len(seen) == 2 * 2 * x0.size and all(x.flags.owndata for x in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +602,4 @@ class TestRunAllChecks:
             "nonnegativity",
             "kernel_values",
         }
+

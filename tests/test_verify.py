@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fullkl.losses as losses
 import fullkl.verify as verify
-from fullkl.grid import LabelGrid, Moments, Pmf, discretize_gaussian, softmax
+from fullkl.grid import LabelGrid, Moments, Pmf, discretize_gaussian, pmf_moments, softmax, softmax_probs
 from fullkl.losses import (
     FAMILY_FULL_KL,
     FAMILY_REFERENCE,
@@ -38,6 +39,7 @@ from fullkl.verify import (
     rel_norm_error,
     run_all_checks,
 )
+from test_losses import gaussian_logit_grad, smooth_logit_grad
 
 
 # ---------------------------------------------------------------------------
@@ -603,3 +605,53 @@ class TestRunAllChecks:
             "kernel_values",
         }
 
+
+# ---------------------------------------------------------------------------
+# planted faults over the whole suite
+# ---------------------------------------------------------------------------
+
+# Each full-KL term's own logit gradient, from (targets, logits, grid, target moments).
+TERM_LOGIT_GRADS = {
+    "l_ld": lambda t, z, g, moments: softmax_probs(z) - t,
+    "l_exp": lambda t, z, g, moments: gaussian_logit_grad(moments, z, g.values),
+    "l_smooth": lambda t, z, g, moments: smooth_logit_grad(z),
+}
+
+
+def weighted_kernel(real, key, c):
+    """``real`` with the full-KL term ``key`` scaled by ``c`` in its component, the total and the gradient."""
+    def kernel(targets, logits, g, spec, target_moments, want_grad):
+        comps, grad = real(targets, logits, g, spec, target_moments, want_grad)
+        if spec.family != FAMILY_FULL_KL:
+            return comps, grad
+        comps = {**comps, key: c * comps[key], "total": comps["total"] + (c - 1.0) * comps[key]}
+        if want_grad:
+            t, z = np.asarray(targets, dtype=np.float64), np.asarray(logits, dtype=np.float64)
+            moments = pmf_moments(t, g.values) if target_moments is None else target_moments
+            grad = grad + (c - 1.0) * TERM_LOGIT_GRADS[key](t, z, g, moments)
+        return comps, grad
+
+    return kernel
+
+
+class TestPlantedFaults:
+    """The paper's loss with one term dropped (c = 0) or doubled (c = 2), in every entry point.
+
+    Each mutant is gradient-consistent: its value, the per-sample API and both
+    batched functions all see c * term, and its logit gradient is that of its
+    total.  Finite differences, affine invariance, non-negativity and the exact
+    zeros hold for any such weighting; on all six mutants only
+    ``kernel_values`` fails.
+    """
+
+    @pytest.mark.parametrize("key, c", [(k, c) for k in ("l_ld", "l_exp", "l_smooth") for c in (0.0, 2.0)])
+    def test_each_mutant_fails_a_check(self, monkeypatch, key, c):
+        g = LabelGrid(0.0, 4.0, 1.0)
+        target, logits = random_instance(np.random.default_rng(0), g)
+        paper = full_kl_loss(target, logits, g)
+        monkeypatch.setattr(losses, "_batch_kernel", weighted_kernel(losses._batch_kernel, key, c))
+        mutant = full_kl_loss(target, logits, g)  # the mutant sits behind the per-sample API too
+        assert getattr(mutant, key) == c * getattr(paper, key) and mutant.total != paper.total
+        failed = [r.name for r in run_all_checks() if not r.passed]
+        assert failed, f"{key} x {c} passes every check"
+        assert "grad_fidelity_full_kl" not in failed  # the mutant's gradient is its own total's

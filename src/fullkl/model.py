@@ -327,6 +327,8 @@ class TrainConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value!r}")
             object.__setattr__(self, name, value)
+        if self.epochs >= 2**63:  # RunConfig's bound on seeds; a larger count trains until killed
+            raise ValueError(f"epochs must be < 2**63, got {self.epochs!r}")
         for name in ("lr", "lr_decay_factor", "val_fraction"):
             object.__setattr__(self, name, _number(getattr(self, name), name))
         if not isinstance(self.hidden, (list, tuple)):

@@ -771,6 +771,7 @@ class TestTrainConfig:
             {"val_fraction": 0.0},
             {"val_fraction": 1.0},
             {"loss": "full_kl"},
+            {"epochs": 2**63},
         ],
     )
     def test_invalid_rejected(self, kwargs):

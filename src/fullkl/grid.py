@@ -38,13 +38,10 @@ PMF_SUM_TOL = 1e-9
 MIN_SIGMA_FACTOR = 0.5    # narrower targets degenerate to a near-one-hot pmf
 TRUNCATION_SIGMAS = 5.0   # beyond this the renormalized pmf stops resembling the Gaussian
 
-# Floors for the numerically delicate spots the math leaves open.  EPS_LOG
-# floors the pmf entries inside the logarithms of the pmf-input functions
-# losses.kl_div and losses.smoothness, so entries at or below it behave like
-# zero mass there; the loss kernel takes logits and floors no pmf.  EPS_VAR
-# floors predicted variances in denominators and logs, in label units squared.
-# All logarithms are natural: losses are in nats.
-EPS_LOG = 1e-12
+# The one numeric floor: EPS_VAR floors predicted variances in denominators
+# and logs, in label units squared.  No pmf is floored: losses.kl_div and
+# losses.smoothness are inf where a zero makes a log ratio infinite.  All
+# logarithms are natural: losses are in nats.
 EPS_VAR = 1e-8
 
 # 2**44 float64 values are 2**47 bytes, the whole 128 TiB user address space of 64-bit Linux.

@@ -11,9 +11,9 @@ space: no pmf is floored.  l_ld takes the ratio form sum t ln(t/p) of the
 softmax p, and the log-softmax form only in rows where p underflowed under
 target mass; l_smooth uses ln(p_i/p_{i+1}) = z_i - z_{i+1}.  Gradients are
 with respect to the logits and are composed analytically with the softmax
-Jacobian; no autodiff framework is involved.  Only the pmf-input functions
-``kl_div`` and ``smoothness`` floor their pmf at ``grid.EPS_LOG``, since a
-pmf they are given may hold zeros.
+Jacobian; no autodiff framework is involved.  The pmf-input functions
+``kl_div`` and ``smoothness`` floor nothing either: a zero that makes a log
+ratio infinite makes their value inf.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    EPS_LOG,
     EPS_VAR,
     LabelGrid,
     Moments,
@@ -155,13 +154,12 @@ def _row_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kl_div_vals(targets: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    # Only the prediction is floored inside the log, and only by the caller
-    # (kl_div floors at EPS_LOG; the kernel passes the softmax unfloored).  For
-    # t > 0 the clamp never acts: the prediction is at most about 1, so t / p
-    # does not round below t.  For t = 0 it keeps the log finite, so the term
-    # is 0 * log(_TINY) = 0 (0 ln 0 := 0), and no per-element branch is
-    # needed.  A prediction that underflowed to 0, or so far that t / p
-    # overflows, makes its row inf.
+    # No pmf is floored; only the ratio is clamped at _TINY.  For t > 0 the
+    # clamp never acts: the prediction is at most about 1, so t / p does not
+    # round below t.  For t = 0 it keeps the log finite, so the term is
+    # 0 * log(_TINY) = 0 (0 ln 0 := 0), and no per-element branch is needed.
+    # A prediction that underflowed to 0, or so far that t / p overflows,
+    # makes its row inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = targets / preds
     np.fmax(ratio, _TINY, out=ratio)
@@ -247,9 +245,9 @@ def _smooth_term(preds: np.ndarray, logs: np.ndarray, want_grad):
 
     ``logs`` is ln ``preds`` up to a per-row shift, which every difference
     cancels: the logits of a softmax ``preds`` (ln(p_i/p_{i+1}) = z_i -
-    z_{i+1} exactly), or ``smoothness``'s pmf floored at EPS_LOG, then
-    logged.  The value is 1/2 sum_i (p_i - p_{i+1})(z_i - z_{i+1}), every
-    summand non-negative.  With D the adjacent-difference operator it is
+    z_{i+1} exactly), or ``smoothness``'s strictly positive pmf, logged.
+    The value is 1/2 sum_i (p_i - p_{i+1})(z_i - z_{i+1}), every summand
+    non-negative.  With D the adjacent-difference operator it is
     1/2 <Dp, Dz>, whose partial derivatives are 1/2 D^T D z in the pmf and
     1/2 D^T D p in the logs; both arrays are C-contiguous.
     """
@@ -281,16 +279,18 @@ def _softmax_chain(preds: np.ndarray, dldp: np.ndarray) -> np.ndarray:
 def kl_div(target, pred) -> float:
     """Discrete KL divergence sum_i target_i ln(target_i / pred_i) in nats.
 
-    Prediction entries are floored at ``grid.EPS_LOG`` inside the log;
-    terms with ``target_i == 0`` contribute exactly 0.  Non-negative up to
-    an EPS_LOG-induced error below 1e-9 (only when the target itself has
-    positive entries under the floor).
+    Terms with ``target_i == 0`` contribute exactly 0, and a ``pred_i``
+    of 0 under ``target_i > 0`` (or one so small that the ratio overflows)
+    makes the value inf.  Nothing is floored, so a finite value is bit for
+    bit the trainer's ``l_ld`` of logits whose softmax is ``pred``; where it
+    is inf, the trainer takes its log-softmax form instead.  Non-negative up
+    to rounding.
     """
     t = _as_probs(target)
     q = _as_probs(pred)
     if t.shape != q.shape:
         raise ValueError(f"pmf lengths differ: {t.size} vs {q.size}")
-    return float(_kl_div_vals(t, np.maximum(q, EPS_LOG)))
+    return float(_kl_div_vals(t, q))
 
 
 def gaussian_kl(target_m: Moments, pred_m: Moments) -> float:
@@ -315,14 +315,15 @@ def smoothness(pred) -> float:
     """Symmetrized shift-KL smoothness penalty of a pmf, in nats.
 
     ``(1/2) sum_{i=1}^{n-1} (p_i - p_{i+1}) ln(p_i / p_{i+1})`` over the
-    n-1 adjacent index pairs, entries floored at ``grid.EPS_LOG`` inside
-    the logs.  Every summand is non-negative because the difference and the
-    log-ratio share sign; the total is 0 exactly for a uniform pmf.
+    n-1 adjacent index pairs.  Every summand is non-negative because the
+    difference and the log-ratio share sign; the total is 0 exactly for a
+    uniform pmf.  A pmf with a zero entry has a zero next to a nonzero one,
+    whose log ratio is infinite, so its value is inf.
     """
     p = _as_probs(pred)
     if p.size < 2:
         raise ValueError("smoothness needs a pmf of length >= 2")
-    return float(_smooth_term(p, np.log(np.maximum(p, EPS_LOG)), want_grad=False)[0])
+    return np.inf if np.any(p == 0.0) else float(_smooth_term(p, np.log(p), want_grad=False)[0])
 
 
 def reference_loss(

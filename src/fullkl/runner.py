@@ -574,3 +574,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"training failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -383,10 +383,11 @@ def affine_invariance_errors(n_instances: int = 100) -> dict[str, float]:
 def exact_zero_violations() -> dict[str, float]:
     """Identities that must hold exactly (0.0, not approximately).
 
-    kl_div(p, p) = 0 for pmfs with entries at or above EPS_LOG (or exactly
-    zero); smoothness(uniform) = 0; gaussian_kl(m, m) = 0; and the full-KL
-    loss and gradient vanish at the global minimum (uniform target, constant
-    logits).  Returns the absolute deviations, all of which must be 0.0.
+    kl_div(p, p) = 0 for every pmf, zeros included (each t / p is 1, or
+    under t = 0 contributes 0); smoothness(uniform) = 0; gaussian_kl(m, m) =
+    0; and the full-KL loss and gradient vanish at the global minimum
+    (uniform target, constant logits).  Returns the absolute deviations, all
+    of which must be 0.0.
     """
     g = LabelGrid(0.0, 100.0, 1.0)
     uniform = Pmf(np.full(101, 1.0 / 101.0))

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fullkl.grid import (
-    EPS_LOG,
     EPS_VAR,
     MAX_BINS,
     LabelGrid,
@@ -214,10 +213,9 @@ class TestMoments:
 
 
 class TestNumericPolicy:
-    """The fixed numeric floors, which no caller can set."""
+    """The one fixed numeric floor, which no caller can set."""
 
     def test_defaults(self):
-        assert EPS_LOG == 1e-12
         assert EPS_VAR == 1e-8
 
 

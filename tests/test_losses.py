@@ -70,12 +70,28 @@ class TestKlDiv:
         q = Pmf(np.array([0.5, 0.5]))
         assert kl_div(p, q) != kl_div(q, p)
 
-    def test_prediction_floor_keeps_value_finite(self):
-        # prediction has an exact zero where the target has mass
-        v = kl_div(Pmf(np.array([0.5, 0.5])), Pmf(np.array([1.0, 0.0])))
-        assert math.isfinite(v)
-        # floored at EPS_LOG=1e-12: 0.5*ln(0.5/1) + 0.5*ln(0.5/1e-12)
-        assert v == pytest.approx(0.5 * math.log(0.5) + 0.5 * math.log(0.5e12), **APPROX)
+    def test_zero_prediction_under_target_mass_is_inf(self):
+        # no pmf is floored: 0.5 * ln(0.5 / 0) is inf
+        assert kl_div(Pmf(np.array([0.5, 0.5])), Pmf(np.array([1.0, 0.0]))) == math.inf
+        # a zero under a zero target contributes 0
+        assert kl_div(Pmf(np.array([1.0, 0.0])), Pmf(np.array([1.0, 0.0]))) == 0.0
+
+    @pytest.mark.parametrize("sd", [2.0, 10.0, 30.0, 200.0])
+    @pytest.mark.parametrize("n", [2, 5, 101])
+    def test_equals_the_trainers_l_ld(self, n, sd):
+        # The same KL as the kernel's l_ld, bit for bit, wherever the ratio form
+        # t ln(t/p) is finite; inf on exactly the rows where it is not (some p
+        # underflowed under t > 0, or t / p overflows), where the kernel takes
+        # its log-softmax path instead.
+        rng = np.random.default_rng(1000 * n + int(sd))
+        g = LabelGrid(0.0, float(n - 1), 1.0)
+        targets = gaussian_probs(rng.uniform(g.lo, g.hi, (50, 1)), rng.uniform(g.sigma_floor, n, (50, 1)), g.values)
+        logits = rng.normal(0.0, sd, (50, n))
+        for t, z, p in zip(targets, logits, softmax_probs(logits)):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ratio_form_fails = bool(np.any((t > 0.0) & ~np.isfinite(t / p)))
+            expected = math.inf if ratio_form_fails else full_kl_loss(t, z, g).l_ld
+            assert kl_div(t, p) == expected
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -86,11 +102,11 @@ class TestKlDiv:
             kl_div(np.array([0.7, 0.7]), np.array([0.5, 0.5]))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_nonnegative_up_to_documented_slack(self, seed):
+    def test_nonnegative_up_to_rounding(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         t, p = random_pmf(rng, n), random_pmf(rng, n)
-        # the prediction-only floor can shave at most ~n * EPS_LOG/e below 0
+        # nothing is floored: only the rounding of each t ln(t/p) can put a KL near 0 below it
         assert kl_div(t, p) >= -1e-9
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -186,14 +202,57 @@ class TestSmoothness:
         with pytest.raises(ValueError, match=re.escape("smoothness needs a pmf of length >= 2")):
             smoothness(Pmf(np.array([1.0])))
 
-    def test_exact_zero_probabilities_stay_finite(self):
-        v = smoothness(Pmf(np.array([1.0, 0.0, 0.0])))
-        assert math.isfinite(v) and v > 0.0
+    def test_exact_zero_probabilities_give_inf(self):
+        # a zero next to a nonzero entry has an infinite log ratio; a pair of zeros cannot hide it
+        for probs in ([1.0, 0.0, 0.0], [0.0, 1.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]):
+            assert smoothness(Pmf(np.array(probs))) == math.inf
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_nonnegative(self, seed):
         rng = np.random.default_rng(seed)
         assert smoothness(random_pmf(rng, int(rng.integers(2, 40)))) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the grid step
+# ---------------------------------------------------------------------------
+
+class TestGridStep:
+    """The grid step is the smoothness term's one hidden weight.
+
+    On the 0-100 grid at step d, a target N(50, 4^2) against the logits
+    -(y - 53)^2 / (2 s^2): z_i - z_{i+1} is linear in y_i, and sum (p_i -
+    p_{i+1}) y_i telescopes to d up to edge mass, so l_smooth is d^2 / (2
+    s^2).  l_ld and l_exp are the Gaussian KL of the two normals up to
+    aliasing and edge mass, far below rounding, whatever the step.  At s = 12
+    the truncated tails move all three by up to 8e-4, hence s <= 6.
+    """
+
+    STEPS = (2.0, 1.0, 0.5, 0.25)
+
+    @staticmethod
+    def components(step, sigma_hat):
+        g = LabelGrid(0.0, 100.0, step)
+        targets = gaussian_probs(50.0, 4.0, g.values)[np.newaxis]
+        logits = (-((g.values - 53.0) ** 2) / (2.0 * sigma_hat**2))[np.newaxis]
+        return {k: float(v[0]) for k, v in batch_loss(targets, logits, g, LossSpec(FAMILY_FULL_KL)).items()}
+
+    @pytest.mark.parametrize("sigma_hat", [3.0, 6.0])
+    def test_l_smooth_is_the_step_squared_over_twice_the_variance(self, sigma_hat):
+        for step in self.STEPS:
+            want = step**2 / (2.0 * sigma_hat**2)
+            assert self.components(step, sigma_hat)["l_smooth"] == pytest.approx(want, rel=1e-12, abs=0.0), step
+
+    @pytest.mark.parametrize("sigma_hat", [3.0, 6.0])
+    def test_l_ld_and_l_exp_do_not_depend_on_the_step(self, sigma_hat):
+        base = self.components(1.0, sigma_hat)
+        gaussian = math.log(sigma_hat / 4.0) + (16.0 + 9.0) / (2.0 * sigma_hat**2) - 0.5
+        assert base["l_ld"] == pytest.approx(gaussian, rel=1e-12, abs=0.0)
+        assert base["l_exp"] == pytest.approx(gaussian, rel=1e-12, abs=0.0)
+        for step in self.STEPS:
+            comps = self.components(step, sigma_hat)
+            for key in ("l_ld", "l_exp"):
+                assert comps[key] == pytest.approx(base[key], rel=1e-12, abs=0.0), (step, key)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,12 @@ def write_config(tmp_path, d, name="cfg.json"):
     return path
 
 
+def package_env():
+    """os.environ with this checkout's ``src`` first on PYTHONPATH, for a subprocess that imports fullkl."""
+    src = str(Path(fullkl.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def read_rows(path):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("# ")
@@ -700,8 +706,7 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 class TestKilledRun:
     def test_every_kill_leaves_whole_files_and_a_rerun_restores_the_clean_run(self, tmp_path, monkeypatch):
         # out_dir is relative, so every run's config header, and so every file's bytes, is the same.
-        src = str(Path(fullkl.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = package_env()
         cfg = tiny_dict("out", epochs=1)
         clean_dir = tmp_path / "clean"
         clean_dir.mkdir()
@@ -1249,6 +1254,13 @@ class TestCli:
         assert main(["verify"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_runner_module_runs_the_checks(self):
+        # python -m fullkl.runner runs main, not only defines it: a run that checked nothing must not exit 0
+        proc = subprocess.run([sys.executable, "-m", "fullkl.runner", "verify"], env=package_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "verification: 8/8 checks passed"
 
     def test_verify_cli_json_matches_run_all_checks(self, capsys):
         assert main(["verify", "--json"]) == EXIT_OK

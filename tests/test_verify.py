@@ -534,8 +534,8 @@ class TestValueOracle:
             assert float(exact[key][0]) == pytest.approx(value, rel=1e-15, abs=0.0), key
 
     def test_no_pmf_floor_at_wide_spreads(self):
-        # p_1 = e^-1000 is far below float64's range and the EPS_LOG floor; the
-        # long-double log-softmax keeps l_ld = 0.5 ln(0.5 / p_0) + 0.5 ln(0.5 / p_1),
+        # p_1 = e^-1000 is far below float64's range; the long-double
+        # log-softmax keeps l_ld = 0.5 ln(0.5 / p_0) + 0.5 ln(0.5 / p_1),
         # which is ln 0.5 + 500 to within e^-1000.
         exact = exact_components([[0.5, 0.5]], [[0.0, -1000.0]], [0.0, 1.0])
         assert float(exact["l_ld"][0]) == pytest.approx(math.log(0.5) + 500.0, rel=1e-15)

@@ -55,16 +55,6 @@ from .model import (
     train_step,
 )
 from .data import Dataset, gen_synthetic, load_csv, save_csv, split
-from .runner import (
-    ComparisonResult,
-    ConfigError,
-    ExperimentResult,
-    RunConfig,
-    compare,
-    load_config,
-    main,
-    run_experiment,
-)
 
 __version__ = "0.1.0"
 
@@ -90,3 +80,18 @@ __all__ = [
     "ComparisonResult", "ConfigError", "ExperimentResult", "RunConfig",
     "compare", "load_config", "main", "run_experiment",
 ]
+
+
+def __getattr__(name):
+    """The runner's names, imported on first use (PEP 562).
+
+    ``import fullkl`` does not import ``fullkl.runner``, so ``python -m
+    fullkl.runner`` runs that module once, as ``__main__``, rather than
+    after a first import that would leave two copies of its classes.  Every
+    other name in ``__all__`` is bound above, so only the runner's get here.
+    """
+    if name in __all__:
+        from . import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

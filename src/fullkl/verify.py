@@ -34,7 +34,6 @@ from .losses import (
     full_kl_loss,
     gaussian_kl,
     kl_div,
-    reference_loss,
     smoothness,
 )
 
@@ -97,40 +96,52 @@ def fd_grad(loss_fn: Callable[[np.ndarray], float], logits, h) -> np.ndarray:
     ``h`` may be a positive scalar or a per-coordinate vector of steps (the
     randomized suites use h_i = 1e-5 * max(1, |x_i|)).  Exact to rounding on
     polynomials of degree <= 2.  Works for any real argument vector, not
-    just logits.  It is :func:`fd_grad_rows` with ``loss_fn`` called on a
-    copy of each perturbed row in turn, so ``loss_fn`` may write into its
-    argument.
+    just logits.  It is :func:`fd_grad_rows` on one vector, with ``loss_fn``
+    called on a copy of each perturbed row in turn, so ``loss_fn`` may
+    write into its argument.
     """
+    if np.ndim(logits) != 1:
+        raise ValueError("fd_grad expects a non-empty vector")
     return fd_grad_rows(lambda rows: [float(loss_fn(row.copy())) for row in rows], logits, h)
 
 
 def fd_grad_rows(loss_rows: Callable[[np.ndarray], np.ndarray], x, h) -> np.ndarray:
     """:func:`fd_grad` with every perturbed point evaluated in one call.
 
-    ``loss_rows`` maps a (2n, n) stack of rows to their (2n,) vector of losses:
-    rows 0..n-1 are x + h_i e_i and rows n..2n-1 are x - h_i e_i.  The stack
-    holds 2n^2 floats; every caller has n <= 101 (logits) or n = 41 (network
-    parameters), so it stays under 170 kB.
+    ``x`` is one vector of n coordinates or a (k, n) stack of k of them,
+    with ``h`` broadcast to its shape.  ``loss_rows`` maps a (k*2n, n) stack
+    of rows to their (k*2n,) vector of losses, laid out instance by
+    instance: for instance j, rows 2n*j..2n*j+n-1 are x_j + h_ji e_i and
+    the next n are x_j - h_ji e_i.  Returns the gradients in ``x``'s
+    shape.  The stack holds k*2n^2 floats: the network-parameter check has
+    n = 41 and k = 1, and :func:`gradient_fidelity` keeps each stack within
+    the 2*max(FIDELITY_SIZES)^2 floats of one n = 101 instance, so it stays
+    under 170 kB.
     """
     x = np.array(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
+    if x.ndim not in (1, 2) or x.size == 0:
         raise ValueError("fd_grad expects a non-empty vector")
     steps = np.broadcast_to(np.asarray(h, dtype=np.float64), x.shape)
     if not np.all(steps > 0):
         raise ValueError("finite-difference step must be positive")
-    n = x.size
-    rows = np.tile(x, (2 * n, 1))
+    xs, hs = np.atleast_2d(x), np.atleast_2d(steps)
+    k, n = xs.shape
+    rows = np.repeat(xs, 2 * n, axis=0)
+    stack = rows.reshape(k, 2 * n, n)
     i = np.arange(n)
-    rows[i, i] += steps
-    rows[n + i, i] -= steps
+    stack[:, i, i] += hs
+    stack[:, n + i, i] -= hs
     f = np.asarray(loss_rows(rows), dtype=np.float64)
-    if f.shape != (2 * n,):
-        raise ValueError(f"loss_rows must return one loss per row, shape {(2 * n,)}, got {f.shape}")
-    fp, fm = f[:n], f[n:]
+    if f.shape != (2 * k * n,):
+        raise ValueError(f"loss_rows must return one loss per row, shape {(2 * k * n,)}, got {f.shape}")
+    f = f.reshape(k, 2 * n)
+    fp, fm = f[:, :n], f[:, n:]
     bad = ~(np.isfinite(fp) & np.isfinite(fm))
     if np.any(bad):
-        raise ValueError(f"loss_fn non-finite near coordinate {int(np.argmax(bad))}")
-    return (fp - fm) / (2.0 * steps)
+        j, c = divmod(int(np.argmax(bad)), n)
+        where = f" in instance {j}" if x.ndim == 2 else ""
+        raise ValueError(f"loss_fn non-finite{where} near coordinate {c}")
+    return ((fp - fm) / (2.0 * hs)).reshape(x.shape)
 
 
 def rel_norm_error(analytic, numeric) -> float:
@@ -141,11 +152,15 @@ def rel_norm_error(analytic, numeric) -> float:
 
 
 def _log_kernel(x: np.ndarray, m: Moments, out: np.ndarray) -> np.ndarray:
-    """-(x - mu)^2 / (2 var) of a Gaussian with moments ``m``, written into ``out``."""
+    """-(x - mu)^2 / (2 var) of a Gaussian with moments ``m``, written into ``out``.
+
+    The negation rides in the divisor, (x - mu)^2 / (-2 var): IEEE division
+    rounds |a / b| the same whatever the signs, so the bits are those of
+    negating first.
+    """
     np.subtract(x, m.mu, out=out)
     np.square(out, out=out)
-    np.negative(out, out=out)
-    return np.divide(out, 2.0 * m.var, out=out)
+    return np.divide(out, -2.0 * m.var, out=out)
 
 
 def _log_normalize(a: np.ndarray, scratch: np.ndarray) -> None:
@@ -272,8 +287,10 @@ def random_instance(rng: np.random.Generator, g: LabelGrid) -> tuple[Pmf, np.nda
     EPS_VAR floor, where the Gaussian-moment gradient becomes a subgradient,
     and keeps the losses smooth on the scale of the finite-difference steps.
     It is :func:`_draw` then :func:`_build` for one row, wrapped in a
-    ``Pmf`` for the per-sample API; :func:`component_minima` builds whole
-    groups of draws and wraps none.
+    ``Pmf`` for the per-sample API.  The suites do not call it: they build
+    whole groups of draws and wrap none.  Its callers are the per-sample
+    reference forms of the suites in ``tests/test_verify.py`` and the
+    tests that need one checked instance.
     """
     targets, logits = _build([_draw(rng, g)], g)
     return Pmf(targets[0]), logits[0]
@@ -307,43 +324,67 @@ def _near_l1_kink(target: Pmf, logits: np.ndarray, values: np.ndarray, h: np.nda
 def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 100) -> FidelityResult:
     """Analytic vs central-finite-difference gradients on random instances.
 
-    The analytic gradient is :func:`batch_loss_and_grad`'s on the instance's
-    one-row batch, the entry point ``train_step`` calls; the finite
-    differences read :func:`batch_loss` of the same kernel.  On grids of
-    FIDELITY_SIZES bins, per instance the step is h_i =
-    FD_REL_STEP * max(1, |logit_i|) and the discrepancy is measured with
-    :func:`rel_norm_error`.  The reference loss has a kink where mu_hat =
-    mu; a reference instance whose steps could cross it is redrawn, since
-    central differences straddling the kink measure neither one-sided
-    gradient.  ``redraws`` counts them.
+    The analytic gradients are :func:`batch_loss_and_grad`'s, the entry
+    point ``train_step`` calls; the finite differences read
+    :func:`batch_loss` of the same kernel.  On grids of FIDELITY_SIZES bins,
+    per instance the step is h_i = FD_REL_STEP * max(1, |logit_i|) and the
+    discrepancy is measured with :func:`rel_norm_error`.  The reference
+    loss has a kink where mu_hat = mu; a reference instance whose steps
+    could cross it is redrawn, since central differences straddling the
+    kink measure neither one-sided gradient.  ``redraws`` counts them.
+
+    Instances are drawn in stream order and evaluated in blocks: one
+    :func:`batch_loss_and_grad` and one :func:`fd_grad_rows` call per block.
+    A block's perturbed-row stack holds at most the 2*max(FIDELITY_SIZES)^2
+    floats of one instance on the largest grid, so the small grids take one
+    block each and the largest takes one instance per block.  A row's bits
+    do not depend on its batch, so every error equals the one-instance
+    evaluation's.
     """
     rng = np.random.default_rng(seed)
     worst = (-1.0, 0, 0)
     redraws = 0
     for n in FIDELITY_SIZES:
         g = LabelGrid(0.0, float(n - 1), 1.0)
-        for k in range(n_instances):
-            while True:
-                target, logits = random_instance(rng, g)
-                h = FD_REL_STEP * np.maximum(1.0, np.abs(logits))
-                if spec.family != FAMILY_REFERENCE or not _near_l1_kink(target, logits, g.values, h):
-                    break
-                redraws += 1
-            analytic = batch_loss_and_grad(target.probs[np.newaxis], logits[np.newaxis], g, spec)[1][0]
-
-            def loss_rows(rows, _t=target, _g=g):
-                return batch_loss(np.broadcast_to(_t.probs, rows.shape), rows, _g, spec)["total"]
-
-            numeric = fd_grad_rows(loss_rows, logits, h)
-            err = rel_norm_error(analytic, numeric)
-            if err > worst[0]:
-                worst = (err, n, k)
+        block = max(FIDELITY_SIZES) ** 2 // n ** 2  # instances whose 2n^2-float stacks fit in one of the largest
+        for start in range(0, n_instances, block):
+            draws = []
+            for _ in range(min(block, n_instances - start)):
+                while True:
+                    draw = _draw(rng, g)
+                    if spec.family != FAMILY_REFERENCE:
+                        break
+                    (t,), (z,) = _build([draw], g)
+                    if not _near_l1_kink(Pmf(t), z, g.values, FD_REL_STEP * np.maximum(1.0, np.abs(z))):
+                        break
+                    redraws += 1
+                draws.append(draw)
+            targets, logits = _build(draws, g)
+            analytic = batch_loss_and_grad(targets, logits, g, spec)[1]
+            # Instance j's 2n perturbed rows share its target: a (k, 2n, n) view, not a copy.
+            shape = (len(draws), 2 * n, n)
+            repeated = np.broadcast_to(targets[:, np.newaxis], shape)
+            numeric = fd_grad_rows(
+                lambda rows: batch_loss(repeated, rows.reshape(shape), g, spec)["total"].reshape(-1),
+                logits,
+                FD_REL_STEP * np.maximum(1.0, np.abs(logits)),
+            )
+            for j in range(len(draws)):
+                err = rel_norm_error(analytic[j], numeric[j])
+                if err > worst[0]:
+                    worst = (err, n, start + j)
     return FidelityResult(spec.family, FIDELITY_SIZES, n_instances, worst[0], worst[1], worst[2], redraws)
 
 
 # ---------------------------------------------------------------------------
 # Invariance suite
 # ---------------------------------------------------------------------------
+
+
+def _require_finite(*comps: dict[str, np.ndarray]) -> None:
+    """Raise unless every component array of every kernel result is finite."""
+    if not all(np.all(np.isfinite(v)) for c in comps for v in c.values()):
+        raise ValueError("loss components must be finite")
 
 
 def affine_invariance_errors(n_instances: int = 100) -> dict[str, float]:
@@ -354,29 +395,38 @@ def affine_invariance_errors(n_instances: int = 100) -> dict[str, float]:
     an exact a-fold scaling (expected fp-exact, ~1e-16), and the worst
     absolute change of l_ld and l_smooth (expected exactly 0.0 — neither
     touches the grid values).
+
+    The (grid size, instance) pairs are drawn in stream order and grouped
+    by size, as in :func:`component_minima`; each group is one
+    :func:`batch_loss` call per grid and family.  A worst value does not
+    depend on the evaluation order.
     """
     a, b = AFFINE_SCALE, AFFINE_SHIFT
     rng = np.random.default_rng(200)
-    out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
+    full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)
+    grids: dict[int, LabelGrid] = {}
+    by_n: dict[int, list] = {}
     for _ in range(n_instances):
         n = int(rng.integers(2, 40))
-        g1 = LabelGrid(0.0, float(n - 1), 1.0)
+        if n not in grids:
+            grids[n] = LabelGrid(0.0, float(n - 1), 1.0)
+        by_n.setdefault(n, []).append(_draw(rng, grids[n]))
+    out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
+    for n, draws in by_n.items():
+        g1 = grids[n]
         g2 = LabelGrid(a * g1.lo + b, a * g1.hi + b, a * g1.spacing)
-        target, logits = random_instance(rng, g1)
-
-        f1 = full_kl_loss(target, logits, g1)
-        f2 = full_kl_loss(target, logits, g2)
-        denom = max(REL_ERROR_FLOOR, abs(f1.total))
-        out["full_total_rel"] = max(out["full_total_rel"], abs(f2.total - f1.total) / denom)
-        out["unchanged_abs"] = max(
-            out["unchanged_abs"], abs(f2.l_ld - f1.l_ld), abs(f2.l_smooth - f1.l_smooth)
-        )
-
-        r1 = reference_loss(target, logits, g1, ORACLE_LAMBDA)
-        r2 = reference_loss(target, logits, g2, ORACLE_LAMBDA)
-        denom = max(REL_ERROR_FLOOR, abs(a * r1.l_exp))
-        out["ref_scale_rel"] = max(out["ref_scale_rel"], abs(r2.l_exp - a * r1.l_exp) / denom)
-        out["unchanged_abs"] = max(out["unchanged_abs"], abs(r2.l_ld - r1.l_ld))
+        targets, logits = _build(draws, g1)
+        f1, f2 = (batch_loss(targets, logits, g, full) for g in (g1, g2))
+        r1, r2 = (batch_loss(targets, logits, g, ref) for g in (g1, g2))
+        _require_finite(f1, f2, r1, r2)
+        full_rel = np.abs(f2["total"] - f1["total"]) / np.maximum(REL_ERROR_FLOOR, np.abs(f1["total"]))
+        scaled = a * r1["l_exp"]
+        ref_rel = np.abs(r2["l_exp"] - scaled) / np.maximum(REL_ERROR_FLOOR, np.abs(scaled))
+        moved = [np.abs(f2["l_ld"] - f1["l_ld"]), np.abs(f2["l_smooth"] - f1["l_smooth"]),
+                 np.abs(r2["l_ld"] - r1["l_ld"])]
+        out["full_total_rel"] = max(out["full_total_rel"], float(np.max(full_rel)))
+        out["ref_scale_rel"] = max(out["ref_scale_rel"], float(np.max(ref_rel)))
+        out["unchanged_abs"] = max(out["unchanged_abs"], *(float(np.max(d)) for d in moved))
     return out
 
 
@@ -434,8 +484,7 @@ def component_minima(n_instances: int = MINIMA_INSTANCES, seed: int = 300) -> di
             targets, logits = _build(draws, grids[n])
             f = batch_loss(targets, logits, grids[n], full)
             r = batch_loss(targets, logits, grids[n], ref)
-            if not all(np.all(np.isfinite(v)) for v in (*f.values(), *r.values())):
-                raise ValueError("loss components must be finite")
+            _require_finite(f, r)
             mins["l_ld"] = min(mins["l_ld"], np.min(f["l_ld"]), np.min(r["l_ld"]))
             mins["full_l_exp"] = min(mins["full_l_exp"], np.min(f["l_exp"]))
             mins["l_smooth"] = min(mins["l_smooth"], np.min(f["l_smooth"]))

@@ -4,7 +4,8 @@ Runs the small reproducibility setup of acceptance criterion 6 (both loss
 families, 300 samples, 2 seeds, 3 epochs) and compares the sha256 of every
 output file with ``golden_digests.json``.  It also compares the sha256 of
 the oracle suite's results (``run_all_checks()``, one
-``name passed max_error.hex() detail`` line per check), and the sha256 of
+``name passed max_error.hex() detail`` line per check, all printed on a
+mismatch so the failure names the check that moved), and the sha256 of
 each metrics file's val rows, which hold their bits through a declared
 change to the train rows.  Its kernel tier hashes the loss kernel's own
 outputs on one seeded batch, at logit spreads and lambdas the training
@@ -115,9 +116,13 @@ def val_row_digests(work: Path) -> dict[str, str]:
     return digests
 
 
-def verify_digest() -> str:
-    """sha256 of every oracle check's result, in the benchmark's text form."""
-    text = "".join(f"{r.name} {r.passed} {float(r.max_error).hex()} {r.detail}\n" for r in run_all_checks())
+def verify_text() -> str:
+    """Every oracle check's result in the benchmark's text form, one line per check."""
+    return "".join(f"{r.name} {r.passed} {float(r.max_error).hex()} {r.detail}\n" for r in run_all_checks())
+
+
+def verify_digest(text: str) -> str:
+    """sha256 of the oracle suite's text form, :func:`verify_text`."""
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -175,7 +180,9 @@ def test_val_rows_match_golden_digests(outputs):
 
 
 def test_oracle_suite_matches_golden_digest():
-    assert verify_digest() == _recorded_fixture()["verify_suite"], "oracle check results changed"
+    expected = _recorded_fixture()["verify_suite"]
+    text = verify_text()
+    assert verify_digest(text) == expected, f"oracle check results changed; the checks now read:\n{text}"
 
 
 def test_kernel_matches_golden_digests():
@@ -188,8 +195,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         files = output_digests(Path(tmp))
         val_rows = val_row_digests(Path(tmp))
-    fixture = {"build": build_info(), "files": files, "val_rows": val_rows, "verify_suite": verify_digest(),
-               "kernel": kernel_digests()}
+    fixture = {"build": build_info(), "files": files, "val_rows": val_rows,
+               "verify_suite": verify_digest(verify_text()), "kernel": kernel_digests()}
     FIXTURE.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(files)} output digests, {len(val_rows)} val-row digests, the oracle suite digest"
           f" and {len(fixture['kernel'])} kernel digests to {FIXTURE}", file=sys.stderr)

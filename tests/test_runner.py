@@ -1256,11 +1256,14 @@ class TestCli:
         assert "checks passed" in out
 
     def test_runner_module_runs_the_checks(self):
-        # python -m fullkl.runner runs main, not only defines it: a run that checked nothing must not exit 0
+        # python -m fullkl.runner runs main, not only defines it: a run that checked nothing must not exit 0.
+        # Its stderr stays empty: `import fullkl` must not import the runner before runpy executes it, or
+        # runpy warns and the process holds two copies of the module and of its ConfigError.
         proc = subprocess.run([sys.executable, "-m", "fullkl.runner", "verify"], env=package_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "verification: 8/8 checks passed"
+        assert proc.stderr == ""
 
     def test_verify_cli_json_matches_run_all_checks(self, capsys):
         assert main(["verify", "--json"]) == EXIT_OK

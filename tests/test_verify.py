@@ -163,15 +163,20 @@ class TestFdGradRows:
         assert str(rows.value) == str(engine.value) == str(loop.value)
 
     def test_validation_matches_fd_grad(self):
-        # The texts of the loop fd_grad was before it became one fd_grad_rows call.
+        # The texts of the loop fd_grad was before it became one fd_grad_rows call.  A (k, n)
+        # stack is fd_grad_rows' stacked form, so only fd_grad, the one-vector case, refuses it.
         bad = [(np.array([1.0, 1.0]), np.array([1e-5, -1e-5])), (np.array([1.0]), 0.0), (np.array([]), 1e-5),
-               (np.zeros((2, 2)), 1e-5)]
-        for x, h in bad:
+               (np.float64(1.0), 1e-5), (np.zeros((2, 2, 2)), 1e-5)]
+        for x, h in bad + [(np.zeros((2, 2)), 1e-5)]:
             with pytest.raises(ValueError) as loop:
                 fd_grad_reference(lambda z: 0.0, x, h)
-            with pytest.raises(ValueError) as rows:
-                fd_grad_rows(lambda r: np.zeros(len(r)), x, h)
-            assert str(rows.value) == str(loop.value)
+            with pytest.raises(ValueError) as engine:
+                fd_grad(lambda z: 0.0, x, h)
+            assert str(engine.value) == str(loop.value)
+            if x.ndim != 2:
+                with pytest.raises(ValueError) as rows:
+                    fd_grad_rows(lambda r: np.zeros(len(r)), x, h)
+                assert str(rows.value) == str(loop.value)
 
     def test_one_loss_per_row_required(self):
         with pytest.raises(ValueError, match="one loss per row"):
@@ -193,6 +198,61 @@ class TestFdGradRows:
         assert got.tobytes() == fd_grad_reference(f, x0, 1e-4).tobytes()
         assert x0.tolist() == [0.3, -1.2, 2.0]
         assert len(seen) == 2 * 2 * x0.size and all(x.flags.owndata for x in seen)
+
+
+class TestFdGradRowsStacked:
+    """fd_grad_rows on a (k, n) stack: k instances in one loss_rows call."""
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("per_coordinate", [False, True], ids=["scalar_h", "vector_h"])
+    def test_bitwise_equal_to_one_call_per_instance(self, k, per_coordinate):
+        rng = np.random.default_rng(k)
+        x = rng.normal(0.0, 2.0, (k, 5))
+        h = 1e-5 * np.maximum(1.0, np.abs(x)) if per_coordinate else 1e-4
+        a = np.array([1.5, -2.0, 0.5, 0.25, 3.0])
+
+        def loss_rows(rows):
+            return np.einsum("ij,ij->i", rows, a * rows) + np.sin(rows).sum(axis=1)
+
+        calls = []
+        stacked = fd_grad_rows(lambda rows: calls.append(rows.shape) or loss_rows(rows), x, h)
+        assert stacked.shape == x.shape and calls == [(2 * 5 * k, 5)]
+        for j in range(k):
+            one = fd_grad_rows(loss_rows, x[j], h[j] if per_coordinate else h)
+            assert stacked[j].tobytes() == one.tobytes(), j
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+    def test_rows_are_laid_out_instance_by_instance(self, spec):
+        # Instance j owns rows 2n*j .. 2n*j + 2n - 1, so its target repeats 2n times.
+        rng = np.random.default_rng(7)
+        g = LabelGrid(0.0, 4.0, 1.0)
+        instances = [random_instance(rng, g) for _ in range(3)]
+        targets = np.stack([t.probs for t, _ in instances])
+        logits = np.stack([z for _, z in instances])
+        h = 1e-5 * np.maximum(1.0, np.abs(logits))
+        stacked = fd_grad_rows(
+            lambda rows: batch_loss(np.repeat(targets, 2 * len(g), axis=0), rows, g, spec)["total"], logits, h)
+        for j, (target, z) in enumerate(instances):
+            assert stacked[j].tobytes() == fd_grad_rows(batched_total(spec, target, g), z, h[j]).tobytes()
+
+    def test_non_finite_loss_names_instance_and_coordinate(self):
+        x = np.zeros((3, 4))
+
+        def loss_rows(rows):  # instance 1's rows are 8..15; coordinate 2 moving down is row 14
+            out = rows.sum(axis=1)
+            out[14] = math.nan
+            return out
+
+        with pytest.raises(ValueError, match="^loss_fn non-finite in instance 1 near coordinate 2$"):
+            fd_grad_rows(loss_rows, x, 1e-5)
+
+    def test_stack_validation(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            fd_grad_rows(lambda r: np.zeros(len(r)), np.zeros((2, 0)), 1e-5)
+        with pytest.raises(ValueError, match="step must be positive"):
+            fd_grad_rows(lambda r: np.zeros(len(r)), np.zeros((2, 2)), np.array([[1e-5, 1e-5], [1e-5, 0.0]]))
+        with pytest.raises(ValueError, match=r"one loss per row, shape \(12,\)"):
+            fd_grad_rows(lambda r: np.zeros(4), np.zeros((3, 2)), 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +514,33 @@ def component_minima_per_sample(n_instances, seed=300, lam=1.0):
     return {k: float(v) for k, v in mins.items()}
 
 
+def affine_invariance_errors_per_sample(n_instances, scale=3.0, shift=7.0, lam=1.0):
+    """The one-instance-at-a-time form of affine_invariance_errors, kept as its reference."""
+    a, b = scale, shift
+    rng = np.random.default_rng(200)
+    out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
+    for _ in range(n_instances):
+        n = int(rng.integers(2, 40))
+        g1 = LabelGrid(0.0, float(n - 1), 1.0)
+        g2 = LabelGrid(a * g1.lo + b, a * g1.hi + b, a * g1.spacing)
+        target, logits = random_instance(rng, g1)
+
+        f1 = full_kl_loss(target, logits, g1)
+        f2 = full_kl_loss(target, logits, g2)
+        denom = max(1e-12, abs(f1.total))
+        out["full_total_rel"] = max(out["full_total_rel"], abs(f2.total - f1.total) / denom)
+        out["unchanged_abs"] = max(
+            out["unchanged_abs"], abs(f2.l_ld - f1.l_ld), abs(f2.l_smooth - f1.l_smooth)
+        )
+
+        r1 = reference_loss(target, logits, g1, lam)
+        r2 = reference_loss(target, logits, g2, lam)
+        denom = max(1e-12, abs(a * r1.l_exp))
+        out["ref_scale_rel"] = max(out["ref_scale_rel"], abs(r2.l_exp - a * r1.l_exp) / denom)
+        out["unchanged_abs"] = max(out["unchanged_abs"], abs(r2.l_ld - r1.l_ld))
+    return out
+
+
 class TestBatchedOraclesMatchPerSample:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
     def test_gradient_fidelity(self, spec):
@@ -490,6 +577,78 @@ class TestBatchedOraclesMatchPerSample:
             target, logits = random_instance(rng, LabelGrid(0.0, float(rng.integers(2, 32) - 1), 1.0))
             drawn.append((target.probs.tobytes(), logits.tobytes()))
         assert sorted(seen[FAMILY_FULL_KL]) == sorted(seen[FAMILY_REFERENCE]) == sorted(drawn)
+
+
+class TestStackedSuites:
+    """gradient_fidelity and affine_invariance_errors evaluate stacks of instances."""
+
+    def test_affine_invariance_errors_at_the_default_count(self):
+        n = inspect.signature(affine_invariance_errors).parameters["n_instances"].default
+        got = {k: v.hex() for k, v in affine_invariance_errors().items()}
+        assert got == {k: v.hex() for k, v in affine_invariance_errors_per_sample(n).items()}
+
+    def test_affine_invariance_errors_groups_by_size(self, monkeypatch):
+        # Four calls per grid size (two grids x two families); each sees every draw of its size once.
+        seen = []
+
+        def recording_batch_loss(targets, logits, g, spec):
+            seen.append((len(g), spec.family, g.lo, sorted(z.tobytes() for z in logits)))
+            return batch_loss(targets, logits, g, spec)
+
+        monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)
+        affine_invariance_errors(n_instances=60)
+        rng = np.random.default_rng(200)
+        drawn = {}
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            drawn.setdefault(n, []).append(random_instance(rng, LabelGrid(0.0, float(n - 1), 1.0))[1].tobytes())
+        assert len(seen) == 4 * len(drawn)
+        for n, family, lo, rows in seen:
+            assert rows == sorted(drawn[n]), (n, family, lo)
+        assert sorted((n, family, lo) for n, family, lo, _ in seen) == sorted(
+            (n, family, lo) for n in drawn for family in (FAMILY_FULL_KL, FAMILY_REFERENCE) for lo in (0.0, 7.0))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+    def test_gradient_fidelity_stacks_stay_small_and_see_every_instance_once(self, monkeypatch, spec):
+        # Seed 110 redraws a reference instance next to the L1 kink; a redrawn one must not be evaluated.
+        budget = 2 * max(verify.FIDELITY_SIZES) ** 2
+        sizes, analytic, perturbed = [], [], []
+
+        def recording_batch_loss(targets, logits, g, spec):
+            sizes.append(logits.size)
+            rows = zip(np.reshape(targets, (-1, len(g))), np.reshape(logits, (-1, len(g))))
+            perturbed.extend((t.tobytes(), z.tobytes()) for t, z in rows)
+            return batch_loss(targets, logits, g, spec)
+
+        def recording_batch_loss_and_grad(targets, logits, g, spec):
+            sizes.append(logits.size)
+            analytic.extend((t.tobytes(), z.tobytes()) for t, z in zip(targets, logits))
+            return losses.batch_loss_and_grad(targets, logits, g, spec)
+
+        monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)
+        monkeypatch.setattr(verify, "batch_loss_and_grad", recording_batch_loss_and_grad)
+        res = gradient_fidelity(spec, seed=110)
+        assert max(sizes) <= budget
+        assert (res.redraws >= 1) == (spec.family == FAMILY_REFERENCE)
+
+        rng = np.random.default_rng(110)
+        instances, rows = [], []
+        for n in verify.FIDELITY_SIZES:
+            g = LabelGrid(0.0, float(n - 1), 1.0)
+            for _ in range(100):
+                while True:
+                    target, z = random_instance(rng, g)
+                    h = 1e-5 * np.maximum(1.0, np.abs(z))
+                    if spec.family != FAMILY_REFERENCE or not verify._near_l1_kink(target, z, g.values, h):
+                        break
+                instances.append((target.probs.tobytes(), z.tobytes()))
+                for sign in (1.0, -1.0):
+                    for i in range(n):
+                        row = z.copy()
+                        row[i] += sign * h[i]
+                        rows.append((target.probs.tobytes(), row.tobytes()))
+        assert analytic == instances
+        assert sorted(perturbed) == sorted(rows)
 
 
 class TestInvarianceSuites:

@@ -65,8 +65,9 @@ REL_ERROR_FLOOR = 1e-12  # absolute floor in relative-error denominators
 # gradient_fidelity); the factor covers the second-order terms.
 KINK_REACH_MARGIN = 2.0
 
-# component_minima's default instance count, the one run_all_checks uses, drawn and
-# evaluated in blocks of MINIMA_BLOCK so the row stacks stay small at any count.
+# component_minima's default instance count, the one run_all_checks uses, and the most
+# rows one of its batch_loss calls evaluates.  The block bounds evaluation only: each
+# grid size's instances are drawn in one call, about 33 floats per instance in all.
 MINIMA_INSTANCES = 10_000
 MINIMA_BLOCK = 1024
 
@@ -238,42 +239,40 @@ def gaussian_kl_sweep() -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _draw(rng: np.random.Generator, g: LabelGrid) -> tuple[np.ndarray, np.ndarray | tuple[float, float]]:
-    """One instance's RNG draws on ``g``: (logits, target draw).
+def _require_instances(n_instances: int) -> None:
+    """Raise unless a randomized suite is asked for at least one instance; with none it would test nothing."""
+    if n_instances < 1:
+        raise ValueError(f"n_instances must be at least 1, got {n_instances}")
 
-    The target draw is a logit vector for a softmax target or a (mu, sigma)
-    pair for a discretized-Gaussian one.  The draw order (logits, the
-    target-kind coin, then the target's draws) is part of the suite's
-    format: a given seed always yields the same instances.
+
+def _draw_rows(rng: np.random.Generator, g: LabelGrid, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k random instances on ``g``: (target pmfs, logits), each (k, n).
+
+    The draws are taken kind by kind: the (k, n) N(0, 2^2) logits, k
+    target-kind coins, the softmax targets' N(0, 1.5^2) logit rows, then
+    the Gaussian targets' means and then their sigmas.  That order is part
+    of the suites' format: a given seed always yields the same instances.
+    At k = 1 it is one instance's logits, coin and target draws, the stream
+    of :func:`random_instance` and of the suites that draw instance by
+    instance.  All softmax targets go through one ``softmax_probs``
+    call and all Gaussian ones through one ``gaussian_probs`` call, and a
+    kind no row drew makes no call: at k = 1 an empty build would cost about
+    as much as the draw.  A row's bits do not depend on the others.  No
+    ``Pmf`` is made: these pmfs come from the grid's own formulas, and
+    re-validating them checks nothing.
     """
     n = len(g)
-    logits = rng.normal(0.0, 2.0, n)
-    if rng.random() < 0.5:
-        return logits, rng.normal(0.0, 1.5, n)
-    sigma_lo = g.sigma_floor
-    sigma_hi = max(sigma_lo, g.span / 4.0)
-    mu = rng.uniform(g.lo, g.hi)
-    return logits, (mu, rng.uniform(sigma_lo, sigma_hi))
-
-
-def _build(draws, g: LabelGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(target pmfs, logits), each (k, n), for k :func:`_draw` results on ``g``.
-
-    All softmax targets go through one ``softmax_probs`` call and all
-    Gaussian ones through one ``gaussian_probs`` call; a row's bits do not
-    depend on the others, so they equal the one-row build's.  No ``Pmf`` is
-    made: these pmfs come from the grid's own formulas, and re-validating
-    them checks nothing.
-    """
-    logits = np.stack([z for z, _ in draws])
+    logits = rng.normal(0.0, 2.0, (k, n))
+    soft = rng.random(k) < 0.5
+    n_soft = int(np.count_nonzero(soft))
     targets = np.empty_like(logits)
-    soft = [i for i, (_, t) in enumerate(draws) if isinstance(t, np.ndarray)]
-    gauss = [i for i, (_, t) in enumerate(draws) if not isinstance(t, np.ndarray)]
-    if soft:
-        targets[soft] = softmax_probs(np.stack([draws[i][1] for i in soft]))
-    if gauss:
-        mu, sigma = np.array([draws[i][1] for i in gauss]).T[..., np.newaxis]
-        targets[gauss] = gaussian_probs(mu, sigma, g.values)
+    if n_soft:
+        targets[soft] = softmax_probs(rng.normal(0.0, 1.5, (n_soft, n)))
+    if n_soft < k:
+        sigma_lo = g.sigma_floor
+        mu = rng.uniform(g.lo, g.hi, (k - n_soft, 1))
+        sigma = rng.uniform(sigma_lo, max(sigma_lo, g.span / 4.0), (k - n_soft, 1))
+        targets[~soft] = gaussian_probs(mu, sigma, g.values)
     return targets, logits
 
 
@@ -286,13 +285,13 @@ def random_instance(rng: np.random.Generator, g: LabelGrid) -> tuple[Pmf, np.nda
     needed for finiteness: it keeps the predicted variance far above the
     EPS_VAR floor, where the Gaussian-moment gradient becomes a subgradient,
     and keeps the losses smooth on the scale of the finite-difference steps.
-    It is :func:`_draw` then :func:`_build` for one row, wrapped in a
-    ``Pmf`` for the per-sample API.  The suites do not call it: they build
-    whole groups of draws and wrap none.  Its callers are the per-sample
+    It is :func:`_draw_rows` with k = 1, wrapped in a ``Pmf`` for the
+    per-sample API.  The suites do not call it: they stack rows drawn by
+    :func:`_draw_rows` and wrap none.  Its callers are the per-sample
     reference forms of the suites in ``tests/test_verify.py`` and the
     tests that need one checked instance.
     """
-    targets, logits = _build([_draw(rng, g)], g)
+    targets, logits = _draw_rows(rng, g, 1)
     return Pmf(targets[0]), logits[0]
 
 
@@ -341,6 +340,7 @@ def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 100) -
     do not depend on its batch, so every error equals the one-instance
     evaluation's.
     """
+    _require_instances(n_instances)
     rng = np.random.default_rng(seed)
     worst = (-1.0, 0, 0)
     redraws = 0
@@ -348,28 +348,27 @@ def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 100) -
         g = LabelGrid(0.0, float(n - 1), 1.0)
         block = max(FIDELITY_SIZES) ** 2 // n ** 2  # instances whose 2n^2-float stacks fit in one of the largest
         for start in range(0, n_instances, block):
-            draws = []
+            drawn = []
             for _ in range(min(block, n_instances - start)):
                 while True:
-                    draw = _draw(rng, g)
+                    (t,), (z,) = _draw_rows(rng, g, 1)
                     if spec.family != FAMILY_REFERENCE:
                         break
-                    (t,), (z,) = _build([draw], g)
                     if not _near_l1_kink(Pmf(t), z, g.values, FD_REL_STEP * np.maximum(1.0, np.abs(z))):
                         break
                     redraws += 1
-                draws.append(draw)
-            targets, logits = _build(draws, g)
+                drawn.append((t, z))
+            targets, logits = (np.stack(rows) for rows in zip(*drawn))
             analytic = batch_loss_and_grad(targets, logits, g, spec)[1]
             # Instance j's 2n perturbed rows share its target: a (k, 2n, n) view, not a copy.
-            shape = (len(draws), 2 * n, n)
+            shape = (len(drawn), 2 * n, n)
             repeated = np.broadcast_to(targets[:, np.newaxis], shape)
             numeric = fd_grad_rows(
                 lambda rows: batch_loss(repeated, rows.reshape(shape), g, spec)["total"].reshape(-1),
                 logits,
                 FD_REL_STEP * np.maximum(1.0, np.abs(logits)),
             )
-            for j in range(len(draws)):
+            for j in range(len(drawn)):
                 err = rel_norm_error(analytic[j], numeric[j])
                 if err > worst[0]:
                     worst = (err, n, start + j)
@@ -401,6 +400,7 @@ def affine_invariance_errors(n_instances: int = 100) -> dict[str, float]:
     :func:`batch_loss` call per grid and family.  A worst value does not
     depend on the evaluation order.
     """
+    _require_instances(n_instances)
     a, b = AFFINE_SCALE, AFFINE_SHIFT
     rng = np.random.default_rng(200)
     full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)
@@ -410,12 +410,12 @@ def affine_invariance_errors(n_instances: int = 100) -> dict[str, float]:
         n = int(rng.integers(2, 40))
         if n not in grids:
             grids[n] = LabelGrid(0.0, float(n - 1), 1.0)
-        by_n.setdefault(n, []).append(_draw(rng, grids[n]))
+        by_n.setdefault(n, []).append(_draw_rows(rng, grids[n], 1))
     out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
-    for n, draws in by_n.items():
+    for n, drawn in by_n.items():
         g1 = grids[n]
         g2 = LabelGrid(a * g1.lo + b, a * g1.hi + b, a * g1.spacing)
-        targets, logits = _build(draws, g1)
+        targets, logits = (np.concatenate(rows) for rows in zip(*drawn))
         f1, f2 = (batch_loss(targets, logits, g, full) for g in (g1, g2))
         r1, r2 = (batch_loss(targets, logits, g, ref) for g in (g1, g2))
         _require_finite(f1, f2, r1, r2)
@@ -466,24 +466,24 @@ def component_minima(n_instances: int = MINIMA_INSTANCES, seed: int = 300) -> di
 
     All minima must be >= 0: l_ld, l_exp and l_smooth are KL divergences
     (the full-KL family) and the reference l_exp is an absolute value.
+
+    The stream: every instance's grid size in one ``integers(2, 32)`` call,
+    then, for each size in ascending order, one :func:`_draw_rows` call for
+    all of that size's instances.  Each size's rows are evaluated in blocks
+    of at most MINIMA_BLOCK, one :func:`batch_loss` call per block and
+    family, so the instances do not depend on the block.
     """
+    _require_instances(n_instances)
     rng = np.random.default_rng(seed)
     full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)
-    grids: dict[int, LabelGrid] = {}
     mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
-    for start in range(0, n_instances, MINIMA_BLOCK):
-        # The draws keep the RNG stream's order; grouping them by n reorders only
-        # the evaluation, and a minimum does not depend on that order.
-        by_n: dict[int, list] = {}
-        for _ in range(min(MINIMA_BLOCK, n_instances - start)):
-            n = int(rng.integers(2, 32))
-            if n not in grids:
-                grids[n] = LabelGrid(0.0, float(n - 1), 1.0)
-            by_n.setdefault(n, []).append(_draw(rng, grids[n]))
-        for n, draws in by_n.items():
-            targets, logits = _build(draws, grids[n])
-            f = batch_loss(targets, logits, grids[n], full)
-            r = batch_loss(targets, logits, grids[n], ref)
+    for n, count in zip(*np.unique(rng.integers(2, 32, n_instances), return_counts=True)):
+        g = LabelGrid(0.0, float(n - 1), 1.0)
+        targets, logits = _draw_rows(rng, g, int(count))
+        for start in range(0, count, MINIMA_BLOCK):
+            rows = slice(start, start + MINIMA_BLOCK)
+            f = batch_loss(targets[rows], logits[rows], g, full)
+            r = batch_loss(targets[rows], logits[rows], g, ref)
             _require_finite(f, r)
             mins["l_ld"] = min(mins["l_ld"], np.min(f["l_ld"]), np.min(r["l_ld"]))
             mins["full_l_exp"] = min(mins["full_l_exp"], np.min(f["l_exp"]))

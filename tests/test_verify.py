@@ -416,24 +416,62 @@ def random_instance_reference(rng, g):
     return target, logits
 
 
+def draw_rows_reference(rng, g, k):
+    """verify._draw_rows' declared stream, each row built on its own with softmax or discretize_gaussian.
+
+    The draws come kind by kind: the (k, n) logits, k target-kind coins, the
+    softmax targets' logit rows, the Gaussian targets' means, then their sigmas.
+    Returns a list of k (target pmf, logits) pairs in row order.
+    """
+    n = len(g)
+    logits = rng.normal(0.0, 2.0, (k, n))
+    soft = rng.random(k) < 0.5
+    soft_logits = iter(rng.normal(0.0, 1.5, (int(soft.sum()), n)))
+    sigma_lo = 0.5 * g.spacing
+    mus = rng.uniform(g.lo, g.hi, k - int(soft.sum()))
+    gauss = iter(zip(mus, rng.uniform(sigma_lo, max(sigma_lo, g.span / 4.0), len(mus))))
+    targets = [softmax(next(soft_logits)) if s else discretize_gaussian(*next(gauss), g) for s in soft]
+    return list(zip(targets, logits))
+
+
+def record_softmax_rows(monkeypatch):
+    """A list that gets the row count of every softmax_probs call verify makes."""
+    counts, real = [], verify.softmax_probs
+    monkeypatch.setattr(verify, "softmax_probs", lambda z: counts.append(len(z)) or real(z))
+    return counts
+
+
 class TestDrawAndBuild:
     @pytest.mark.parametrize("n", [2, 5, 31, 101])
-    def test_batched_build_equals_random_instance_bytewise(self, n):
+    def test_batched_build_equals_random_instance_bytewise(self, monkeypatch, n):
+        # k = 1 is the one-instance stream random_instance always drew.
         g = LabelGrid(0.0, float(n - 1), 1.0)
         rng = np.random.default_rng(1000 + n)
-        draws = [verify._draw(rng, g) for _ in range(40)]
-        kinds = {isinstance(t, np.ndarray) for _, t in draws}
-        assert kinds == {True, False}, "both target kinds must be drawn"
-        targets, logits = verify._build(draws, g)
-        assert targets.shape == logits.shape == (40, n)
+        soft = record_softmax_rows(monkeypatch)
+        rows = [verify._draw_rows(rng, g, 1) for _ in range(40)]
+        assert 0 < len(soft) < 40 and set(soft) == {1}, "both target kinds, and no empty softmax_probs call"
         rng1, rng2 = np.random.default_rng(1000 + n), np.random.default_rng(1000 + n)
-        for row in range(40):
+        for targets, logits in rows:
+            assert targets.shape == logits.shape == (1, n)
             target, z = random_instance(rng1, g)
             old_target, old_z = random_instance_reference(rng2, g)
-            assert targets[row].tobytes() == target.probs.tobytes() == old_target.probs.tobytes()
-            assert logits[row].tobytes() == z.tobytes() == old_z.tobytes()
+            assert targets[0].tobytes() == target.probs.tobytes() == old_target.probs.tobytes()
+            assert logits[0].tobytes() == z.tobytes() == old_z.tobytes()
         # the same stream position afterwards: no draw was added or dropped
         assert rng.random() == rng1.random() == rng2.random()
+
+    @pytest.mark.parametrize("n", [2, 5, 31, 101])
+    def test_many_rows_equal_the_kind_by_kind_reference(self, monkeypatch, n):
+        g = LabelGrid(0.0, float(n - 1), 1.0)
+        rng, ref = np.random.default_rng(2000 + n), np.random.default_rng(2000 + n)
+        soft = record_softmax_rows(monkeypatch)
+        targets, logits = verify._draw_rows(rng, g, 40)
+        assert len(soft) == 1 and 0 < soft[0] < 40, "both target kinds, one softmax_probs call"
+        assert targets.shape == logits.shape == (40, n)
+        for row, (target, z) in enumerate(draw_rows_reference(ref, g, 40)):
+            assert targets[row].tobytes() == target.probs.tobytes(), row
+            assert logits[row].tobytes() == z.tobytes(), row
+        assert rng.random() == ref.random()
 
     def test_component_minima_constructs_no_pmf(self, monkeypatch):
         made = []
@@ -472,6 +510,12 @@ class TestGradientFidelity:
     def test_smooth_family_never_redraws(self):
         assert gradient_fidelity(LossSpec(FAMILY_FULL_KL), n_instances=20, seed=110).redraws == 0
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+    def test_refuses_an_empty_suite(self, spec):
+        for n_instances in (0, -1):
+            with pytest.raises(ValueError, match=f"^n_instances must be at least 1, got {n_instances}$"):
+                gradient_fidelity(spec, n_instances=n_instances)
+
 
 def gradient_fidelity_per_sample(spec, n_instances, sizes=(2, 5, 101), seed=100, rel_step=1e-5):
     """The one-call-per-perturbation form of gradient_fidelity, kept as its reference."""
@@ -498,19 +542,23 @@ def gradient_fidelity_per_sample(spec, n_instances, sizes=(2, 5, 101), seed=100,
 
 
 def component_minima_per_sample(n_instances, seed=300, lam=1.0):
-    """The one-instance-at-a-time form of component_minima, kept as its reference."""
+    """The one-instance-at-a-time form of component_minima, kept as its reference.
+
+    It draws component_minima's stream: every grid size in one call, then each
+    size's instances, in ascending size, through draw_rows_reference.
+    """
     rng = np.random.default_rng(seed)
     mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
-    for _ in range(n_instances):
-        n = int(rng.integers(2, 32))
+    sizes = rng.integers(2, 32, n_instances).tolist()
+    for n in sorted(set(sizes)):
         g = LabelGrid(0.0, float(n - 1), 1.0)
-        target, logits = random_instance(rng, g)
-        f = full_kl_loss(target, logits, g)
-        r = reference_loss(target, logits, g, lam)
-        mins["l_ld"] = min(mins["l_ld"], f.l_ld, r.l_ld)
-        mins["full_l_exp"] = min(mins["full_l_exp"], f.l_exp)
-        mins["l_smooth"] = min(mins["l_smooth"], f.l_smooth)
-        mins["ref_l_exp"] = min(mins["ref_l_exp"], r.l_exp)
+        for target, logits in draw_rows_reference(rng, g, sizes.count(n)):
+            f = full_kl_loss(target, logits, g)
+            r = reference_loss(target, logits, g, lam)
+            mins["l_ld"] = min(mins["l_ld"], f.l_ld, r.l_ld)
+            mins["full_l_exp"] = min(mins["full_l_exp"], f.l_exp)
+            mins["l_smooth"] = min(mins["l_smooth"], f.l_smooth)
+            mins["ref_l_exp"] = min(mins["ref_l_exp"], r.l_exp)
     return {k: float(v) for k, v in mins.items()}
 
 
@@ -556,9 +604,13 @@ class TestBatchedOraclesMatchPerSample:
         assert component_minima(n_instances=500) == component_minima_per_sample(500)
 
     def test_component_minima_across_blocks(self, monkeypatch):
-        # 500 instances in blocks of 7: many blocks and a short last one.
+        # 500 instances in blocks of 7: many blocks per size and a short last one.  The
+        # instances do not depend on the block, so the minima equal the one-block run's too.
+        whole = component_minima(n_instances=500, seed=3)
         monkeypatch.setattr(verify, "MINIMA_BLOCK", 7)
-        assert component_minima(n_instances=500, seed=3) == component_minima_per_sample(500, seed=3)
+        blocked = component_minima(n_instances=500, seed=3)
+        assert {k: v.hex() for k, v in blocked.items()} == {k: v.hex() for k, v in whole.items()}
+        assert blocked == component_minima_per_sample(500, seed=3)
 
     def test_component_minima_evaluates_every_draw_once_per_family(self, monkeypatch):
         # Equal minima can hide a dropped instance; the rows themselves cannot.
@@ -572,15 +624,35 @@ class TestBatchedOraclesMatchPerSample:
         monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)
         component_minima(n_instances=50, seed=3)
         rng = np.random.default_rng(3)
+        sizes = rng.integers(2, 32, 50).tolist()
         drawn = []
-        for _ in range(50):
-            target, logits = random_instance(rng, LabelGrid(0.0, float(rng.integers(2, 32) - 1), 1.0))
-            drawn.append((target.probs.tobytes(), logits.tobytes()))
-        assert sorted(seen[FAMILY_FULL_KL]) == sorted(seen[FAMILY_REFERENCE]) == sorted(drawn)
+        for n in sorted(set(sizes)):
+            rows = draw_rows_reference(rng, LabelGrid(0.0, float(n - 1), 1.0), sizes.count(n))
+            drawn += [(target.probs.tobytes(), logits.tobytes()) for target, logits in rows]
+        assert seen[FAMILY_FULL_KL] == seen[FAMILY_REFERENCE] == drawn
 
 
 class TestStackedSuites:
-    """gradient_fidelity and affine_invariance_errors evaluate stacks of instances."""
+    """The randomized suites evaluate stacks of instances."""
+
+    def test_component_minima_makes_two_calls_per_size(self, monkeypatch):
+        # Each size's rows are drawn at once and fit one MINIMA_BLOCK at the default count, so
+        # there is one call per size and family, sizes ascending: at most 2 x 30 calls.
+        seen = []
+
+        def recording_batch_loss(targets, logits, g, spec):
+            assert targets.shape == logits.shape == (len(logits), len(g))
+            seen.append((len(g), spec.family, len(logits)))
+            return batch_loss(targets, logits, g, spec)
+
+        monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)
+        component_minima()
+        sizes = [n for n, _, _ in seen]
+        assert len(seen) <= 2 * 30 and sizes == sorted(sizes)
+        assert all(rows <= verify.MINIMA_BLOCK for _, _, rows in seen)
+        assert sorted((n, family) for n, family, _ in seen) == sorted(
+            (n, family) for n in set(sizes) for family in (FAMILY_FULL_KL, FAMILY_REFERENCE))
+        assert sum(rows for _, _, rows in seen) == 2 * verify.MINIMA_INSTANCES
 
     def test_affine_invariance_errors_at_the_default_count(self):
         n = inspect.signature(affine_invariance_errors).parameters["n_instances"].default
@@ -657,6 +729,12 @@ class TestInvarianceSuites:
         assert errs["full_total_rel"] <= 1e-9
         assert errs["ref_scale_rel"] <= 1e-12
         assert errs["unchanged_abs"] == 0.0
+
+    @pytest.mark.parametrize("suite", [affine_invariance_errors, component_minima], ids=lambda f: f.__name__)
+    def test_refuses_an_empty_suite(self, suite):
+        for n_instances in (0, -1):
+            with pytest.raises(ValueError, match=f"^n_instances must be at least 1, got {n_instances}$"):
+                suite(n_instances=n_instances)
 
     def test_exact_zero_violations(self):
         violations = exact_zero_violations()

@@ -564,7 +564,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", force=True)
     handlers = {"run": _cmd_run, "compare": _cmd_compare, "verify": _cmd_verify, "gen-data": _cmd_gen_data}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `fullkl verify | head -1`: end as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # the exit flush of what stdout still holds goes nowhere
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status a shell reports for a process SIGPIPE ended
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -171,6 +171,42 @@ def _log_normalize(a: np.ndarray, scratch: np.ndarray) -> None:
     np.subtract(a, m + float(np.log(np.sum(scratch))), out=a)
 
 
+def _window(target_m: Moments, pred_m: Moments) -> tuple[float, float]:
+    """The quadrature window (lo, hi): both means +- SPAN_SIGMAS * the wider sigma."""
+    reach = SPAN_SIGMAS * math.sqrt(max(target_m.var, pred_m.var))
+    return min(target_m.mu, pred_m.mu) - reach, max(target_m.mu, pred_m.mu) + reach
+
+
+def _window_kls(window: tuple[float, float], points: int, held: Moments, held_is_target: bool,
+                others: list[Moments]) -> list[float]:
+    """Discrete KLs on one window between ``held`` and each moment pair of ``others``.
+
+    ``held`` is the target of every KL when ``held_is_target``, else the
+    prediction.  Each density is sampled on ``np.linspace(*window,
+    points)`` and renormalized in log space; ``held``'s is built once.
+    At most three ``points``-long buffers are live: the held log-density,
+    the current one (its abscissae are regenerated into it) and a scratch.
+    """
+    log_h = np.linspace(*window, points)
+    _log_kernel(log_h, held, log_h)
+    scratch = np.empty(points)
+    _log_normalize(log_h, scratch)
+    kls = []
+    for m in others:
+        log_m = np.linspace(*window, points)
+        _log_kernel(log_m, m, log_m)
+        _log_normalize(log_m, scratch)
+        if held_is_target:  # log t - log p over the prediction, t into the scratch
+            np.subtract(log_h, log_m, out=log_m)
+            np.exp(log_h, out=scratch)
+        else:  # log t - log p into the scratch, t over its own log
+            np.subtract(log_m, log_h, out=scratch)
+            np.exp(log_m, out=log_m)
+        kls.append(float(np.sum(np.multiply(scratch, log_m, out=scratch))))
+        del log_m  # the next density is allocated with only log_h and the scratch live
+    return kls
+
+
 def numeric_gaussian_kl(target_m: Moments, pred_m: Moments, points: int = 100_000) -> float:
     """Quadrature oracle for the closed-form Gaussian-moment KL.
 
@@ -178,26 +214,17 @@ def numeric_gaussian_kl(target_m: Moments, pred_m: Moments, points: int = 100_00
     +- SPAN_SIGMAS * max(sigma, sigma_hat), renormalized, and fed through
     the discrete KL sum.  All of it runs in log space (log-densities and a
     log-sum-exp normalizer), so extreme moment pairs — where one density
-    underflows across most of the window — lose nothing to rounding.  It
-    runs in place over three ``points``-long buffers (the abscissae, later
-    scratch; log t; log p) with the float operations of the plain
+    underflows across most of the window — lose nothing to rounding.  It is
+    the one-pair case of :func:`_window_kls`: three ``points``-long buffers
+    (log t, log p and a scratch), with the float operations of the plain
     whole-array expression in the same order, so it returns the same bits.
     """
     if points < MIN_QUADRATURE_POINTS:
         raise ValueError(f"points must be >= {MIN_QUADRATURE_POINTS}, got {points}")
     if target_m.var < EPS_VAR or pred_m.var < EPS_VAR:
         raise ValueError("variances must sit above the EPS_VAR floor")
-    reach = SPAN_SIGMAS * math.sqrt(max(target_m.var, pred_m.var))
-    lo = min(target_m.mu, pred_m.mu) - reach
-    hi = max(target_m.mu, pred_m.mu) + reach
-    x = np.linspace(lo, hi, points)
-    log_t = _log_kernel(x, target_m, np.empty_like(x))
-    log_p = _log_kernel(x, pred_m, np.empty_like(x))
-    scratch = x  # the abscissae are spent
-    _log_normalize(log_t, scratch)
-    _log_normalize(log_p, scratch)
-    np.subtract(log_t, log_p, out=log_p)
-    return float(np.sum(np.multiply(np.exp(log_t, out=scratch), log_p, out=scratch)))
+    (kl,) = _window_kls(_window(target_m, pred_m), points, target_m, True, [pred_m])
+    return kl
 
 
 @dataclass(frozen=True)
@@ -221,7 +248,27 @@ class SweepResult:
 
 
 def gaussian_kl_sweep() -> SweepResult:
-    """Closed-form gaussian_kl vs quadrature oracle over the SWEEP_SIGMAS x SWEEP_DMUS moment pairs."""
+    """Closed-form gaussian_kl vs quadrature oracle over the SWEEP_SIGMAS x SWEEP_DMUS moment pairs.
+
+    The pairs whose wider sigma and mean offset agree share one window, so
+    the 75 pairs take 15 windows.  Per window, the target N(0, wide^2) is
+    held against every prediction N(dmu, s^2) with s <= wide, and the
+    prediction N(dmu, wide^2) against every target N(0, s^2) with s < wide:
+    102 log-densities, each on :func:`numeric_gaussian_kl`'s 100,000 points,
+    and every KL the bits of that function's.
+    """
+    quadrature = {}
+    for dmu in SWEEP_DMUS:
+        for wide in SWEEP_SIGMAS:
+            held_t, held_p = Moments(0.0, wide * wide), Moments(float(dmu), wide * wide)
+            window = _window(held_t, held_p)
+            within = [s for s in SWEEP_SIGMAS if s <= wide]
+            kls = _window_kls(window, 100_000, held_t, True, [Moments(float(dmu), s * s) for s in within])
+            quadrature.update(((wide, s, dmu), kl) for s, kl in zip(within, kls))
+            narrower = [s for s in SWEEP_SIGMAS if s < wide]
+            if narrower:
+                kls = _window_kls(window, 100_000, held_p, False, [Moments(0.0, s * s) for s in narrower])
+                quadrature.update(((s, wide, dmu), kl) for s, kl in zip(narrower, kls))
     rows = []
     for sigma_t in SWEEP_SIGMAS:
         for sigma_p in SWEEP_SIGMAS:
@@ -229,7 +276,7 @@ def gaussian_kl_sweep() -> SweepResult:
                 target_m = Moments(0.0, sigma_t * sigma_t)
                 pred_m = Moments(float(dmu), sigma_p * sigma_p)
                 closed = gaussian_kl(target_m, pred_m)
-                numeric = numeric_gaussian_kl(target_m, pred_m)
+                numeric = quadrature[sigma_t, sigma_p, dmu]
                 rows.append(SweepRow(sigma_t, sigma_p, float(dmu), closed, numeric, abs(closed - numeric)))
     return SweepResult(tuple(rows), max(r.abs_err for r in rows))
 

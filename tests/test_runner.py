@@ -1265,6 +1265,23 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == "verification: 8/8 checks passed"
         assert proc.stderr == ""
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_ends_as_sigpipe_would(self, unbuffered):
+        # The reader of stdout is gone before the first line: every check passes, yet the run is no config
+        # error. It exits 128 + SIGPIPE, as a shell reports, and the exit flush prints no traceback.
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "fullkl", "verify"], env=env, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=300)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     def test_verify_cli_json_matches_run_all_checks(self, capsys):
         assert main(["verify", "--json"]) == EXIT_OK
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

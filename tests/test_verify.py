@@ -388,6 +388,34 @@ class TestGaussianKlSweep:
         assert gaussian_kl_sweep().max_abs_err > 1e-4
 
 
+class TestSharedWindowSweep:
+    def test_rows_are_the_one_pair_bits(self):
+        rows = gaussian_kl_sweep().rows
+        assert [(Moments(0.0, r.sigma_t ** 2), Moments(r.dmu, r.sigma_p ** 2)) for r in rows] == SWEEP_PAIRS
+        for r, (t, p) in zip(rows, SWEEP_PAIRS):
+            assert r.numeric.hex() == numeric_gaussian_kl_expression(t, p).hex(), (t, p)
+            assert r.numeric.hex() == numeric_gaussian_kl(t, p).hex(), (t, p)
+
+    def test_peak_memory_is_three_buffers(self):
+        gaussian_kl_sweep()  # warm up any lazy allocations
+        tracemalloc.start()
+        try:
+            gaussian_kl_sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 100_000 * 8 + 64 * 1024, peak
+
+    def test_builds_each_shared_density_once(self, monkeypatch):
+        # 15 windows (3 offsets x 5 wider sigmas), each holding one target and, past the narrowest
+        # sigma, one prediction: 15 + 12 held densities plus 75 others, against 2 per pair (150).
+        calls = []
+        kernel = verify._log_kernel
+        monkeypatch.setattr(verify, "_log_kernel", lambda x, m, out: calls.append(m) or kernel(x, m, out))
+        gaussian_kl_sweep()
+        assert len(calls) == 102
+
+
 # ---------------------------------------------------------------------------
 # randomized suites
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
-"""Independent oracles for the loss values, closed forms and analytic gradients.
+"""Oracles for the loss values, closed forms and analytic gradients.
 
-Nothing here shares code with the losses it checks: the Gaussian-moment KL
-is re-derived by brute-force quadrature, every loss component is re-derived
-in long double from its definition, and every analytic gradient is
-compared against central finite differences.  The trainer is only trusted
-after this module's suite passes.
+Four judges here share no code with the losses they check: the brute-force
+quadrature of the closed-form Gaussian-moment KL, the long-double
+re-derivation of every loss component from its definition
+(:func:`exact_components`), central finite differences as a method against
+the analytic gradient, and the test for the reference loss's L1 kink.  The
+rest does share code: the finite differences evaluate :func:`batch_loss`,
+the trainer's own value kernel, and the random instances are built with the
+grid's ``softmax_probs`` and ``gaussian_probs``.  So the gradient,
+invariance, non-negativity and exact-zero checks hold for a loss whose
+terms are consistently reweighted, and only ``kernel_values`` catches a
+fault in the values, as ``TestPlantedFaults`` in ``tests/test_verify.py``
+shows.  The trainer is only trusted after this module's suite passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -299,28 +306,35 @@ def _draw_rows(rng: np.random.Generator, g: LabelGrid, k: int) -> tuple[np.ndarr
     target-kind coins, the softmax targets' N(0, 1.5^2) logit rows, then
     the Gaussian targets' means and then their sigmas.  That order is part
     of the suites' format: a given seed always yields the same instances.
-    At k = 1 it is one instance's logits, coin and target draws, the stream
-    of :func:`random_instance` and of the suites that draw instance by
-    instance.  All softmax targets go through one ``softmax_probs``
-    call and all Gaussian ones through one ``gaussian_probs`` call, and a
-    kind no row drew makes no call: at k = 1 an empty build would cost about
-    as much as the draw.  A row's bits do not depend on the others.  No
-    ``Pmf`` is made: these pmfs come from the grid's own formulas, and
-    re-validating them checks nothing.
+    All softmax targets go through one ``softmax_probs`` call and all
+    Gaussian ones through one ``gaussian_probs`` call.  A row's bits do not
+    depend on the others.  No ``Pmf`` is made: these pmfs come from the
+    grid's own formulas, and re-validating them checks nothing.
     """
     n = len(g)
     logits = rng.normal(0.0, 2.0, (k, n))
     soft = rng.random(k) < 0.5
     n_soft = int(np.count_nonzero(soft))
     targets = np.empty_like(logits)
-    if n_soft:
-        targets[soft] = softmax_probs(rng.normal(0.0, 1.5, (n_soft, n)))
-    if n_soft < k:
-        sigma_lo = g.sigma_floor
-        mu = rng.uniform(g.lo, g.hi, (k - n_soft, 1))
-        sigma = rng.uniform(sigma_lo, max(sigma_lo, g.span / 4.0), (k - n_soft, 1))
-        targets[~soft] = gaussian_probs(mu, sigma, g.values)
+    targets[soft] = softmax_probs(rng.normal(0.0, 1.5, (n_soft, n)))
+    sigma_lo = g.sigma_floor
+    mu = rng.uniform(g.lo, g.hi, (k - n_soft, 1))
+    sigma = rng.uniform(sigma_lo, max(sigma_lo, g.span / 4.0), (k - n_soft, 1))
+    targets[~soft] = gaussian_probs(mu, sigma, g.values)
     return targets, logits
+
+
+def _by_size(rng: np.random.Generator, sizes: Iterable[int],
+             counts: Iterable[int]) -> Iterator[tuple[LabelGrid, np.ndarray, np.ndarray]]:
+    """For each grid size n of ``sizes`` in order, (g, targets, logits): ``counts``' rows in one draw.
+
+    ``g`` is the unit grid 0..n-1 and the rows come from one :func:`_draw_rows`
+    call.  The generator is lazy, so a size's rows are drawn only when the
+    loop reaches it, after whatever the loop drew for the sizes before.
+    """
+    for n, count in zip(sizes, counts):
+        g = LabelGrid(0.0, float(n - 1), 1.0)
+        yield (g, *_draw_rows(rng, g, int(count)))
 
 
 def random_instance(rng: np.random.Generator, g: LabelGrid) -> tuple[Pmf, np.ndarray]:
@@ -333,10 +347,9 @@ def random_instance(rng: np.random.Generator, g: LabelGrid) -> tuple[Pmf, np.nda
     EPS_VAR floor, where the Gaussian-moment gradient becomes a subgradient,
     and keeps the losses smooth on the scale of the finite-difference steps.
     It is :func:`_draw_rows` with k = 1, wrapped in a ``Pmf`` for the
-    per-sample API.  The suites do not call it: they stack rows drawn by
-    :func:`_draw_rows` and wrap none.  Its callers are the per-sample
-    reference forms of the suites in ``tests/test_verify.py`` and the
-    tests that need one checked instance.
+    per-sample API.  The suites do not call it: each draws all the rows of
+    a grid size in one :func:`_draw_rows` call and wraps none.  Its callers
+    are the tests that need one checked instance.
     """
     targets, logits = _draw_rows(rng, g, 1)
     return Pmf(targets[0]), logits[0]
@@ -353,18 +366,18 @@ class FidelityResult:
     redraws: int
 
 
-def _near_l1_kink(target: Pmf, logits: np.ndarray, values: np.ndarray, h: np.ndarray) -> bool:
-    """Whether central differences with steps ``h`` can cross mu_hat = mu.
+def _near_l1_kink(targets: np.ndarray, logits: np.ndarray, values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Row mask: whether central differences with steps ``h`` can cross mu_hat = mu.
 
     Moving logit i by h_i moves mu_hat by about p_i * |y_i - mu_hat| * h_i.
     Computed here from the definitions, independently of the losses module.
     """
-    e = np.exp(logits - np.max(logits))
-    p = e / np.sum(e)
-    mu_hat = float(np.sum(p * values))
-    mu = float(np.sum(target.probs * values))
-    reach = float(np.max(p * np.abs(values - mu_hat) * h))
-    return abs(mu_hat - mu) <= KINK_REACH_MARGIN * reach
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    p = e / np.sum(e, axis=-1, keepdims=True)
+    mu_hat = np.sum(p * values, axis=-1)
+    mu = np.sum(targets * values, axis=-1)
+    reach = np.max(p * np.abs(values - mu_hat[..., np.newaxis]) * h, axis=-1)
+    return np.abs(mu_hat - mu) <= KINK_REACH_MARGIN * reach
 
 
 def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 100) -> FidelityResult:
@@ -372,50 +385,53 @@ def gradient_fidelity(spec: LossSpec, n_instances: int = 100, seed: int = 100) -
 
     The analytic gradients are :func:`batch_loss_and_grad`'s, the entry
     point ``train_step`` calls; the finite differences read
-    :func:`batch_loss` of the same kernel.  On grids of FIDELITY_SIZES bins,
-    per instance the step is h_i = FD_REL_STEP * max(1, |logit_i|) and the
-    discrepancy is measured with :func:`rel_norm_error`.  The reference
-    loss has a kink where mu_hat = mu; a reference instance whose steps
-    could cross it is redrawn, since central differences straddling the
-    kink measure neither one-sided gradient.  ``redraws`` counts them.
+    :func:`batch_loss` of the same kernel, so they judge the gradient
+    against its own loss value, not the value itself.  On grids of
+    FIDELITY_SIZES bins, per instance the step is h_i = FD_REL_STEP *
+    max(1, |logit_i|) and the discrepancy is measured with
+    :func:`rel_norm_error`.
 
-    Instances are drawn in stream order and evaluated in blocks: one
+    The stream: for each size in order, one :func:`_draw_rows` call for
+    its ``n_instances`` rows.  The reference loss has a kink where mu_hat =
+    mu; before the next size is drawn, the rows whose steps could cross it
+    are redrawn together, one :func:`_draw_rows` call per round until none
+    is left, since central differences straddling the kink measure neither
+    one-sided gradient.  ``redraws`` counts the redrawn rows.
+
+    Each size's rows are evaluated in blocks: one
     :func:`batch_loss_and_grad` and one :func:`fd_grad_rows` call per block.
     A block's perturbed-row stack holds at most the 2*max(FIDELITY_SIZES)^2
     floats of one instance on the largest grid, so the small grids take one
     block each and the largest takes one instance per block.  A row's bits
     do not depend on its batch, so every error equals the one-instance
-    evaluation's.
+    evaluation's; ``worst_instance`` is the row within its size.
     """
     _require_instances(n_instances)
     rng = np.random.default_rng(seed)
     worst = (-1.0, 0, 0)
     redraws = 0
-    for n in FIDELITY_SIZES:
-        g = LabelGrid(0.0, float(n - 1), 1.0)
+    for g, targets, logits in _by_size(rng, FIDELITY_SIZES, [n_instances] * len(FIDELITY_SIZES)):
+        n = len(g)
+        while spec.family == FAMILY_REFERENCE:
+            near = _near_l1_kink(targets, logits, g.values, FD_REL_STEP * np.maximum(1.0, np.abs(logits)))
+            m = int(np.count_nonzero(near))
+            if not m:
+                break
+            targets[near], logits[near] = _draw_rows(rng, g, m)
+            redraws += m
         block = max(FIDELITY_SIZES) ** 2 // n ** 2  # instances whose 2n^2-float stacks fit in one of the largest
         for start in range(0, n_instances, block):
-            drawn = []
-            for _ in range(min(block, n_instances - start)):
-                while True:
-                    (t,), (z,) = _draw_rows(rng, g, 1)
-                    if spec.family != FAMILY_REFERENCE:
-                        break
-                    if not _near_l1_kink(Pmf(t), z, g.values, FD_REL_STEP * np.maximum(1.0, np.abs(z))):
-                        break
-                    redraws += 1
-                drawn.append((t, z))
-            targets, logits = (np.stack(rows) for rows in zip(*drawn))
-            analytic = batch_loss_and_grad(targets, logits, g, spec)[1]
+            t, z = targets[start:start + block], logits[start:start + block]
+            analytic = batch_loss_and_grad(t, z, g, spec)[1]
             # Instance j's 2n perturbed rows share its target: a (k, 2n, n) view, not a copy.
-            shape = (len(drawn), 2 * n, n)
-            repeated = np.broadcast_to(targets[:, np.newaxis], shape)
+            shape = (len(z), 2 * n, n)
+            repeated = np.broadcast_to(t[:, np.newaxis], shape)
             numeric = fd_grad_rows(
                 lambda rows: batch_loss(repeated, rows.reshape(shape), g, spec)["total"].reshape(-1),
-                logits,
-                FD_REL_STEP * np.maximum(1.0, np.abs(logits)),
+                z,
+                FD_REL_STEP * np.maximum(1.0, np.abs(z)),
             )
-            for j in range(len(drawn)):
+            for j in range(len(z)):
                 err = rel_norm_error(analytic[j], numeric[j])
                 if err > worst[0]:
                     worst = (err, n, start + j)
@@ -442,27 +458,19 @@ def affine_invariance_errors(n_instances: int = 100) -> dict[str, float]:
     absolute change of l_ld and l_smooth (expected exactly 0.0 — neither
     touches the grid values).
 
-    The (grid size, instance) pairs are drawn in stream order and grouped
-    by size, as in :func:`component_minima`; each group is one
-    :func:`batch_loss` call per grid and family.  A worst value does not
-    depend on the evaluation order.
+    The stream: every instance's grid size in one ``integers(2, 40)`` call,
+    then, for each size in ascending order, one :func:`_draw_rows` call for
+    all of that size's instances, as in :func:`component_minima`; each size
+    is one :func:`batch_loss` call per grid and family.  A worst value does
+    not depend on the evaluation order.
     """
     _require_instances(n_instances)
     a, b = AFFINE_SCALE, AFFINE_SHIFT
     rng = np.random.default_rng(200)
     full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)
-    grids: dict[int, LabelGrid] = {}
-    by_n: dict[int, list] = {}
-    for _ in range(n_instances):
-        n = int(rng.integers(2, 40))
-        if n not in grids:
-            grids[n] = LabelGrid(0.0, float(n - 1), 1.0)
-        by_n.setdefault(n, []).append(_draw_rows(rng, grids[n], 1))
     out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
-    for n, drawn in by_n.items():
-        g1 = grids[n]
+    for g1, targets, logits in _by_size(rng, *np.unique(rng.integers(2, 40, n_instances), return_counts=True)):
         g2 = LabelGrid(a * g1.lo + b, a * g1.hi + b, a * g1.spacing)
-        targets, logits = (np.concatenate(rows) for rows in zip(*drawn))
         f1, f2 = (batch_loss(targets, logits, g, full) for g in (g1, g2))
         r1, r2 = (batch_loss(targets, logits, g, ref) for g in (g1, g2))
         _require_finite(f1, f2, r1, r2)
@@ -524,10 +532,8 @@ def component_minima(n_instances: int = MINIMA_INSTANCES, seed: int = 300) -> di
     rng = np.random.default_rng(seed)
     full, ref = LossSpec(FAMILY_FULL_KL), LossSpec(FAMILY_REFERENCE, ORACLE_LAMBDA)
     mins = {"l_ld": np.inf, "full_l_exp": np.inf, "l_smooth": np.inf, "ref_l_exp": np.inf}
-    for n, count in zip(*np.unique(rng.integers(2, 32, n_instances), return_counts=True)):
-        g = LabelGrid(0.0, float(n - 1), 1.0)
-        targets, logits = _draw_rows(rng, g, int(count))
-        for start in range(0, count, MINIMA_BLOCK):
+    for g, targets, logits in _by_size(rng, *np.unique(rng.integers(2, 32, n_instances), return_counts=True)):
+        for start in range(0, len(targets), MINIMA_BLOCK):
             rows = slice(start, start + MINIMA_BLOCK)
             f = batch_loss(targets[rows], logits[rows], g, full)
             r = batch_loss(targets[rows], logits[rows], g, ref)

@@ -477,7 +477,7 @@ class TestDrawAndBuild:
         rng = np.random.default_rng(1000 + n)
         soft = record_softmax_rows(monkeypatch)
         rows = [verify._draw_rows(rng, g, 1) for _ in range(40)]
-        assert 0 < len(soft) < 40 and set(soft) == {1}, "both target kinds, and no empty softmax_probs call"
+        assert len(soft) == 40 and set(soft) == {0, 1}, "both target kinds"
         rng1, rng2 = np.random.default_rng(1000 + n), np.random.default_rng(1000 + n)
         for targets, logits in rows:
             assert targets.shape == logits.shape == (1, n)
@@ -501,7 +501,7 @@ class TestDrawAndBuild:
             assert logits[row].tobytes() == z.tobytes(), row
         assert rng.random() == ref.random()
 
-    def test_component_minima_constructs_no_pmf(self, monkeypatch):
+    def test_randomized_suites_construct_no_pmf(self, monkeypatch):
         made = []
         real = Pmf.__post_init__
 
@@ -513,8 +513,56 @@ class TestDrawAndBuild:
         random_instance(np.random.default_rng(0), LabelGrid(0.0, 4.0, 1.0))
         assert len(made) == 1  # the counter sees Pmf construction
         made.clear()
-        component_minima(n_instances=300, seed=4)
+        for spec in SPECS:
+            gradient_fidelity(spec)
+        affine_invariance_errors()
+        component_minima()
         assert made == []
+
+    def test_run_all_checks_draws_each_grid_size_once_per_suite(self, monkeypatch):
+        # One _draw_rows call per (suite, grid size), k the size's count, in suite order: both
+        # fidelity families (no row of the default seed sits next to the kink), then the affine
+        # and minima suites, each size once in ascending order.
+        calls, real = [], verify._draw_rows
+        monkeypatch.setattr(verify, "_draw_rows", lambda rng, g, k: calls.append((len(g), k)) or real(rng, g, k))
+        run_all_checks()
+        n_grad = inspect.signature(gradient_fidelity).parameters["n_instances"].default
+        n_affine = inspect.signature(affine_invariance_errors).parameters["n_instances"].default
+        affine = np.unique(np.random.default_rng(200).integers(2, 40, n_affine), return_counts=True)
+        minima = np.unique(np.random.default_rng(300).integers(2, 32, verify.MINIMA_INSTANCES), return_counts=True)
+        expected = [(n, n_grad) for n in verify.FIDELITY_SIZES] * len(SPECS)
+        expected += [(int(n), int(k)) for sizes in (affine, minima) for n, k in zip(*sizes)]
+        assert calls == expected
+
+
+# The smallest seed >= 100 at which the reference family's gradient_fidelity redraws a row.
+KINK_SEED = 392
+
+
+def near_l1_kink_scalar(target_probs, logits, values, h):
+    """Whether central differences with steps h can cross mu_hat = mu on one row; verify's kink test, per row."""
+    e = np.exp(logits - np.max(logits))
+    p = e / np.sum(e)
+    mu_hat = float(np.sum(p * values))
+    mu = float(np.sum(target_probs * values))
+    reach = float(np.max(p * np.abs(values - mu_hat) * h))
+    return abs(mu_hat - mu) <= 2.0 * reach
+
+
+def fidelity_rows_reference(rng, g, k, spec, rel_step=1e-5):
+    """gradient_fidelity's rows on one grid: k drawn at once, then, for the reference family,
+    the rows next to the L1 kink redrawn together until none is left.  Returns (rows, redraws)."""
+    rows = draw_rows_reference(rng, g, k)
+    redraws = 0
+    while spec.family == FAMILY_REFERENCE:
+        near = [j for j, (target, z) in enumerate(rows)
+                if near_l1_kink_scalar(target.probs, z, g.values, rel_step * np.maximum(1.0, np.abs(z)))]
+        if not near:
+            break
+        for j, row in zip(near, draw_rows_reference(rng, g, len(near))):
+            rows[j] = row
+        redraws += len(near)
+    return rows, redraws
 
 
 class TestGradientFidelity:
@@ -527,16 +575,52 @@ class TestGradientFidelity:
         res = gradient_fidelity(LossSpec(FAMILY_REFERENCE, 1.0), n_instances=20)
         assert res.max_rel_error <= 1e-6
 
-    def test_reference_redraws_instances_next_to_the_l1_kink(self):
-        # Seed 110's instance 67 at n=101 has mu_hat - mu = -1.4e-5: central
-        # differences straddle the kink there and measured a 0.569 relative
-        # error before the redraw.  The default seed never takes this path.
-        res = gradient_fidelity(LossSpec(FAMILY_REFERENCE, 1.0), seed=110)
-        assert res.redraws >= 1
+    def test_reference_redraws_instances_next_to_the_l1_kink(self, monkeypatch):
+        # KINK_SEED is the smallest seed >= 100 whose reference run redraws (one row at n = 5); the
+        # default seed never takes this path.  Central differences straddle the kink at the rejected
+        # row, so evaluated as the suite evaluates its rows it reads far over the 1e-6 bound.
+        spec = LossSpec(FAMILY_REFERENCE, 1.0)
+        rejected, real = [], verify._near_l1_kink
+
+        def recording(targets, logits, values, h):
+            near = real(targets, logits, values, h)
+            rejected.extend((t.copy(), z.copy(), values) for t, z in zip(targets[near], logits[near]))
+            return near
+
+        monkeypatch.setattr(verify, "_near_l1_kink", recording)
+        res = gradient_fidelity(spec, seed=KINK_SEED)
+        assert res.redraws >= 1 and len(rejected) == res.redraws
         assert res.max_rel_error <= 1e-6
+        for t, z, values in rejected:
+            n = len(values)
+            g = LabelGrid(0.0, float(n - 1), 1.0)
+            analytic = losses.batch_loss_and_grad(t[np.newaxis], z[np.newaxis], g, spec)[1][0]
+            repeated = np.broadcast_to(t, (2 * n, n))
+            numeric = fd_grad_rows(lambda rows: batch_loss(repeated, rows, g, spec)["total"], z,
+                                   1e-5 * np.maximum(1.0, np.abs(z)))
+            assert rel_norm_error(analytic, numeric) > 1e-6
 
     def test_smooth_family_never_redraws(self):
-        assert gradient_fidelity(LossSpec(FAMILY_FULL_KL), n_instances=20, seed=110).redraws == 0
+        assert gradient_fidelity(LossSpec(FAMILY_FULL_KL), n_instances=20, seed=KINK_SEED).redraws == 0
+
+    @pytest.mark.parametrize("n", [2, 101])
+    def test_kink_mask_equals_the_scalar_transcription(self, n):
+        # Row 0 is on the kink (its target is its own softmax, so mu = mu_hat); row 1 puts the
+        # prediction's mass on the first bin and the target's on the last, far from it.
+        g = LabelGrid(0.0, float(n - 1), 1.0)
+        rng = np.random.default_rng(n)
+        z_on = rng.normal(0.0, 2.0, n)
+        e = np.exp(z_on - np.max(z_on))
+        z_far = np.zeros(n)
+        z_far[0] = 10.0
+        rows = [(e / np.sum(e), z_on), (np.eye(n)[-1], z_far)]
+        rows += [(t.probs, z) for t, z in draw_rows_reference(rng, g, 30)]
+        targets, logits = (np.stack(column) for column in zip(*rows))
+        h = 1e-5 * np.maximum(1.0, np.abs(logits))
+        mask = verify._near_l1_kink(targets, logits, g.values, h)
+        assert mask.dtype == np.bool_ and mask.shape == (len(rows),)
+        assert mask[0] and not mask[1]
+        assert mask.tolist() == [near_l1_kink_scalar(t, z, g.values, dz) for (t, z), dz in zip(rows, h)]
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
     def test_refuses_an_empty_suite(self, spec):
@@ -552,13 +636,10 @@ def gradient_fidelity_per_sample(spec, n_instances, sizes=(2, 5, 101), seed=100,
     redraws = 0
     for n in sizes:
         g = LabelGrid(0.0, float(n - 1), 1.0)
-        for k in range(n_instances):
-            while True:
-                target, logits = random_instance(rng, g)
-                h = rel_step * np.maximum(1.0, np.abs(logits))
-                if spec.family != FAMILY_REFERENCE or not verify._near_l1_kink(target, logits, g.values, h):
-                    break
-                redraws += 1
+        rows, redrawn = fidelity_rows_reference(rng, g, n_instances, spec, rel_step)
+        redraws += redrawn
+        for k, (target, logits) in enumerate(rows):
+            h = rel_step * np.maximum(1.0, np.abs(logits))
             if spec.family == FAMILY_REFERENCE:
                 analytic = reference_grad(target, logits, g, spec.lam)
             else:
@@ -591,29 +672,32 @@ def component_minima_per_sample(n_instances, seed=300, lam=1.0):
 
 
 def affine_invariance_errors_per_sample(n_instances, scale=3.0, shift=7.0, lam=1.0):
-    """The one-instance-at-a-time form of affine_invariance_errors, kept as its reference."""
+    """The one-instance-at-a-time form of affine_invariance_errors, kept as its reference.
+
+    It draws affine_invariance_errors' stream: every grid size in one call, then
+    each size's instances, in ascending size, through draw_rows_reference.
+    """
     a, b = scale, shift
     rng = np.random.default_rng(200)
     out = {"full_total_rel": 0.0, "ref_scale_rel": 0.0, "unchanged_abs": 0.0}
-    for _ in range(n_instances):
-        n = int(rng.integers(2, 40))
+    sizes = rng.integers(2, 40, n_instances).tolist()
+    for n in sorted(set(sizes)):
         g1 = LabelGrid(0.0, float(n - 1), 1.0)
         g2 = LabelGrid(a * g1.lo + b, a * g1.hi + b, a * g1.spacing)
-        target, logits = random_instance(rng, g1)
+        for target, logits in draw_rows_reference(rng, g1, sizes.count(n)):
+            f1 = full_kl_loss(target, logits, g1)
+            f2 = full_kl_loss(target, logits, g2)
+            denom = max(1e-12, abs(f1.total))
+            out["full_total_rel"] = max(out["full_total_rel"], abs(f2.total - f1.total) / denom)
+            out["unchanged_abs"] = max(
+                out["unchanged_abs"], abs(f2.l_ld - f1.l_ld), abs(f2.l_smooth - f1.l_smooth)
+            )
 
-        f1 = full_kl_loss(target, logits, g1)
-        f2 = full_kl_loss(target, logits, g2)
-        denom = max(1e-12, abs(f1.total))
-        out["full_total_rel"] = max(out["full_total_rel"], abs(f2.total - f1.total) / denom)
-        out["unchanged_abs"] = max(
-            out["unchanged_abs"], abs(f2.l_ld - f1.l_ld), abs(f2.l_smooth - f1.l_smooth)
-        )
-
-        r1 = reference_loss(target, logits, g1, lam)
-        r2 = reference_loss(target, logits, g2, lam)
-        denom = max(1e-12, abs(a * r1.l_exp))
-        out["ref_scale_rel"] = max(out["ref_scale_rel"], abs(r2.l_exp - a * r1.l_exp) / denom)
-        out["unchanged_abs"] = max(out["unchanged_abs"], abs(r2.l_ld - r1.l_ld))
+            r1 = reference_loss(target, logits, g1, lam)
+            r2 = reference_loss(target, logits, g2, lam)
+            denom = max(1e-12, abs(a * r1.l_exp))
+            out["ref_scale_rel"] = max(out["ref_scale_rel"], abs(r2.l_exp - a * r1.l_exp) / denom)
+            out["unchanged_abs"] = max(out["unchanged_abs"], abs(r2.l_ld - r1.l_ld))
     return out
 
 
@@ -624,9 +708,9 @@ class TestBatchedOraclesMatchPerSample:
 
     def test_gradient_fidelity_with_kink_redraw(self):
         spec = LossSpec(FAMILY_REFERENCE, 1.0)
-        res = gradient_fidelity(spec, seed=110)
+        res = gradient_fidelity(spec, seed=KINK_SEED)
         assert res.redraws >= 1
-        assert res == gradient_fidelity_per_sample(spec, 100, seed=110)
+        assert res == gradient_fidelity_per_sample(spec, 100, seed=KINK_SEED)
 
     def test_component_minima(self):
         assert component_minima(n_instances=500) == component_minima_per_sample(500)
@@ -688,29 +772,30 @@ class TestStackedSuites:
         assert got == {k: v.hex() for k, v in affine_invariance_errors_per_sample(n).items()}
 
     def test_affine_invariance_errors_groups_by_size(self, monkeypatch):
-        # Four calls per grid size (two grids x two families); each sees every draw of its size once.
+        # Four calls per grid size (two grids x two families), sizes ascending; each sees every
+        # draw of its size once, in draw order.
         seen = []
 
         def recording_batch_loss(targets, logits, g, spec):
-            seen.append((len(g), spec.family, g.lo, sorted(z.tobytes() for z in logits)))
+            seen.append((len(g), spec.family, g.lo, [z.tobytes() for z in logits]))
             return batch_loss(targets, logits, g, spec)
 
         monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)
         affine_invariance_errors(n_instances=60)
         rng = np.random.default_rng(200)
-        drawn = {}
-        for _ in range(60):
-            n = int(rng.integers(2, 40))
-            drawn.setdefault(n, []).append(random_instance(rng, LabelGrid(0.0, float(n - 1), 1.0))[1].tobytes())
-        assert len(seen) == 4 * len(drawn)
+        sizes = rng.integers(2, 40, 60).tolist()
+        drawn = {n: [z.tobytes() for _, z in draw_rows_reference(rng, LabelGrid(0.0, float(n - 1), 1.0),
+                                                                 sizes.count(n))]
+                 for n in sorted(set(sizes))}
+        assert len(seen) == 4 * len(drawn) and [n for n, *_ in seen] == sorted(n for n, *_ in seen)
         for n, family, lo, rows in seen:
-            assert rows == sorted(drawn[n]), (n, family, lo)
+            assert rows == drawn[n], (n, family, lo)
         assert sorted((n, family, lo) for n, family, lo, _ in seen) == sorted(
             (n, family, lo) for n in drawn for family in (FAMILY_FULL_KL, FAMILY_REFERENCE) for lo in (0.0, 7.0))
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
     def test_gradient_fidelity_stacks_stay_small_and_see_every_instance_once(self, monkeypatch, spec):
-        # Seed 110 redraws a reference instance next to the L1 kink; a redrawn one must not be evaluated.
+        # KINK_SEED redraws a reference instance next to the L1 kink; a redrawn one must not be evaluated.
         budget = 2 * max(verify.FIDELITY_SIZES) ** 2
         sizes, analytic, perturbed = [], [], []
 
@@ -727,20 +812,16 @@ class TestStackedSuites:
 
         monkeypatch.setattr(verify, "batch_loss", recording_batch_loss)
         monkeypatch.setattr(verify, "batch_loss_and_grad", recording_batch_loss_and_grad)
-        res = gradient_fidelity(spec, seed=110)
+        res = gradient_fidelity(spec, seed=KINK_SEED)
         assert max(sizes) <= budget
         assert (res.redraws >= 1) == (spec.family == FAMILY_REFERENCE)
 
-        rng = np.random.default_rng(110)
+        rng = np.random.default_rng(KINK_SEED)
         instances, rows = [], []
         for n in verify.FIDELITY_SIZES:
             g = LabelGrid(0.0, float(n - 1), 1.0)
-            for _ in range(100):
-                while True:
-                    target, z = random_instance(rng, g)
-                    h = 1e-5 * np.maximum(1.0, np.abs(z))
-                    if spec.family != FAMILY_REFERENCE or not verify._near_l1_kink(target, z, g.values, h):
-                        break
+            for target, z in fidelity_rows_reference(rng, g, 100, spec)[0]:
+                h = 1e-5 * np.maximum(1.0, np.abs(z))
                 instances.append((target.probs.tobytes(), z.tobytes()))
                 for sign in (1.0, -1.0):
                     for i in range(n):
